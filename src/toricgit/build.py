@@ -39,7 +39,7 @@ from .errors import InfeasibleError, InputError, NotAmple
 from .git import GitSetup
 from .lattice import Lattice, Sublattice
 from .polytope import DivisorClass, HPolytope
-from .serialize import int_from_obj
+from .serialize import facet_id, int_from_obj
 
 
 def projective_space(n: int, k: int = 1) -> HPolytope:
@@ -120,7 +120,7 @@ class BundleSpec:
         for d in obj["summands"]:
             if not isinstance(d, dict):
                 raise InputError("each summand must be an object facet -> int")
-            summands.append({int(k): int_from_obj(v) for k, v in d.items()})
+            summands.append({facet_id(k): int_from_obj(v) for k, v in d.items()})
         return BundleSpec(base, tuple(summands))
 
 

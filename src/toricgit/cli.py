@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -29,17 +28,13 @@ COMMANDS = (
 )
 
 
-def max_threads() -> int:
-    """Parallelism cap from TORICGIT_THREADS (>= 1); evaluation order stays
-    deterministic regardless of the cap."""
-    raw = os.environ.get("TORICGIT_THREADS", "1")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise InputError(f"TORICGIT_THREADS must be an integer, got {raw!r}")
-    if v < 1:
-        raise InputError("TORICGIT_THREADS must be >= 1")
-    return v
+def _int_option(options: dict, key: str, default: int, minimum: Optional[int] = None) -> int:
+    val = options.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise InputError(f'option "{key}" must be an integer, got {val!r}')
+    if minimum is not None and val < minimum:
+        raise InputError(f'option "{key}" must be >= {minimum}, got {val}')
+    return val
 
 
 def _need(payload: dict, key: str):
@@ -63,7 +58,7 @@ def _indices(payload, setup: GitSetup) -> UnstableIndexVector:
     if not isinstance(raw, dict):
         raise InputError("indices must be an object facet -> integer")
     return UnstableIndexVector.from_dict(
-        {int(k): serialize.int_from_obj(v) for k, v in raw.items()})
+        {serialize.facet_id(k): serialize.int_from_obj(v) for k, v in raw.items()})
 
 
 def run_command(command: str, payload: dict, options: dict) -> dict:
@@ -94,9 +89,10 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         sheaf = _sheaf(payload)
         verdict = stability.check_stability(
             sheaf, poly,
-            cap=options.get("cap", stability.DEFAULT_CAP),
-            random_trials=options.get("random_trials", stability.DEFAULT_RANDOM_TRIALS),
-            seed=options.get("seed", stability.DEFAULT_SEED),
+            cap=_int_option(options, "cap", stability.DEFAULT_CAP, 0),
+            random_trials=_int_option(
+                options, "random_trials", stability.DEFAULT_RANDOM_TRIALS, 0),
+            seed=_int_option(options, "seed", stability.DEFAULT_SEED),
         )
         return {"verdict": verdict.to_json_dict()}
     if command == "descend":
@@ -132,7 +128,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         sol = minkowski.solve_minkowski(
             normals, volumes,
             tol=options.get("tol", minkowski.SOLVER_TOL),
-            max_iter=options.get("max_iter", minkowski.SOLVER_MAX_ITER),
+            max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
             seed=options.get("seed"),
         )
         return {
@@ -146,7 +142,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         alpha = minkowski.ample_class_alpha(
             setup,
             tol=options.get("tol", minkowski.SOLVER_TOL),
-            max_iter=options.get("max_iter", minkowski.SOLVER_MAX_ITER),
+            max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
             seed=options.get("seed"),
         )
         return {"alpha": alpha.to_json_dict()}
@@ -157,14 +153,14 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         alpha = minkowski.ample_class_alpha(
             setup,
             tol=options.get("tol", minkowski.SOLVER_TOL),
-            max_iter=options.get("max_iter", minkowski.SOLVER_MAX_ITER),
+            max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
             seed=options.get("seed"),
         )
         report = minkowski.verify_slope_identity(setup, sheaf, ivec, alpha)
         return {"identity": report.to_json_dict(), "alpha": alpha.to_json_dict()}
     if command == "compatible-subgroups":
         poly = HPolytope.from_json_dict(_need(payload, "polytope"))
-        res = minkowski.compatible_subgroups(poly, k_max=options.get("k_max", 6))
+        res = minkowski.compatible_subgroups(poly, k_max=_int_option(options, "k_max", 6, 1))
         return res.to_json_dict()
     if command == "bundle":
         spec = BundleSpec.from_json_dict(payload)
@@ -223,7 +219,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        max_threads()
         with open(args.input, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError, InputError) as exc:

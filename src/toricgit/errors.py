@@ -82,3 +82,8 @@ class MinkowskiFails(InfeasibleError):
 
 class CapExceeded(ToricGitError):
     """Subspace-closure cap was hit; results degrade to heuristic."""
+
+
+class InternalError(ToricGitError):
+    """An internal consistency check failed: a bug, never a property of the
+    input.  Raised explicitly so that the check survives ``python -O``."""

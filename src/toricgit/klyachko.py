@@ -229,21 +229,21 @@ class FiltrationSheaf:
         raw = obj["filtrations"]
         if not isinstance(raw, dict):
             raise InputError("filtrations must be an object keyed by facet id")
-        try:
-            keys = sorted(int(k) for k in raw)
-        except ValueError as exc:
-            raise InputError("facet ids must be integers") from exc
-        if keys != list(range(len(keys))):
+        by_id = {serialize.facet_id(k): v for k, v in raw.items()}
+        if sorted(by_id) != list(range(len(raw))):
             raise InputError("facet ids must be 0..d-1")
         filts = []
-        for k in keys:
+        for k in range(len(by_id)):
+            if not isinstance(by_id[k], list):
+                raise InputError(f"filtration of facet {k} must be a list of jumps")
             jumps = []
-            for entry in raw[str(k)]:
+            for entry in by_id[k]:
                 if not isinstance(entry, dict) or "i" not in entry or "basis" not in entry:
                     raise InputError('jump entries need "i" and "basis"')
-                basis = [
-                    [serialize.frac_from_obj(x) for x in row] for row in entry["basis"]
-                ]
+                basis = entry["basis"]
+                if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
+                    raise InputError("a jump basis must be a list of vectors")
+                basis = [[serialize.frac_from_obj(x) for x in row] for row in basis]
                 jumps.append((serialize.int_from_obj(entry["i"]),
                               Subspace.span(rank, basis)))
             filts.append(tuple(jumps))

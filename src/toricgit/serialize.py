@@ -38,6 +38,14 @@ def int_from_obj(obj) -> int:
     return obj
 
 
+def facet_id(key) -> int:
+    """A facet id written as a JSON object key."""
+    try:
+        return int(key)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"facet ids must be integers, got {key!r}") from exc
+
+
 def int_vector(obj, length=None) -> tuple[int, ...]:
     if not isinstance(obj, list):
         raise InputError(f"expected integer vector, got {obj!r}")

@@ -6,32 +6,41 @@ Stability only needs to be tested against equivariant subsheaves, i.e.
 against subspaces W of the underlying space.  That family is infinite, so
 the search runs over:
 
-* the closure of the proper jump subspaces under pairwise intersection and
-  sum (the "candidates"),
 * an exact maximization over ALL one-dimensional W via profiles on the
-  intersection closure (any line sits inside a closure member with a
-  pointwise-better profile, and a generic line of a member realizes the
-  member's profile),
+  intersection closure of the jump subspaces (any line sits inside a
+  closure member with a pointwise-better profile, and a generic line of a
+  member realizes the member's profile),
 * an exact maximization over ALL corank-one W via co-profiles on the sum
-  closure (a generic hyperplane above a sum member realizes its co-profile).
+  closure (a generic hyperplane above a sum member realizes its co-profile),
+* from rank 4 on, the closure of the proper jump subspaces under pairwise
+  intersection and sum (the "candidates").
 
-For ranks <= 3 every stratum of subspace dimensions is therefore searched
-exactly.  Middle dimensions (2..rank-2) are heuristic and are additionally
-attacked with seeded random subspaces.  Verdicts never claim more than the
-search tier supports: Stable requires certified completeness.
+For ranks <= 3 every proper subspace is a line or a hyperplane, so the two
+exact strata cover everything and the candidate closure is not built: the
+verdict is Certified exactly when both strata closures reached their fixed
+point.  From rank 4 on it is Certified only when, in addition, every proper
+jump subspace has dimension 1 or rank-1 and the candidate closure reached
+its fixed point.  Any closure stopped at ``cap`` sets ``cap_exceeded``;
+without certified completeness the middle dimensions are attacked with
+seeded random subspaces and the verdict never claims Stable.
+
+Candidates and random subspaces are scored without building subsheaves:
+dim(W n E) = dim W + dim E - rank[W; E], with the rank from fraction-free
+integer elimination, gives i_F(det S_W) = sum_k i_k (d_k - d_{k-1}) over the
+jumps (i_k, E_k) of each facet, d_k = dim(W n E_k).  Only the line,
+hyperplane and final witnesses are re-verified through ``subsheaf``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Optional, Sequence
 
 from . import serialize
-from .errors import FacetMismatch, InputError
+from .errors import FacetMismatch, InputError, InternalError
 from .klyachko import FiltrationSheaf, Subspace, det_indices, subsheaf
 from .polytope import HPolytope
 
@@ -81,16 +90,15 @@ def _closure(
     use_sums: bool,
     keep_proper_only: bool,
 ) -> tuple[list[Subspace], bool]:
-    """Close a family of subspaces under pairwise meet/join up to ``cap``
-    members; returns (members, reached_fixpoint)."""
+    """Close a family of subspaces under pairwise meet/join; returns
+    (members, reached_fixpoint).  The closure stops, short of its fixed
+    point, as soon as a new member takes it past ``cap`` members."""
     found: dict[Subspace, None] = {}
     for s in seeds:
         if s not in found:
             found[s] = None
     frontier = list(found)
     while frontier:
-        if len(found) > cap:
-            return list(found), False
         new: list[Subspace] = []
         existing = list(found)
         for a in frontier:
@@ -128,6 +136,74 @@ def candidate_subspaces(
     return CandidateFamily(tuple(members), fixpoint)
 
 
+def _verify_witness(
+    sheaf: FiltrationSheaf, poly: HPolytope, w: Subspace, value: Fraction, what: str
+) -> None:
+    """Re-derive a witness's slope from its actual subsheaf."""
+    if slope(subsheaf(sheaf, w), poly) != value:
+        raise InternalError(f"{what} witness slope failed verification")
+
+
+# ---------------------------------------------------------------------------
+# slopes from intersection dimensions
+
+
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Rational rows, each scaled by its common denominator (same span)."""
+    out = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out
+
+
+def _int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination:
+    every entry stays an integer minor, so each division is exact."""
+    m = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[c]
+        for i in range(rank + 1, len(m)):
+            a = m[i][c]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _slope_scorer(sheaf: FiltrationSheaf, poly: HPolytope):
+    """mu(subsheaf(S, W)) from dim(W n E) = dim W + dim E - rank[W; E] alone,
+    for W spanned by linearly independent integer rows."""
+    r = sheaf.rank
+    latvols = [poly.facet_latvol(f) for f in range(sheaf.num_facets)]
+    jumps = [[(i, v.dim, _int_rows(v.rows)) for i, v in filt]
+             for filt in sheaf.filtrations]
+
+    def score(w_rows: list[list[int]]) -> Fraction:
+        dim_w = len(w_rows)
+        total = Fraction(0)
+        for latvol, facet_jumps in zip(latvols, jumps):
+            index, prev = 0, 0
+            for i, dim_e, e_rows in facet_jumps:
+                d = dim_w if dim_e == r else dim_w + dim_e - _int_rank(w_rows + e_rows)
+                index += i * (d - prev)
+                prev = d
+                if d == dim_w:
+                    break
+            total += index * latvol
+        return -total / dim_w
+
+    return score
+
+
 # ---------------------------------------------------------------------------
 # exact strata
 
@@ -142,7 +218,7 @@ def _profile(sheaf: FiltrationSheaf, c: Subspace) -> list[int]:
                 p = i
                 break
         if p is None:
-            raise AssertionError("profile of a subspace not inside E")
+            raise InternalError("profile of a subspace not inside E")
         out.append(p)
     return out
 
@@ -159,7 +235,7 @@ def _generic_vector_avoiding(c: Subspace, avoid: list[Subspace]) -> tuple:
             for j in range(c.ambient))
         if any(v) and all(not d.contains_vector(v) for d in avoid):
             return v
-    raise AssertionError("moment curve failed to avoid proper subspaces")
+    raise InternalError("moment curve failed to avoid proper subspaces")
 
 
 def max_line_slope(
@@ -194,7 +270,7 @@ def max_line_slope(
             avoid.append(below)
     vec = _generic_vector_avoiding(best_c, avoid)
     line = Subspace.span(sheaf.rank, [vec])
-    assert slope(subsheaf(sheaf, line), poly) == best, "line witness mismatch"
+    _verify_witness(sheaf, poly, line, best, "line")
     return best, line, fixpoint
 
 
@@ -244,7 +320,7 @@ def max_hyperplane_slope(
                 break
     phi = _generic_functional(r, best_s0, stickers)
     hyper = _kernel_of_functional(r, phi)
-    assert slope(subsheaf(sheaf, hyper), poly) == best, "hyperplane witness mismatch"
+    _verify_witness(sheaf, poly, hyper, best, "hyperplane")
     return best, hyper, fixpoint
 
 
@@ -265,7 +341,7 @@ def _generic_functional(r: int, contained: Subspace, stickers: list[Subspace]):
             for v in stickers
         ):
             return phi
-    raise AssertionError("moment curve failed to avoid sticker annihilators")
+    raise InternalError("moment curve failed to avoid sticker annihilators")
 
 
 def _kernel_of_functional(r: int, phi) -> Subspace:
@@ -274,13 +350,13 @@ def _kernel_of_functional(r: int, phi) -> Subspace:
     return Subspace.span(r, linalg.nullspace([list(phi)], r))
 
 
-def _random_subspace(rng: Random, r: int) -> Subspace:
+def _random_rows(rng: Random, r: int) -> list[list[int]]:
+    """Integer rows spanning a random proper subspace of random dimension."""
     dim = rng.randint(1, r - 1)
     while True:
-        rows = [[Fraction(rng.randint(-5, 5)) for _ in range(r)] for _ in range(dim)]
-        s = Subspace.span(r, rows)
-        if s.dim == dim:
-            return s
+        rows = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(dim)]
+        if _int_rank(rows) == dim:
+            return rows
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +404,14 @@ def check_stability(
 ) -> StabilityVerdict:
     """Slope-stability verdict with an explicit certainty tier.
 
-    Certified completeness holds when rank <= 2, or when every proper jump
-    subspace has dimension 1 or rank-1 and every closure reached its fixed
-    point; the dimension-1 and corank-1 strata are searched exactly in all
-    cases.  Without certified completeness the verdict never claims Stable;
-    a clean sweep is reported as Semistable/Heuristic after seeded random
+    The dimension-1 and corank-1 strata are searched exactly in all cases.
+    For rank <= 3 they are all proper subspaces, so the verdict is Certified
+    exactly when both strata closures reached their fixed point.  From rank
+    4 on, certified completeness also needs every proper jump subspace to
+    have dimension 1 or rank-1 and the candidate closure to reach its fixed
+    point.  ``cap_exceeded`` is set when any closure stopped at ``cap``.
+    Without certified completeness the verdict never claims Stable; a clean
+    sweep is reported as Semistable/Heuristic after seeded random
     falsification.
     """
     mu = slope(sheaf, poly)
@@ -342,67 +421,55 @@ def check_stability(
             status=STABLE, certainty=CERTIFIED, slope=mu, seed=seed,
             notes="rank 1: no proper subsheaves")
 
-    family = candidate_subspaces(sheaf, cap)
-    evaluations: list[tuple[Fraction, Subspace]] = []
-    try:
-        workers = int(os.environ.get("TORICGIT_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1 and len(family.subspaces) > 1:
-        # pure functions on immutable data; results kept in submission order
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slopes = list(pool.map(
-                lambda w: slope(subsheaf(sheaf, w), poly), family.subspaces))
-        evaluations.extend(zip(slopes, family.subspaces))
-    else:
+    score = _slope_scorer(sheaf, poly)
+    # (slope, dim W, W as a Subspace or as independent integer rows)
+    evaluations: list[tuple[Fraction, int, object]] = []
+    capped = []
+    if r >= 4:
+        family = candidate_subspaces(sheaf, cap)
         for w in family.subspaces:
-            evaluations.append((slope(subsheaf(sheaf, w), poly), w))
+            evaluations.append((score(_int_rows(w.rows)), w.dim, w))
+        if not family.reached_fixpoint:
+            capped.append("candidates")
 
     line_val, line_witness, line_fix = max_line_slope(sheaf, poly, cap)
-    evaluations.append((line_val, line_witness))
+    evaluations.append((line_val, 1, line_witness))
     hyp_val, hyp_witness, hyp_fix = max_hyperplane_slope(sheaf, poly, cap)
-    evaluations.append((hyp_val, hyp_witness))
+    evaluations.append((hyp_val, r - 1, hyp_witness))
+    if not line_fix:
+        capped.append("lines")
+    if not hyp_fix:
+        capped.append("hyperplanes")
 
-    fixpoint = family.reached_fixpoint and line_fix and hyp_fix
-    jump_dims = {v.dim for v in _proper_jump_subspaces(sheaf)}
-    complete = (r <= 2) or (jump_dims <= {1, r - 1} and fixpoint)
+    cap_exceeded = bool(capped)
+    complete = not cap_exceeded and (
+        r <= 3 or {v.dim for v in _proper_jump_subspaces(sheaf)} <= {1, r - 1})
     certainty = CERTIFIED if complete else HEURISTIC
 
     notes = []
-    if not fixpoint:
-        notes.append(f"subspace closure cap {cap} exceeded")
+    if cap_exceeded:
+        notes.append(f"subspace closure cap {cap} exceeded ({', '.join(capped)})")
     if not complete:
         rng = Random(seed)
         for _ in range(random_trials):
-            w = _random_subspace(rng, r)
-            evaluations.append((slope(subsheaf(sheaf, w), poly), w))
-        notes.append(
-            f"middle strata heuristic; falsified against {random_trials} random subspaces")
+            rows = _random_rows(rng, r)
+            evaluations.append((score(rows), len(rows), rows))
+        searched = "exact strata incomplete" if r <= 3 else "middle strata heuristic"
+        notes.append(f"{searched}; falsified against {random_trials} random subspaces")
 
-    best_val, best_w = max(evaluations, key=lambda e: e[0])
-    table = tuple(sorted(((w.dim, v) for v, w in evaluations), key=lambda t: -t[1]))
-    if len(table) > 100:
-        table = table[:100]
+    best_val, _, best_w = max(evaluations, key=lambda e: e[0])
+    table = tuple(sorted(((d, v) for v, d, _ in evaluations), key=lambda t: -t[1]))[:100]
+    common = dict(slope=mu, slope_table=table, seed=seed, cap_exceeded=cap_exceeded)
 
-    if best_val > mu:
-        recheck = slope(subsheaf(sheaf, best_w), poly)
-        assert recheck == best_val, "witness slope failed verification"
+    if best_val >= mu:
+        witness = best_w if isinstance(best_w, Subspace) else Subspace.span(r, best_w)
+        _verify_witness(sheaf, poly, witness, best_val, "final")
         return StabilityVerdict(
-            status=UNSTABLE, certainty=certainty, slope=mu,
-            witness=best_w, witness_slope=best_val, slope_table=table,
-            seed=seed, cap_exceeded=not family.reached_fixpoint,
-            notes="; ".join(notes))
-    if best_val == mu:
-        return StabilityVerdict(
-            status=SEMISTABLE, certainty=certainty, slope=mu,
-            witness=best_w, witness_slope=best_val, slope_table=table,
-            seed=seed, cap_exceeded=not family.reached_fixpoint,
-            notes="; ".join(notes))
+            status=UNSTABLE if best_val > mu else SEMISTABLE, certainty=certainty,
+            witness=witness, witness_slope=best_val, notes="; ".join(notes), **common)
     if complete:
         return StabilityVerdict(
-            status=STABLE, certainty=CERTIFIED, slope=mu, slope_table=table,
-            seed=seed, notes="; ".join(notes))
+            status=STABLE, certainty=CERTIFIED, notes="; ".join(notes), **common)
     return StabilityVerdict(
-        status=SEMISTABLE, certainty=HEURISTIC, slope=mu, slope_table=table,
-        seed=seed, cap_exceeded=not family.reached_fixpoint,
+        status=SEMISTABLE, certainty=HEURISTIC, **common,
         notes="; ".join(notes + ["no destabilizer found; Stable not certifiable"]))

@@ -235,12 +235,26 @@ def test_command_flag_overrides_file(tmp_path):
     assert "quotient_polytope" in report["result"]
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    job = {"command": "stability", "inputs": {
-        "polytope": P2_SETUP["polytope"], "sheaf": TANGENT_SHEAF}}
-    monkeypatch.setenv("TORICGIT_THREADS", "4")
-    code, report = run_job(tmp_path, job)
-    assert code == 0 and report["result"]["verdict"]["status"] == "Stable"
-    monkeypatch.setenv("TORICGIT_THREADS", "zero")
-    code2, _ = run_job(tmp_path, job)
-    assert code2 == 1
+def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
+    bad_basis = json.loads(json.dumps(TANGENT_SHEAF))
+    bad_basis["filtrations"]["0"][0]["basis"] = 5
+    stab = {"polytope": P2_SETUP["polytope"], "sheaf": TANGENT_SHEAF}
+    jobs = [
+        {"command": "descend", "inputs": {"setup": P2_SETUP, "sheaf": bad_basis}},
+        {"command": "pullback", "inputs": {"setup": P2_SETUP, "sheaf": TANGENT_SHEAF,
+                                           "indices": {"x": 1}}},
+        {"command": "bundle", "base": P2_SETUP["polytope"], "summands": [{"a": 1}]},
+        {"command": "stability", "inputs": stab, "options": {"cap": "x"}},
+        {"command": "stability", "inputs": stab, "options": {"random_trials": 2.5}},
+        {"command": "stability", "inputs": stab, "options": {"seed": True}},
+        {"command": "stability", "inputs": stab, "options": {"cap": -1}},
+        {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
+         "options": {"k_max": "x"}},
+        {"command": "solve-minkowski", "inputs": {
+            "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]], "volumes": ["2", "1", "2", "1"]},
+         "options": {"max_iter": 0}},
+    ]
+    for job in jobs:
+        code, _ = run_job(tmp_path, job)
+        assert code == 1, job
+        assert capsys.readouterr().err.startswith("error: "), job

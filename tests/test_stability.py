@@ -1,8 +1,13 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from toricgit import stability
+from toricgit.build import hirzebruch
 from toricgit.errors import FacetMismatch
 from toricgit.klyachko import (
     FiltrationSheaf,
@@ -19,11 +24,14 @@ from toricgit.stability import (
     UNSTABLE,
     candidate_subspaces,
     check_stability,
+    max_hyperplane_slope,
     max_line_slope,
     slope,
 )
 
-from util import random_sheaf, random_subspace
+from util import random_flag, random_sheaf, random_subspace
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 P2_O1 = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
 SEGMENT = HPolytope(1, [((1,), 1), ((-1,), 1)])
@@ -99,14 +107,16 @@ def test_split_unstable_witness_is_bigger_summand():
 
 
 def test_split_verdicts_match_degree_sign():
+    # rank-2 closures never grow past their seeds, so even cap 0 certifies
     for a, b in [(2, -1), (0, 0), (-3, -3), (1, 2)]:
         s = direct_sum(line_bundle(2, {0: a}), line_bundle(2, {0: b}))
-        verdict = check_stability(s, SEGMENT)
-        if a == b:
-            assert verdict.status == SEMISTABLE
-        else:
-            assert verdict.status == UNSTABLE
-        assert verdict.certainty == "Certified"
+        for cap in (stability.DEFAULT_CAP, 0):
+            verdict = check_stability(s, SEGMENT, cap=cap)
+            if a == b:
+                assert verdict.status == SEMISTABLE
+            else:
+                assert verdict.status == UNSTABLE
+            assert verdict.certainty == "Certified" and not verdict.cap_exceeded
 
 
 def test_polystable_not_stable():
@@ -167,16 +177,109 @@ def test_unstable_witness_verifies_exactly():
             assert verdict.witness_slope > verdict.slope
 
 
+def generic_full_flag_sheaf(rng, rank, num_facets):
+    """Generic full flags jumping at -1, 0, .., rank-2 on every facet; from
+    four facets on their meet/join closure is infinite."""
+    return FiltrationSheaf(rank, tuple(
+        tuple(zip(range(-1, rank - 1), random_flag(rng, rank, list(range(1, rank + 1)))))
+        for _ in range(num_facets)))
+
+
 def test_cap_exceeded_downgrades_to_heuristic():
-    # generic planes in rank 3 can spin up a meet/join closure past any cap
+    # four generic full flags in rank 4 spin up a meet/join closure past any cap
     rng = Random(54)
     square = HPolytope(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
-    while True:
-        s = random_sheaf(rng, 3, 4)
+    for _ in range(5):
+        s = generic_full_flag_sheaf(rng, 4, 4)
         verdict = check_stability(s, square, cap=40, random_trials=20)
         if verdict.cap_exceeded:
             assert verdict.certainty == "Heuristic"
+            assert "candidates" in verdict.notes
             break
+    else:
+        pytest.fail("no rank-4 sheaf with generic full flags exceeded cap=40")
+
+
+def test_rank3_generic_flags_certified_from_exact_strata(monkeypatch):
+    # four generic full flags: the candidate closure is infinite, yet lines
+    # and planes are every proper subspace and both strata close finitely
+    def no_candidates(*_):
+        raise AssertionError("rank 3 must not build the candidate closure")
+
+    monkeypatch.setattr(stability, "candidate_subspaces", no_candidates)
+    f1 = hirzebruch(1)
+    s = generic_full_flag_sheaf(Random(55), 3, 4)
+    verdict = check_stability(s, f1)
+    assert verdict.certainty == "Certified" and not verdict.cap_exceeded
+    assert verdict.slope == 0
+    best = max(max_line_slope(s, f1)[0], max_hyperplane_slope(s, f1)[0])
+    want = UNSTABLE if best > 0 else SEMISTABLE if best == 0 else STABLE
+    assert verdict.status == want
+    if verdict.witness is not None:
+        assert verdict.witness_slope == best
+
+
+def test_strata_cap_hit_sets_cap_exceeded():
+    # rank 3 builds no candidates, so only a strata closure can hit the cap
+    s = generic_full_flag_sheaf(Random(56), 3, 4)
+    verdict = check_stability(s, hirzebruch(1), cap=9, random_trials=10)
+    assert verdict.cap_exceeded and verdict.certainty == "Heuristic"
+    assert "lines" in verdict.notes or "hyperplanes" in verdict.notes
+    assert verdict.status != STABLE
+
+
+def test_dimension_count_slope_matches_subsheaf():
+    rng = Random(57)
+    polys = (P2_O1, hirzebruch(1), P2_O1.dilate(2))
+    for _ in range(200):
+        poly = rng.choice(polys)
+        r = rng.randint(2, 5)
+        s = random_sheaf(rng, r, poly.num_facets)
+        score = stability._slope_scorer(s, poly)
+        for _ in range(5):
+            w = random_subspace(rng, r, rng.randint(1, r - 1))
+            assert score(stability._int_rows(w.rows)) == slope(subsheaf(s, w), poly)
+
+
+def test_semistable_witness_reverified_through_subsheaf(monkeypatch):
+    seen = []
+
+    def recording_subsheaf(sheaf, w):
+        seen.append(w)
+        return subsheaf(sheaf, w)
+
+    monkeypatch.setattr(stability, "subsheaf", recording_subsheaf)
+    s = direct_sum(line_bundle(2, {0: 2}), line_bundle(2, {0: 2}))
+    verdict = check_stability(s, SEGMENT)
+    assert verdict.status == SEMISTABLE
+    assert seen[-1] == verdict.witness
+
+
+def test_witness_check_survives_optimize_flag():
+    # a subsheaf with shifted jumps has the wrong slope; the witness check
+    # must raise even when assert statements are compiled away
+    code = (
+        "from toricgit import stability\n"
+        "from toricgit.errors import InternalError\n"
+        "from toricgit.klyachko import FiltrationSheaf, direct_sum, line_bundle, subsheaf\n"
+        "from toricgit.polytope import HPolytope\n"
+        "def shifted(sheaf, w):\n"
+        "    sub = subsheaf(sheaf, w)\n"
+        "    return FiltrationSheaf(sub.rank, tuple(\n"
+        "        tuple((i + 1, v) for i, v in f) for f in sub.filtrations))\n"
+        "stability.subsheaf = shifted\n"
+        "seg = HPolytope(1, [((1,), 1), ((-1,), 1)])\n"
+        "s = direct_sum(line_bundle(2, {0: 3}), line_bundle(2, {0: 1}))\n"
+        "try:\n"
+        "    stability.check_stability(s, seg)\n"
+        "except InternalError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('witness check vanished')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert "witness slope failed verification" in proc.stdout
 
 
 def test_verdict_serialization():
