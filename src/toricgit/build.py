@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InfeasibleError, InputError, NotAmple
+from .errors import InfeasibleError, InputError, InternalError, NotAmple
 from .git import GitSetup
 from .lattice import Lattice, Sublattice
 from .polytope import DivisorClass, HPolytope
@@ -152,21 +152,25 @@ def projectivized_bundle(spec: BundleSpec) -> GitSetup:
 
     The construction guarantees a generic setup whose unstable facets are
     exactly the r+1 fiber facets, with all divisibility moduli 1 and
-    quotient polytope equal to the base; those invariants are asserted.
+    quotient polytope equal to the base; those invariants are checked.
     """
     px = bundle_polytope(spec)
     ny, r = spec.base.n, spec.fiber_rank
     gens = tuple((0,) * ny + tuple(1 if j == i else 0 for j in range(r))
                  for i in range(r))
     setup = GitSetup(px, Sublattice(Lattice(ny + r), gens))
-    assert setup.is_generic(), "bundle setup must be generic"
+    if not setup.is_generic():
+        raise InternalError("bundle setup must be generic")
     d = spec.base.num_facets
-    assert setup.stable_facets == tuple(range(d)), "stable facets must be the base ones"
-    assert setup.unstable_facets == tuple(range(d, d + r + 1)), \
-        "unstable facets must be the fiber sections"
+    if setup.stable_facets != tuple(range(d)):
+        raise InternalError("stable facets must be the base ones")
+    if setup.unstable_facets != tuple(range(d, d + r + 1)):
+        raise InternalError("unstable facets must be the fiber sections")
     py, _, b = setup.quotient_polytope()
-    assert all(v == 1 for v in b.values()), "bundle moduli must all be 1"
-    assert py == spec.base, "quotient polytope must recover the base"
+    if any(v != 1 for v in b.values()):
+        raise InternalError("bundle moduli must all be 1")
+    if py != spec.base:
+        raise InternalError("quotient polytope must recover the base")
     return setup
 
 

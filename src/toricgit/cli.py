@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -34,6 +35,14 @@ def _int_option(options: dict, key: str, default: int, minimum: Optional[int] = 
         raise InputError(f'option "{key}" must be an integer, got {val!r}')
     if minimum is not None and val < minimum:
         raise InputError(f'option "{key}" must be >= {minimum}, got {val}')
+    return val
+
+
+def _tol_option(options: dict) -> float:
+    val = options.get("tol", minkowski.SOLVER_TOL)
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not math.isfinite(val) or val <= 0:
+        raise InputError(f'option "tol" must be a finite number > 0, got {val!r}')
     return val
 
 
@@ -127,7 +136,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
                    for v in _need(payload, "volumes")]
         sol = minkowski.solve_minkowski(
             normals, volumes,
-            tol=options.get("tol", minkowski.SOLVER_TOL),
+            tol=_tol_option(options),
             max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
             seed=options.get("seed"),
         )
@@ -141,7 +150,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         setup = _setup(payload)
         alpha = minkowski.ample_class_alpha(
             setup,
-            tol=options.get("tol", minkowski.SOLVER_TOL),
+            tol=_tol_option(options),
             max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
             seed=options.get("seed"),
         )
@@ -152,7 +161,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         ivec = _indices(payload, setup)
         alpha = minkowski.ample_class_alpha(
             setup,
-            tol=options.get("tol", minkowski.SOLVER_TOL),
+            tol=_tol_option(options),
             max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
             seed=options.get("seed"),
         )

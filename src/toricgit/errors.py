@@ -80,10 +80,6 @@ class MinkowskiFails(InfeasibleError):
     """The Minkowski condition does not hold for this setup."""
 
 
-class CapExceeded(ToricGitError):
-    """Subspace-closure cap was hit; results degrade to heuristic."""
-
-
 class InternalError(ToricGitError):
     """An internal consistency check failed: a bug, never a property of the
     input.  Raised explicitly so that the check survives ``python -O``."""

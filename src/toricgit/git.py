@@ -394,16 +394,3 @@ def translation_classes(
             yield from rec(i + 1, acc + [v])
 
     yield from rec(0, [])
-
-
-def generic_setups(
-    poly: HPolytope, sublattice: Sublattice, max_dilation: int
-) -> Iterator[GitSetup]:
-    """All generic setups obtainable from the polytope by dilations up to
-    max_dilation and lattice translations (one representative per
-    translation class)."""
-    for k in range(1, max_dilation + 1):
-        for _, moved in translation_classes(poly, sublattice, k):
-            setup = GitSetup(moved, sublattice)
-            if setup.is_generic():
-                yield setup

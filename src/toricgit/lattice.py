@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import DimensionMismatch, NotSaturated, ZeroVector
+from .errors import DimensionMismatch, InternalError, NotSaturated, ZeroVector
 
 IntVec = tuple[int, ...]
 
@@ -161,7 +161,8 @@ def quotient(n: Lattice, n0: Sublattice) -> QuotientLattice:
     )
     # construction-time invariants
     comp = linalg.mat_mul(linalg.frac_mat(proj), linalg.frac_mat(section))
-    assert comp == linalg.identity_mat(len(proj)), "projection o section != id"
-    for g in n0.generators:
-        assert not any(q.project(g)), "kernel generator with nonzero image"
+    if comp != linalg.identity_mat(len(proj)):
+        raise InternalError("projection o section != id")
+    if any(any(q.project(g)) for g in n0.generators):
+        raise InternalError("kernel generator with nonzero image")
     return q

@@ -29,13 +29,14 @@ from .errors import (
     CurveQuotient,
     InfeasibleTargets,
     InputError,
+    InternalError,
     MinkowskiFails,
     NoConvergence,
 )
 from .git import GitSetup, UnstableIndexVector, pullback_functor, translation_classes
 from .klyachko import FiltrationSheaf, det_indices, direct_sum, line_bundle
 from .lattice import Lattice, Sublattice, primitive_content, saturate
-from .polytope import HPolytope, hsystem_volume_data
+from .polytope import HPolytope, hsystem_vertices, hsystem_volume_data
 from .stability import slope
 
 IntVec = tuple[int, ...]
@@ -195,7 +196,7 @@ def solve_minkowski(
     a = [ai * kappa for ai in a]
     cons = [(u, Fraction(ai).limit_denominator(RATIONALIZE_DENOM))
             for u, ai in zip(norm_t, a)]
-    _, _, verts = hsystem_volume_data(n, cons)
+    verts = hsystem_vertices(n, cons)
     if not verts:
         raise NoConvergence("scaled polytope is empty")
     bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
@@ -254,7 +255,7 @@ def normalized_supports(normals: Sequence[IntVec], supports: Sequence) -> list[f
     scale/translation-free comparison against a solver result."""
     n = len(normals[0])
     cons = [(u, Fraction(a)) for u, a in zip(normals, supports)]
-    _, _, verts = hsystem_volume_data(n, cons)
+    verts = hsystem_vertices(n, cons)
     if not verts:
         raise InputError("class defines an empty polytope")
     bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
@@ -407,7 +408,7 @@ def converse_falsifier(setup: GitSetup) -> Optional[ConverseCounterexample]:
             pair = (f1, f2)
             break
     if pair is None:
-        raise AssertionError("nonzero defect but constant ratio table")
+        raise InternalError("nonzero defect but constant ratio table")
     f1, f2 = pair
     d1 = Fraction(b[f2]) * setup.polytope.facet_latvol(f2)
     d2 = Fraction(b[f1]) * setup.polytope.facet_latvol(f1)
@@ -421,7 +422,8 @@ def converse_falsifier(setup: GitSetup) -> Optional[ConverseCounterexample]:
     lift1 = pullback_functor(setup, zero, line_bundle(py.num_facets, {fmap[f1]: d1i}))
     lift2 = pullback_functor(setup, zero, line_bundle(py.num_facets, {fmap[f2]: d2i}))
     s1, s2 = slope(lift1, setup.polytope), slope(lift2, setup.polytope)
-    assert s1 == s2, "constructed summands must have equal lifted slopes"
+    if s1 != s2:
+        raise InternalError("constructed summands must have equal lifted slopes")
     return ConverseCounterexample(
         facet_pair=pair, d1=d1i, d2=d2i, quotient_sheaf=sheaf,
         lifted_slopes=(s1, s2), ratios=ratios, defect=report.defect)
@@ -510,7 +512,8 @@ def compatible_subgroups(
                 continue
             setup, k = witness
             report = minkowski_condition(setup)
-            assert report.holds, "stable set matches the direction but defect nonzero"
+            if not report.holds:
+                raise InternalError("stable set matches the direction but defect nonzero")
             found[n0.generators] = CompatibleSubgroup(
                 sublattice=n0,
                 stable_facets=setup.stable_facets,

@@ -57,99 +57,62 @@ def hsystem_vertices(n: int, cons: Sequence[Constraint]) -> list[QVec]:
     return sorted(verts)
 
 
-def _lattice_gap(v: Sequence[Fraction], con: Constraint) -> Fraction:
-    """Lattice distance from v to the constraint hyperplane (primitive
-    normalization)."""
-    u, a = con
-    prim, g = primitive_content(u)
-    return (linalg.dot(v, u) + a) / g
-
-
-def _volume_rec(k: int, cons: list[Constraint], verts: list[QVec]) -> Fraction:
-    """Lattice-normalized k-volume by coning from a vertex over the facets.
-
-    vol = (1/k) * sum_F gap(v0, F) * vol_{k-1}(F); tolerant of redundant
-    constraints (their recursive volume is 0) and of lower-dimensional input
-    (returns 0).  k = 0 is a point, of volume 1.
-    """
-    if k == 0:
-        return Fraction(1)
-    if len(verts) < k + 1:
-        return Fraction(0)
-    v0 = verts[0]
-    seen: set[tuple[IntVec, Fraction]] = set()
-    total = Fraction(0)
-    for u, a in cons:
-        prim, g = primitive_content(u)
-        key = (prim, Fraction(a) / g)
-        if key in seen:
-            continue
-        seen.add(key)
-        gap = linalg.dot(v0, prim) + key[1]
-        if gap == 0:
-            continue
-        tight = [v for v in verts if linalg.dot(v, prim) + key[1] == 0]
-        if len(tight) < k:
-            continue
-        basis = linalg.integer_kernel([prim], k)
-        bt = linalg.transpose(basis)
-        p0 = tight[0]
-        coords = []
-        for v in tight:
-            diff = linalg.vec_sub(v, p0)
-            x = linalg.solve_general(bt, diff)
-            if x is None:  # cannot happen for points on the hyperplane
-                raise AssertionError("facet vertex outside facet lattice span")
-            coords.append(x)
-        sub_cons: list[Constraint] = []
-        for w, c in cons:
-            wprim, wg = primitive_content(w) if any(w) else ((), 0)
-            if not any(w) or (wprim == prim and Fraction(c) / wg == key[1]):
-                continue
-            w2 = tuple(int(linalg.dot(b, w)) for b in basis)
-            if not any(w2):
-                continue
-            c2 = Fraction(c) + linalg.dot(p0, w)
-            p2, g2 = primitive_content(w2)
-            sub_cons.append((p2, c2 / g2))
-        total += gap * _volume_rec(k - 1, sub_cons, sorted(set(coords)))
-    return total / k
-
-
 def hsystem_volume_data(
     n: int, cons: Sequence[Constraint]
 ) -> tuple[Fraction, list[Fraction], list[QVec]]:
     """(volume, per-constraint facet volumes, vertices) of a bounded
-    halfspace system, without validity requirements."""
+    halfspace system, without validity requirements.
+
+    Cones from a vertex over the facets, recursively:
+        vol_k(F) = (1/k) * sum_G gap(v0, G) * vol_{k-1}(G)
+    over the distinct faces G = F & tight(j) that miss the first vertex v0
+    of F.  A face is a set of vertex ids measured at a level k, the rank of
+    the lattice it is measured in.  Each level carries an integer basis of
+    that lattice in global coordinates, so a gap is a vertex's slack divided
+    by the content of the constraint on the basis.  Volumes are memoized
+    under (level, vertex ids), so each face is visited once.  The level is
+    part of the key: a redundant constraint can touch a lower-dimensional
+    face, whose volume is 0 at that level but not one level down.
+    Redundant, duplicate and tangent constraints thus get zero-volume faces,
+    and a lower-dimensional system has volume 0.
+    """
     cons = [(tuple(int(x) for x in u), Fraction(a)) for u, a in cons]
     verts = hsystem_vertices(n, cons)
-    vol = _volume_rec(n, cons, verts)
-    latvols = []
-    for i, (u, a) in enumerate(cons):
-        prim, g = primitive_content(u)
-        ap = Fraction(a) / g
-        tight = [v for v in verts if linalg.dot(v, prim) + ap == 0]
-        if n == 1:
-            latvols.append(Fraction(1) if tight else Fraction(0))
-            continue
-        if len(tight) < n - 1:
-            latvols.append(Fraction(0))
-            continue
-        basis = linalg.integer_kernel([prim], n)
-        bt = linalg.transpose(basis)
-        p0 = tight[0]
-        coords = sorted({linalg.solve_general(bt, linalg.vec_sub(v, p0)) for v in tight})
-        sub_cons: list[Constraint] = []
-        for j, (w, c) in enumerate(cons):
-            if j == i:
+    if not verts:
+        return Fraction(0), [Fraction(0)] * len(cons), verts
+    slack = [[linalg.dot(v, u) + a for u, a in cons] for v in verts]
+    tight = [frozenset(i for i, s in enumerate(slack) if s[j] == 0)
+             for j in range(len(cons))]
+    memo: dict[tuple[int, frozenset[int]], Fraction] = {}
+
+    def cone(k: int, ids: frozenset[int], basis) -> tuple[Fraction, list[Fraction]]:
+        """(k-volume of the face ids, (k-1)-volume of ids & tight(j) per j)."""
+        v0 = min(ids)
+        total, latvols, seen = Fraction(0), [], set()
+        for j, (u, _) in enumerate(cons):
+            sub = ids & tight[j]
+            w = [sum(x * y for x, y in zip(b, u)) for b in basis] if len(sub) >= k else ()
+            if not any(w):  # too few vertices, or constant on the face
+                latvols.append(Fraction(0))
                 continue
-            w2 = tuple(int(linalg.dot(b, w)) for b in basis)
-            if not any(w2):
-                continue
-            c2 = Fraction(c) + linalg.dot(p0, w)
-            p2, g2 = primitive_content(w2)
-            sub_cons.append((p2, c2 / g2))
-        latvols.append(_volume_rec(n - 1, sub_cons, coords))
+            prim, g = primitive_content(w)
+            if k == 1:
+                vol = Fraction(1)
+            elif (k - 1, sub) in memo:
+                vol = memo[k - 1, sub]
+            else:
+                kernel = linalg.integer_kernel([prim], k)
+                sub_basis = [[sum(c * b[t] for c, b in zip(row, basis)) for t in range(n)]
+                             for row in kernel]
+                vol = memo[k - 1, sub] = cone(k - 1, sub, sub_basis)[0]
+            latvols.append(vol)
+            if v0 not in sub and sub not in seen:
+                seen.add(sub)
+                total += slack[v0][j] / g * vol
+        return total / k, latvols
+
+    identity = [[int(i == t) for t in range(n)] for i in range(n)]
+    vol, latvols = cone(n, frozenset(range(len(verts))), identity)
     return vol, latvols, verts
 
 

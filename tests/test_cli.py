@@ -24,6 +24,9 @@ TANGENT_SHEAF = {
     },
 }
 
+SQUARE_TARGETS = {"normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                  "volumes": ["2", "1", "2", "1"]}
+
 
 def run_job(tmp_path, job, *args):
     src = tmp_path / "job.json"
@@ -250,11 +253,16 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         {"command": "stability", "inputs": stab, "options": {"cap": -1}},
         {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
          "options": {"k_max": "x"}},
-        {"command": "solve-minkowski", "inputs": {
-            "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]], "volumes": ["2", "1", "2", "1"]},
-         "options": {"max_iter": 0}},
+        {"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"max_iter": 0}},
+        *({"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"tol": tol}}
+          for tol in ("x", -1, 0, True, [1e-6], float("nan"), float("inf"))),
     ]
     for job in jobs:
         code, _ = run_job(tmp_path, job)
         assert code == 1, job
         assert capsys.readouterr().err.startswith("error: "), job
+    for tol in ("-1", "0", "nan", "inf"):
+        code, _ = run_job(tmp_path, {"command": "solve-minkowski", "inputs": SQUARE_TARGETS},
+                          "--tol", tol)
+        assert code == 1, tol
+        assert capsys.readouterr().err.startswith("error: "), tol

@@ -11,7 +11,8 @@ from toricgit.errors import (
     RedundantInequality,
     Unbounded,
 )
-from toricgit.polytope import DivisorClass, HPolytope, same_normal_fan
+from toricgit import linalg
+from toricgit.polytope import DivisorClass, HPolytope, hsystem_volume_data, same_normal_fan
 
 from util import brute_force_vertices
 
@@ -204,6 +205,75 @@ def test_volume_and_latvols_invariant_under_unimodular_maps():
             moved = HPolytope(poly.n, new_facets)
             assert moved.volume() == poly.volume()
             assert moved.latvols() == poly.latvols()
+
+
+PYRAMID = HPolytope(3, [((0, 0, 1), 0), ((0, -1, -1), 1), ((0, 1, -1), 1),
+                        ((-1, 0, -1), 1), ((1, 0, -1), 1)])  # apex over a square
+
+
+def unit_cube_system(n: int):
+    return [(tuple(s * int(j == i) for j in range(n)), int(s == -1))
+            for i in range(n) for s in (1, -1)]
+
+
+def test_raw_systems_match_the_irredundant_polytope():
+    # duplicate, scaled-duplicate, loose and tangent constraints appended to
+    # a valid polytope change neither the volume nor the facet volumes; the
+    # extra constraints get the facet volume of the face they touch
+    rng = Random(23)
+    for poly in (SQUARE, P2_O3, CUBE, PYRAMID, SEGMENT.dilate(3)):
+        n = poly.n
+        for _ in range(8):
+            cons = list(poly.facets)
+            expected = list(poly.latvols())
+            i = rng.randrange(len(cons))
+            u, a = cons[i]
+            cons += [(u, a), (tuple(2 * x for x in u), 2 * a), (u, a + 1)]
+            expected += [expected[i], expected[i], Fraction(0)]
+            while n > 1:  # a supporting hyperplane parallel to no facet
+                w = tuple(rng.randint(-3, 3) for _ in range(n))
+                if all(linalg.rank([w, v]) == 2 for v, _ in poly.facets):
+                    cons.append((w, -min(linalg.dot(v, w) for v in poly.vertices)))
+                    expected.append(Fraction(0))
+                    break
+            order = list(range(len(cons)))
+            rng.shuffle(order)
+            vol, latvols, verts = hsystem_volume_data(n, [cons[k] for k in order])
+            assert vol == poly.volume()
+            assert latvols == [expected[k] for k in order]
+            assert verts == sorted(poly.vertices)
+
+
+def test_flat_systems_have_zero_volume_and_their_own_facet_volume():
+    # x = 0 slices the square [-1, 1]^2 to a segment of lattice length 2
+    vol, latvols, verts = hsystem_volume_data(2, [((1, 0), 0), ((-1, 0), 0),
+                                                 ((0, 1), 1), ((0, -1), 1)])
+    assert vol == 0 and latvols == [2, 2, 0, 0] and len(verts) == 2
+    # z = 0 slices the unit cube to the unit square, reached through two
+    # opposite constraints; the remaining four touch it in edges
+    cons = unit_cube_system(3)
+    cons[5] = ((0, 0, -1), Fraction(0))
+    vol, latvols, _ = hsystem_volume_data(3, cons)
+    assert vol == 0 and latvols == [0, 0, 0, 0, 1, 1]
+    assert hsystem_volume_data(2, [((1, 0), -1), ((-1, 0), 0), ((0, 1), 0),
+                                   ((0, -1), 0)]) == (0, [0, 0, 0, 0], [])
+
+
+def test_volume_engine_visits_each_face_once(monkeypatch):
+    # one lattice kernel per face of dimension 1..n-1 of the n-cube
+    calls = Counter()
+    kernel = linalg.integer_kernel
+
+    def counting(mat, n):
+        calls[n] += 1
+        return kernel(mat, n)
+
+    monkeypatch.setattr(linalg, "integer_kernel", counting)
+    for n, faces in ((3, 18), (4, 64), (5, 210)):
+        calls.clear()
+        vol, latvols, _ = hsystem_volume_data(n, unit_cube_system(n))
+        assert vol == 1 and latvols == [1] * (2 * n)
+        assert sum(calls.values()) == faces
 
 
 def test_degree_examples():

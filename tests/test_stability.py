@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -280,6 +281,14 @@ def test_witness_check_survives_optimize_flag():
                           text=True, timeout=120, env={"PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert "witness slope failed verification" in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    # invariant checks raise InternalError, so python -O keeps them
+    for path in sorted((SRC / "toricgit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 def test_verdict_serialization():
