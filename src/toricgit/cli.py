@@ -1,7 +1,9 @@
 """Batch front door: one command per invocation, JSON in, report out.
 
 Exit codes: 0 success, 1 malformed input, 2 mathematical infeasibility
-(non-generic setups, unbalanced volume targets, solver failure, ...).
+(non-generic setups, unbalanced volume targets, solver failure, ...), 3 a
+failed internal consistency check (a bug, never a property of the input;
+reported on stderr with the prefix "internal:").
 Reports embed the sha256 of the canonical input JSON and echo the input, so
 a report can be re-run bit-for-bit.  Rationals travel as "p/q" strings;
 floats appear only in solver output, printed with 12 significant digits.
@@ -17,7 +19,7 @@ from typing import Optional
 
 from . import minkowski, serialize, stability
 from .build import BundleSpec, alpha_surface_formula, projectivized_bundle
-from .errors import InfeasibleError, InputError, ToricGitError
+from .errors import InfeasibleError, InputError, InternalError, ToricGitError
 from .git import GitSetup, UnstableIndexVector, descends, pullback_functor, pushforward
 from .klyachko import FiltrationSheaf
 from .polytope import HPolytope
@@ -29,8 +31,12 @@ COMMANDS = (
 )
 
 
-def _int_option(options: dict, key: str, default: int, minimum: Optional[int] = None) -> int:
-    val = options.get(key, default)
+def _int_option(
+    options: dict, key: str, default: Optional[int], minimum: Optional[int] = None
+) -> Optional[int]:
+    if key not in options:
+        return default
+    val = options[key]
     if isinstance(val, bool) or not isinstance(val, int):
         raise InputError(f'option "{key}" must be an integer, got {val!r}')
     if minimum is not None and val < minimum:
@@ -138,7 +144,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
             normals, volumes,
             tol=_tol_option(options),
             max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
-            seed=options.get("seed"),
+            seed=_int_option(options, "seed", None),
         )
         return {
             "normals": [list(u) for u in sol.normals],
@@ -152,7 +158,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
             setup,
             tol=_tol_option(options),
             max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
-            seed=options.get("seed"),
+            seed=_int_option(options, "seed", None),
         )
         return {"alpha": alpha.to_json_dict()}
     if command == "slope-identity":
@@ -163,7 +169,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
             setup,
             tol=_tol_option(options),
             max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
-            seed=options.get("seed"),
+            seed=_int_option(options, "seed", None),
         )
         report = minkowski.verify_slope_identity(setup, sheaf, ivec, alpha)
         return {"identity": report.to_json_dict(), "alpha": alpha.to_json_dict()}
@@ -255,6 +261,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except ToricGitError as exc:
         print(f"failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,12 @@ subspace U = annihilator of the sublattice:
                 spans everything,
 * strictly semistable -- the rest.
 
+The first two tests read the exact vertex table of the slice P n U, which
+is enumerated once per setup: a face Q meets U iff some slice vertex is
+tight on all facets through Q, and ri Q meets U iff exactly those facets
+are tight on every such vertex.  Fourier-Motzkin is called once per face
+that meets U, only to produce its witness point.
+
 Setups with strictly semistable faces fail fast with NotGeneric in every
 downstream operation; the quotient machinery (quotient polytope, descent,
 pullback functors) is only geometric in the generic case.
@@ -28,12 +34,13 @@ from .errors import (
     DimensionMismatch,
     FacetMismatch,
     InputError,
+    InternalError,
     NotGeneric,
     NotSaturated,
 )
 from .klyachko import FiltrationSheaf, SheafMorphism, Subspace, _compress
 from .lattice import Lattice, QuotientLattice, Sublattice, primitive_content, quotient, saturate
-from .polytope import Face, HPolytope
+from .polytope import Face, HPolytope, hsystem_vertices
 
 STABLE = "Stable"
 STRICTLY_SEMISTABLE = "StrictlySemistable"
@@ -73,33 +80,42 @@ class GitSetup:
     # -- classification -----------------------------------------------------
 
     def _classify(self) -> tuple[FaceStatus, ...]:
+        """Slice vertices live in the coordinates of u_basis, where facet F
+        reads <y, proj(u_F)> >= -a_F.  Q n U is the face of the slice on
+        which active(Q) is tight; when exactly active(Q) is tight on all of
+        its vertices, their barycenter lies in ri Q (Rockafellar, Convex
+        Analysis, Thms 6.5-6.6)."""
         p = self.polytope
         gens = self.sublattice.generators
         g = len(gens)
+        cut = [(self.quotient_lattice.project(u), a) for u, a in p.facets]
+        slice_active = [
+            frozenset(f for f, (w, a) in enumerate(cut) if linalg.dot(y, w) == -a)
+            for y in hsystem_vertices(p.n - g, cut)]
         out = []
         for face in p.face_lattice:
-            active = sorted(face.active_facets)
-            eqs = [(p.facets[f][0], -p.facets[f][1]) for f in active]
-            eqs += [(gen, Fraction(0)) for gen in gens]
-            loose = [(p.facets[f][0], -p.facets[f][1], False)
-                     for f in range(p.num_facets) if f not in face.active_facets]
-            meet = linalg.feasible_point(p.n, eqs, loose)
-            if meet is None:
+            over = [s for s in slice_active if face.active_facets <= s]
+            if not over:
                 out.append(FaceStatus(face, UNSTABLE, None))
                 continue
-            strict = [(u, c, True) for u, c, _ in loose]
-            interior = linalg.feasible_point(p.n, eqs, strict)
-            transversal = False
-            if interior is not None:
-                # dir(Q) + U spans iff the active normals meet the sublattice
-                # span only in 0, an exact rank additivity test
+            active = sorted(face.active_facets)
+            stable = frozenset.intersection(*over) == face.active_facets
+            if stable:  # ri Q meets U; stable iff dir(Q) + U also spans,
+                # i.e. iff the active normals meet the sublattice span only
+                # in 0, an exact rank additivity test
                 normals = [p.facets[f][0] for f in active]
                 stacked = list(normals) + [list(x) for x in gens]
-                transversal = linalg.rank(stacked) == linalg.rank(normals) + g
-            if interior is not None and transversal:
-                out.append(FaceStatus(face, STABLE, interior))
-            else:
-                out.append(FaceStatus(face, STRICTLY_SEMISTABLE, meet))
+                stable = linalg.rank(stacked) == linalg.rank(normals) + g
+            eqs = [(p.facets[f][0], -p.facets[f][1]) for f in active]
+            eqs += [(gen, Fraction(0)) for gen in gens]
+            others = [(p.facets[f][0], -p.facets[f][1], stable)
+                      for f in range(p.num_facets) if f not in face.active_facets]
+            witness = linalg.feasible_point(p.n, eqs, others)
+            if witness is None:
+                raise InternalError(
+                    f"face {active} meets U by the slice vertices, "
+                    "but Fourier-Motzkin finds no witness")
+            out.append(FaceStatus(face, STABLE if stable else STRICTLY_SEMISTABLE, witness))
         return tuple(out)
 
     @cached_property

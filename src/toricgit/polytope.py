@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg, serialize
 from .errors import (
@@ -58,10 +58,11 @@ def hsystem_vertices(n: int, cons: Sequence[Constraint]) -> list[QVec]:
 
 
 def hsystem_volume_data(
-    n: int, cons: Sequence[Constraint]
+    n: int, cons: Sequence[Constraint], verts: Optional[Sequence[QVec]] = None
 ) -> tuple[Fraction, list[Fraction], list[QVec]]:
     """(volume, per-constraint facet volumes, vertices) of a bounded
-    halfspace system, without validity requirements.
+    halfspace system, without validity requirements.  ``verts``, when
+    given, must be the system's vertices in sorted order.
 
     Cones from a vertex over the facets, recursively:
         vol_k(F) = (1/k) * sum_G gap(v0, G) * vol_{k-1}(G)
@@ -77,7 +78,7 @@ def hsystem_volume_data(
     and a lower-dimensional system has volume 0.
     """
     cons = [(tuple(int(x) for x in u), Fraction(a)) for u, a in cons]
-    verts = hsystem_vertices(n, cons)
+    verts = hsystem_vertices(n, cons) if verts is None else list(verts)
     if not verts:
         return Fraction(0), [Fraction(0)] * len(cons), verts
     slack = [[linalg.dot(v, u) + a for u, a in cons] for v in verts]
@@ -114,6 +115,13 @@ def hsystem_volume_data(
     identity = [[int(i == t) for t in range(n)] for i in range(n)]
     vol, latvols = cone(n, frozenset(range(len(verts))), identity)
     return vol, latvols, verts
+
+
+def _affine_rank(pts: Sequence[QVec]) -> int:
+    """Dimension of the affine hull of the points; -1 for no points."""
+    if not pts:
+        return -1
+    return linalg.rank([linalg.vec_sub(p, pts[0]) for p in pts[1:]])
 
 
 def positively_spanning(n: int, normals: Sequence[IntVec]) -> bool:
@@ -209,18 +217,21 @@ class HPolytope:
     # -- construction-time invariants ------------------------------------
 
     def _validate(self) -> None:
+        """Read validity off the exact vertex table of the (bounded) system:
+        it is empty iff it has no vertex, has empty interior iff its
+        vertices span less than n dimensions, and inequality i defines no
+        facet iff its tight vertices span less than n - 1."""
         normals = [u for u, _ in self.facets]
         if not positively_spanning(self.n, normals):
             raise Unbounded("facet normals do not positively span; polytope unbounded")
-        strict = [(u, -a, True) for u, a in self.facets]
-        if linalg.feasible_point(self.n, [], strict) is None:
-            loose = [(u, -a, False) for u, a in self.facets]
-            if linalg.feasible_point(self.n, [], loose) is None:
-                raise EmptyPolytope("inconsistent supports: empty polytope")
+        verts = self.vertices
+        if not verts:
+            raise EmptyPolytope("inconsistent supports: empty polytope")
+        if _affine_rank(verts) < self.n:
             raise NotFullDimensional("polytope has empty interior")
-        for i, (u, a) in enumerate(self.facets):
-            others = [(w, -c, True) for j, (w, c) in enumerate(self.facets) if j != i]
-            if linalg.feasible_point(self.n, [(u, -a)], others) is None:
+        for i, (u, _) in enumerate(self.facets):
+            tight = [v for v, act in zip(verts, self._vertex_active) if i in act]
+            if _affine_rank(tight) < self.n - 1:
                 raise RedundantInequality(
                     f"inequality {i} (normal {u}) does not define a facet")
 
@@ -244,6 +255,11 @@ class HPolytope:
     def vertices(self) -> tuple[QVec, ...]:
         return tuple(hsystem_vertices(self.n, self.facets))
 
+    @cached_property
+    def _vertex_active(self) -> tuple[frozenset[int], ...]:
+        """The facets through each vertex."""
+        return tuple(self.active_set(v) for v in self.vertices)
+
     def support_vector(self) -> QVec:
         return tuple(a for _, a in self.facets)
 
@@ -265,7 +281,7 @@ class HPolytope:
         sets.
         """
         verts = self.vertices
-        active = [self.active_set(v) for v in verts]
+        active = self._vertex_active
         facet_sets = []
         for i in range(len(self.facets)):
             facet_sets.append(frozenset(k for k, av in enumerate(active) if i in av))
@@ -286,7 +302,7 @@ class HPolytope:
             ids = tuple(sorted(vset))
             pts = [verts[i] for i in ids]
             common = frozenset.intersection(*[active[i] for i in ids])
-            dim = linalg.rank([linalg.vec_sub(p, pts[0]) for p in pts[1:]]) if len(pts) > 1 else 0
+            dim = _affine_rank(pts)
             bary = tuple(sum(p[j] for p in pts) / len(pts) for j in range(self.n))
             faces.append(Face(common, dim, bary, ids))
         faces.sort(key=lambda f: (f.dim, f.key()))
@@ -296,7 +312,7 @@ class HPolytope:
 
     @cached_property
     def _volume_data(self) -> tuple[Fraction, list[Fraction]]:
-        vol, latvols, _ = hsystem_volume_data(self.n, self.facets)
+        vol, latvols, _ = hsystem_volume_data(self.n, self.facets, self.vertices)
         return vol, latvols
 
     def volume(self) -> Fraction:
@@ -330,13 +346,30 @@ class HPolytope:
         tv = linalg.frac_vec(t)
         if len(tv) != self.n:
             raise DimensionMismatch("translation vector of wrong length")
-        return HPolytope(self.n, [(u, a - linalg.dot(tv, u)) for u, a in self.facets])
+        return self._moved([(u, a - linalg.dot(tv, u)) for u, a in self.facets],
+                           lambda p: linalg.vec_add(p, tv))
 
     def dilate(self, k) -> "HPolytope":
         k = Fraction(k)
         if k <= 0:
             raise InputError("dilation factor must be positive")
-        return HPolytope(self.n, [(u, k * a) for u, a in self.facets])
+        return self._moved([(u, k * a) for u, a in self.facets],
+                           lambda p: linalg.vec_scale(k, p))
+
+    def _moved(self, facets: list[Constraint], move: Callable[[QVec], QVec]) -> "HPolytope":
+        """The image under a translation or a positive dilation, built
+        without validation: such a map keeps validity, normals and faces.
+        Both maps keep the lexicographic order of points, so vertex ids
+        carry over; so does the face lattice, when already computed."""
+        out = object.__new__(HPolytope)
+        out.n, out.facets = self.n, tuple(facets)
+        out.vertices = tuple(move(v) for v in self.vertices)
+        out._vertex_active = self._vertex_active
+        if "face_lattice" in vars(self):
+            out.face_lattice = tuple(
+                Face(f.active_facets, f.dim, move(f.relint_point), f.vertex_ids)
+                for f in self.face_lattice)
+        return out
 
     def vertex_barycenter(self) -> QVec:
         verts = self.vertices

@@ -1,6 +1,8 @@
 import json
 
+from toricgit import cli
 from toricgit.cli import main
+from toricgit.errors import InternalError
 from toricgit.serialize import canonical_dumps, sha256_of
 
 P2_SETUP = {
@@ -256,6 +258,12 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         {"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"max_iter": 0}},
         *({"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"tol": tol}}
           for tol in ("x", -1, 0, True, [1e-6], float("nan"), float("inf"))),
+        *({"command": command, "inputs": inputs, "options": {"seed": seed}}
+          for command, inputs in (
+              ("solve-minkowski", SQUARE_TARGETS),
+              ("alpha", {"setup": P2_SETUP}),
+              ("slope-identity", {"setup": P2_SETUP, "sheaf": TANGENT_SHEAF}))
+          for seed in ([1], "x", True, 1.5, None)),
     ]
     for job in jobs:
         code, _ = run_job(tmp_path, job)
@@ -266,3 +274,15 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
                           "--tol", tol)
         assert code == 1, tol
         assert capsys.readouterr().err.startswith("error: "), tol
+
+
+def test_internal_error_exits_three_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(command, payload, options):
+        raise InternalError("invariant violated")
+
+    monkeypatch.setattr(cli, "run_command", broken)
+    code, report = run_job(tmp_path, {"command": "classify", "inputs": {"setup": P2_SETUP}})
+    err = capsys.readouterr().err
+    assert code == 3 and report is None
+    assert err.startswith("internal: InternalError: invariant violated")
+    assert "Traceback" not in err

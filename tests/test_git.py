@@ -1,9 +1,11 @@
+from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from toricgit import linalg
-from toricgit.errors import NotGeneric, NotSaturated
+from toricgit.errors import InternalError, NotGeneric, NotSaturated
 from toricgit.git import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -33,7 +35,15 @@ from toricgit.klyachko import (
 from toricgit.lattice import Lattice, Sublattice
 from toricgit.polytope import HPolytope
 
-from util import random_generic_setup, random_quotient_sheaf, random_sheaf, random_subspace
+from util import (
+    count_calls,
+    random_generic_setup,
+    random_polytope,
+    random_quotient_sheaf,
+    random_saturated_sublattice,
+    random_sheaf,
+    random_subspace,
+)
 
 L2 = Lattice(2)
 N0_DIAG = Sublattice(L2, ((1, 1),))
@@ -370,3 +380,73 @@ def test_sheaf_facet_count_mismatches_raise():
         pullback(SETUP, structure_sheaf(py.num_facets + 1))
     with pytest.raises(FacetMismatch):
         descends(SETUP, structure_sheaf(5))
+
+
+def fourier_motzkin_classification(setup):
+    """Oracle: two Fourier-Motzkin calls per face, one on the loose system
+    (does Q meet U?) and one on the strict system (does ri Q meet U?)."""
+    p = setup.polytope
+    gens = setup.sublattice.generators
+    out = []
+    for face in p.face_lattice:
+        active = sorted(face.active_facets)
+        eqs = [(p.facets[f][0], -p.facets[f][1]) for f in active]
+        eqs += [(gen, Fraction(0)) for gen in gens]
+        loose = [(p.facets[f][0], -p.facets[f][1], False)
+                 for f in range(p.num_facets) if f not in face.active_facets]
+        meet = linalg.feasible_point(p.n, eqs, loose)
+        if meet is None:
+            out.append((face.active_facets, UNSTABLE, None))
+            continue
+        interior = linalg.feasible_point(p.n, eqs, [(u, c, True) for u, c, _ in loose])
+        normals = [p.facets[f][0] for f in active]
+        transversal = linalg.rank(normals + list(gens)) == linalg.rank(normals) + len(gens)
+        if interior is not None and transversal:
+            out.append((face.active_facets, STABLE, interior))
+        else:
+            out.append((face.active_facets, STRICTLY_SEMISTABLE, meet))
+    return out
+
+
+def random_setup(rng, n, rank):
+    """A random polytope moved by a small integer translation, against a
+    random saturated sublattice of the given rank."""
+    t = [rng.randint(-1, 1) for _ in range(n)]
+    return GitSetup(random_polytope(rng, n).translate(t),
+                    random_saturated_sublattice(rng, n, rank))
+
+
+def test_slice_vertex_classification_matches_fourier_motzkin():
+    rng = Random(71)
+    statuses = Counter()
+    setups = 0
+    for n, reps in ((2, 50), (3, 10), (4, 3)):
+        for rank in range(n + 1):
+            for _ in range(reps):
+                setup = random_setup(rng, n, rank)
+                got = [(fs.face.active_facets, fs.status, fs.witness)
+                       for fs in setup.classification]
+                assert got == fourier_motzkin_classification(setup)
+                statuses.update((n, fs.status) for fs in setup.classification)
+                setups += 1
+    assert setups >= 200
+    for n in (2, 3, 4):
+        for status in (STABLE, STRICTLY_SEMISTABLE, UNSTABLE):
+            assert statuses[n, status] > 0, (n, status)
+
+
+def test_classification_calls_fourier_motzkin_once_per_face_meeting_u(monkeypatch):
+    rng = Random(72)
+    calls = count_calls(monkeypatch, linalg, "feasible_point")
+    for n in (2, 3, 4):
+        for rank in range(n + 1):
+            setup = random_setup(rng, n, rank)
+            calls.clear()
+            result = setup._classify()
+            assert calls["feasible_point"] == sum(fs.status != UNSTABLE for fs in result)
+
+
+def test_classification_raises_when_witness_search_disagrees(monkeypatch):
+    monkeypatch.setattr(linalg, "feasible_point", lambda *args, **kwargs: None)
+    with pytest.raises(InternalError):
+        SETUP._classify()

@@ -6,15 +6,23 @@ import pytest
 
 from toricgit.errors import (
     EmptyPolytope,
+    InfeasibleError,
     InputError,
     NotFullDimensional,
     RedundantInequality,
     Unbounded,
 )
 from toricgit import linalg
-from toricgit.polytope import DivisorClass, HPolytope, hsystem_volume_data, same_normal_fan
+from toricgit.lattice import primitive_content
+from toricgit.polytope import (
+    DivisorClass,
+    HPolytope,
+    hsystem_volume_data,
+    positively_spanning,
+    same_normal_fan,
+)
 
-from util import brute_force_vertices
+from util import brute_force_vertices, count_calls, random_polytope
 
 SQUARE = HPolytope(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
 P2_O3 = HPolytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)])  # degree-3 simplex
@@ -57,6 +65,57 @@ def test_redundant_rejected_not_dropped():
     with pytest.raises(RedundantInequality):
         HPolytope(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1),
                       ((1, 1), 5)])
+
+
+def test_tangent_constraints_rejected():
+    # tangent to the unit cube at the vertex 0, and along the edge x = y = 0
+    for extra in (((1, 1, 1), 0), ((1, 1, 0), 0)):
+        with pytest.raises(RedundantInequality, match="inequality 6 "):
+            HPolytope(3, list(CUBE.facets) + [extra])
+    # tangent to the square at the vertex (1, 1)
+    with pytest.raises(RedundantInequality, match="inequality 2 "):
+        HPolytope(2, [((1, 0), 1), ((-1, 0), 1), ((-1, -1), 2), ((0, 1), 1),
+                      ((0, -1), 1)])
+
+
+def fourier_motzkin_validity(n, facets):
+    """Oracle: (error class, message) of Fourier-Motzkin validation, with
+    one strict and one loose system for the interior and 1 + d calls for
+    the facets, or None for a valid polytope."""
+    if not positively_spanning(n, [u for u, _ in facets]):
+        return Unbounded, "facet normals do not positively span; polytope unbounded"
+    if linalg.feasible_point(n, [], [(u, -a, True) for u, a in facets]) is None:
+        if linalg.feasible_point(n, [], [(u, -a, False) for u, a in facets]) is None:
+            return EmptyPolytope, "inconsistent supports: empty polytope"
+        return NotFullDimensional, "polytope has empty interior"
+    for i, (u, a) in enumerate(facets):
+        others = [(w, -c, True) for j, (w, c) in enumerate(facets) if j != i]
+        if linalg.feasible_point(n, [(u, -a)], others) is None:
+            return RedundantInequality, f"inequality {i} (normal {u}) does not define a facet"
+    return None
+
+
+def test_vertex_table_validity_matches_fourier_motzkin():
+    rng = Random(29)
+    outcomes = Counter()
+    for n, reps in ((1, 30), (2, 150), (3, 60)):
+        for _ in range(reps):
+            normals = {tuple(s * int(i == j) for j in range(n))
+                       for i in range(n) for s in (1, -1)}
+            for _ in range(rng.randint(0, 3)):
+                w = tuple(rng.randint(-2, 2) for _ in range(n))
+                if any(w):
+                    normals.add(primitive_content(w)[0])
+            facets = [(u, Fraction(rng.randint(-2, 3))) for u in sorted(normals)]
+            rng.shuffle(facets)
+            try:
+                HPolytope(n, facets)
+                got = None
+            except InfeasibleError as exc:
+                got = type(exc), str(exc)
+            assert got == fourier_motzkin_validity(n, facets), facets
+            outcomes[got and got[0]] += 1
+    assert set(outcomes) == {None, EmptyPolytope, NotFullDimensional, RedundantInequality}
 
 
 def test_nonprimitive_and_duplicate_normals_rejected():
@@ -274,6 +333,34 @@ def test_volume_engine_visits_each_face_once(monkeypatch):
         vol, latvols, _ = hsystem_volume_data(n, unit_cube_system(n))
         assert vol == 1 and latvols == [1] * (2 * n)
         assert sum(calls.values()) == faces
+
+
+def assert_same_polytope(moved, fresh):
+    assert moved == fresh
+    assert moved.vertices == fresh.vertices
+    assert moved.face_lattice == fresh.face_lattice
+    assert moved.volume() == fresh.volume()
+    assert moved.latvols() == fresh.latvols()
+
+
+def test_translate_and_dilate_match_fresh_polytopes():
+    rng = Random(31)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            poly = random_polytope(rng, n)
+            if rng.random() < 0.5:
+                poly.face_lattice  # carried over by the moves when computed
+            t = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n)]
+            k = Fraction(rng.randint(1, 7), rng.choice((1, 2, 3)))
+            for moved in (poly.translate(t), poly.dilate(k), poly.dilate(k).translate(t)):
+                assert_same_polytope(moved, HPolytope(n, moved.facets))
+
+
+def test_moves_run_no_fourier_motzkin(monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "feasible_point")
+    for poly in (SQUARE, P2_O3, CUBE, PYRAMID):
+        poly.translate([1] * poly.n).dilate(3).translate([Fraction(1, 2)] * poly.n)
+    assert calls["feasible_point"] == 0
 
 
 def test_degree_examples():

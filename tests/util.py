@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 from toricgit import linalg
 from toricgit.build import hirzebruch, product, projective_space
+from toricgit.errors import InfeasibleError
 from toricgit.git import GitSetup, translation_classes
 from toricgit.klyachko import FiltrationSheaf, Subspace
-from toricgit.lattice import Lattice, Sublattice
+from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
 from toricgit.polytope import HPolytope
 
 
@@ -113,3 +115,46 @@ def brute_force_vertices(poly: HPolytope):
         if x is not None and poly.contains(x):
             out.add(x)
     return out
+
+
+def count_calls(monkeypatch, module, name: str) -> Counter:
+    """Patch ``module.name`` to count its calls under ``name`` in the
+    returned Counter."""
+    calls = Counter()
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def random_polytope(rng: Random, n: int) -> HPolytope:
+    """A random valid n-polytope: the normals of the standard simplex or
+    cube plus up to three random primitive cuts, with supports in [0, 6]
+    (some halves), so the origin lies in it, often on its boundary."""
+    simplex = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    cube = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    while True:
+        normals = set(rng.choice((simplex, cube)))
+        for _ in range(rng.randint(0, 3)):
+            w = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(w):
+                normals.add(primitive_content(w)[0])
+        facets = [(u, Fraction(rng.randint(0, 6), rng.choice((1, 1, 2))))
+                  for u in sorted(normals)]
+        try:
+            return HPolytope(n, facets)
+        except InfeasibleError:
+            continue
+
+
+def random_saturated_sublattice(rng: Random, n: int, rank: int) -> Sublattice:
+    """A random saturated rank-``rank`` sublattice of ZZ^n."""
+    while True:
+        gens = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rank))
+        sub = saturate(Sublattice(Lattice(n), gens))
+        if sub.rank == rank:
+            return sub
