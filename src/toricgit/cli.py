@@ -58,6 +58,13 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+def _need_list(payload: dict, key: str) -> list:
+    val = _need(payload, key)
+    if not isinstance(val, list):
+        raise InputError(f'input "{key}" must be a list, got {val!r}')
+    return val
+
+
 def _setup(payload) -> GitSetup:
     return GitSetup.from_json_dict(_need(payload, "setup"))
 
@@ -137,9 +144,9 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         setup = _setup(payload)
         return minkowski.minkowski_condition(setup).to_json_dict()
     if command == "solve-minkowski":
-        normals = [serialize.int_vector(u) for u in _need(payload, "normals")]
+        normals = [serialize.int_vector(u) for u in _need_list(payload, "normals")]
         volumes = [serialize.frac_from_obj(v) if not isinstance(v, float) else v
-                   for v in _need(payload, "volumes")]
+                   for v in _need_list(payload, "volumes")]
         sol = minkowski.solve_minkowski(
             normals, volumes,
             tol=_tol_option(options),
@@ -249,7 +256,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         payload = raw.get("inputs", raw)
         if not isinstance(payload, dict):
             raise InputError('"inputs" must be a JSON object')
-        options = dict(raw.get("options", {})) if isinstance(raw.get("options"), dict) else {}
+        options = raw.get("options", {})
+        if not isinstance(options, dict):
+            raise InputError('"options" must be a JSON object')
+        options = dict(options)
         for key in ("tol", "seed", "max_iter", "cap", "k_max"):
             val = getattr(args, key, None)
             if val is not None:

@@ -82,7 +82,7 @@ class Subspace:
             raise DimensionMismatch("subspaces of different ambient spaces")
         if other.dim > self.dim:
             return False
-        return all(self._residual(row) is None for row in other.rows)
+        return self.is_full() or all(self._residual(row) is None for row in other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
@@ -120,6 +120,11 @@ class Subspace:
             )
             vecs.append(vec)
         return Subspace.span(self.ambient, vecs)
+
+    def perp(self) -> "Subspace":
+        """The annihilator {x : x . w = 0 for w in W}, in the dual space
+        identified with QQ^ambient by the standard pairing."""
+        return Subspace.span(self.ambient, linalg.nullspace(self.rows, self.ambient))
 
     def image_under(self, matrix: Sequence[Sequence]) -> "Subspace":
         """Image of this subspace under the linear map given row-wise by a
@@ -206,10 +211,6 @@ class FiltrationSheaf:
     def jump_indices(self, facet: int) -> tuple[int, ...]:
         return tuple(i for i, _ in self.filtrations[facet])
 
-    def first_index(self, facet: int) -> int:
-        """i_F: the smallest i with E^F(i) != 0."""
-        return self.filtrations[facet][0][0]
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -292,6 +293,16 @@ def first_chern(sheaf: FiltrationSheaf) -> DivisorClass:
     """c1 as the Weil divisor class sum_F -i_F(det) D_F."""
     return DivisorClass.from_dict(
         {f: -i for f, i in enumerate(det_indices(sheaf))})
+
+
+def dual(sheaf: FiltrationSheaf) -> FiltrationSheaf:
+    """The dual sheaf: E^F(i)^dual = E^F(-i-1)^perp.  Jumps (i_k, E_k),
+    k = 1..m, become (-i_{k+1}, E_k^perp) for k < m and (-i_1, full)."""
+    filts = []
+    for filt in sheaf.filtrations:
+        steps = [(-filt[k + 1][0], filt[k][1].perp()) for k in range(len(filt) - 1)]
+        filts.append(tuple(reversed(steps)) + ((-filt[0][0], Subspace.full(sheaf.rank)),))
+    return FiltrationSheaf(sheaf.rank, tuple(filts))
 
 
 def subsheaf(sheaf: FiltrationSheaf, w: Subspace) -> FiltrationSheaf:

@@ -8,7 +8,6 @@ precision throughout; normal-form intermediates are allowed to swell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -68,13 +67,6 @@ class Sublattice:
         coeffs = linalg.solve_general(linalg.transpose(self.generators), vec)
         return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
-    def spans_rationally(self, v: Sequence[int]) -> bool:
-        """Whether v lies in the QQ-span of the generators."""
-        vec = self.ambient.check_vector(v)
-        if not self.generators:
-            return not any(vec)
-        return linalg.solve_general(linalg.transpose(self.generators), vec) is not None
-
 
 def saturate(s: Sublattice) -> Sublattice:
     """Saturation (QQ-span of s) intersected with the ambient lattice.
@@ -120,11 +112,6 @@ class QuotientLattice:
     def project(self, v: Sequence[int]) -> IntVec:
         vec = self.ambient.check_vector(v)
         return tuple(int(linalg.dot(row, vec)) for row in self.projection_matrix)
-
-    def project_rational(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(v) != self.ambient.rank:
-            raise DimensionMismatch("vector/lattice rank mismatch")
-        return tuple(linalg.dot(row, v) for row in self.projection_matrix)
 
     def lift(self, w: Sequence[int]) -> IntVec:
         if len(w) != self.rank:

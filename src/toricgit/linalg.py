@@ -3,7 +3,8 @@
 Everything here works on tuples of ints / fractions.Fraction; no floats, no
 machine-word arithmetic.  Three layers:
 
-* rational Gauss-Jordan (rref, rank, solvers, affine solution spaces),
+* rational Gauss-Jordan (rref, solvers, affine solution spaces) and exact
+  rank by fraction-free integer elimination,
 * integer lattice normal forms (row-style Hermite form, Smith form with
   transforms, kernels, right inverses),
 * Fourier-Motzkin feasibility for mixed strict/non-strict rational systems,
@@ -13,7 +14,7 @@ machine-word arithmetic.  Three layers:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -96,8 +97,40 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return [row for row in m[:r]], pivots
 
 
+def int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Rational rows, each scaled by its common denominator (same span)."""
+    out = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination:
+    every entry stays an integer minor, so each division is exact."""
+    m = [list(row) for row in rows]
+    r, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, len(m)):
+            a = m[i][c]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    """Exact rank of a matrix with int or Fraction entries."""
+    return int_rank(int_rows(rows))
 
 
 def solve_square(a: Sequence[Sequence], b: Sequence) -> Optional[Vec]:

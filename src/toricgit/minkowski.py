@@ -94,9 +94,15 @@ class MinkowskiSolution:
         ])
 
 
+def _snap(support: float) -> Fraction:
+    """A float support of the solver's iterate as a nearby rational."""
+    if not math.isfinite(support):
+        raise NoConvergence("solver iterate is no longer finite")
+    return Fraction(support).limit_denominator(RATIONALIZE_DENOM)
+
+
 def _evaluate(n: int, normals, supports) -> tuple[float, list[float]]:
-    cons = [(u, Fraction(a).limit_denominator(RATIONALIZE_DENOM))
-            for u, a in zip(normals, supports)]
+    cons = [(u, _snap(a)) for u, a in zip(normals, supports)]
     vol, latvols, _ = hsystem_volume_data(n, cons)
     return float(vol), [float(x) for x in latvols]
 
@@ -130,6 +136,8 @@ def solve_minkowski(
     targets = []
     for v in volumes:
         if isinstance(v, float):
+            if not math.isfinite(v):
+                raise InputError(f"facet volume targets must be finite, got {v!r}")
             targets.append(Fraction(v).limit_denominator(RATIONALIZE_DENOM))
         else:
             targets.append(Fraction(v))
@@ -194,14 +202,12 @@ def solve_minkowski(
         raise NoConvergence("volume maximization collapsed")
     kappa = lam ** (-1.0 / (n - 1))
     a = [ai * kappa for ai in a]
-    cons = [(u, Fraction(ai).limit_denominator(RATIONALIZE_DENOM))
-            for u, ai in zip(norm_t, a)]
+    cons = [(u, _snap(ai)) for u, ai in zip(norm_t, a)]
     verts = hsystem_vertices(n, cons)
     if not verts:
         raise NoConvergence("scaled polytope is empty")
     bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
-    a = [float(Fraction(ai).limit_denominator(RATIONALIZE_DENOM)
-               + linalg.dot(bary, u)) for ai, u in zip(a, norm_t)]
+    a = [float(_snap(ai) + linalg.dot(bary, u)) for ai, u in zip(a, norm_t)]
     _, lat_final = _evaluate(n, norm_t, a)
     residual = max(abs(l - fi) / fi for l, fi in zip(lat_final, f))
     if residual > tol:

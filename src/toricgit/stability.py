@@ -10,8 +10,10 @@ the search runs over:
   intersection closure of the jump subspaces (any line sits inside a
   closure member with a pointwise-better profile, and a generic line of a
   member realizes the member's profile),
-* an exact maximization over ALL corank-one W via co-profiles on the sum
-  closure (a generic hyperplane above a sum member realizes its co-profile),
+* an exact maximization over ALL corank-one W as the line search of the
+  dual sheaf: S_W is the kernel of a rank-one quotient whose dual is the
+  line subsheaf of dual(S) cut out by W^perp, so
+  (r-1) mu(S_W) = r mu(S) + mu(dual(S)_{W^perp}),
 * from rank 4 on, the closure of the proper jump subspaces under pairwise
   intersection and sum (the "candidates").
 
@@ -35,13 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from random import Random
 from typing import Optional, Sequence
 
-from . import serialize
+from . import linalg, serialize
 from .errors import FacetMismatch, InputError, InternalError
-from .klyachko import FiltrationSheaf, Subspace, det_indices, subsheaf
+from .klyachko import FiltrationSheaf, Subspace, det_indices, dual, subsheaf
 from .polytope import HPolytope
 
 STABLE = "Stable"
@@ -83,20 +84,13 @@ def _proper_jump_subspaces(sheaf: FiltrationSheaf) -> list[Subspace]:
 
 
 def _closure(
-    seeds: Sequence[Subspace],
-    rank: int,
-    cap: int,
-    use_intersections: bool,
-    use_sums: bool,
-    keep_proper_only: bool,
+    seeds: Sequence[Subspace], rank: int, cap: int, join: bool
 ) -> tuple[list[Subspace], bool]:
-    """Close a family of subspaces under pairwise meet/join; returns
-    (members, reached_fixpoint).  The closure stops, short of its fixed
-    point, as soon as a new member takes it past ``cap`` members."""
-    found: dict[Subspace, None] = {}
-    for s in seeds:
-        if s not in found:
-            found[s] = None
+    """Close a family of subspaces under pairwise intersection, and with
+    ``join`` also under sum keeping proper subspaces only; returns (members,
+    reached_fixpoint).  The closure stops, short of its fixed point, as soon
+    as a new member takes it past ``cap`` members."""
+    found: dict[Subspace, None] = dict.fromkeys(seeds)
     frontier = list(found)
     while frontier:
         new: list[Subspace] = []
@@ -105,15 +99,9 @@ def _closure(
             for b in existing:
                 if a == b:
                     continue
-                results = []
-                if use_intersections:
-                    results.append(a.intersect(b))
-                if use_sums:
-                    results.append(a.add(b))
+                results = [a.intersect(b), a.add(b)] if join else [a.intersect(b)]
                 for c in results:
-                    if c.is_zero():
-                        continue
-                    if keep_proper_only and c.dim >= rank:
+                    if c.is_zero() or (join and c.dim >= rank):
                         continue
                     if c not in found:
                         found[c] = None
@@ -130,9 +118,7 @@ def candidate_subspaces(
     """The proper jump subspaces closed under pairwise intersection and sum,
     iterated to a fixed point (or to ``cap``, which downgrades verdicts)."""
     seeds = _proper_jump_subspaces(sheaf)
-    members, fixpoint = _closure(
-        seeds, sheaf.rank, cap,
-        use_intersections=True, use_sums=True, keep_proper_only=True)
+    members, fixpoint = _closure(seeds, sheaf.rank, cap, join=True)
     return CandidateFamily(tuple(members), fixpoint)
 
 
@@ -148,43 +134,12 @@ def _verify_witness(
 # slopes from intersection dimensions
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Rational rows, each scaled by its common denominator (same span)."""
-    out = []
-    for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
-    return out
-
-
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination:
-    every entry stays an integer minor, so each division is exact."""
-    m = [list(row) for row in rows]
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[c]
-        for i in range(rank + 1, len(m)):
-            a = m[i][c]
-            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def _slope_scorer(sheaf: FiltrationSheaf, poly: HPolytope):
     """mu(subsheaf(S, W)) from dim(W n E) = dim W + dim E - rank[W; E] alone,
     for W spanned by linearly independent integer rows."""
     r = sheaf.rank
     latvols = [poly.facet_latvol(f) for f in range(sheaf.num_facets)]
-    jumps = [[(i, v.dim, _int_rows(v.rows)) for i, v in filt]
+    jumps = [[(i, v.dim, linalg.int_rows(v.rows)) for i, v in filt]
              for filt in sheaf.filtrations]
 
     def score(w_rows: list[list[int]]) -> Fraction:
@@ -193,7 +148,7 @@ def _slope_scorer(sheaf: FiltrationSheaf, poly: HPolytope):
         for latvol, facet_jumps in zip(latvols, jumps):
             index, prev = 0, 0
             for i, dim_e, e_rows in facet_jumps:
-                d = dim_w if dim_e == r else dim_w + dim_e - _int_rank(w_rows + e_rows)
+                d = dim_w if dim_e == r else dim_w + dim_e - linalg.int_rank(w_rows + e_rows)
                 index += i * (d - prev)
                 prev = d
                 if d == dim_w:
@@ -238,10 +193,10 @@ def _generic_vector_avoiding(c: Subspace, avoid: list[Subspace]) -> tuple:
     raise InternalError("moment curve failed to avoid proper subspaces")
 
 
-def max_line_slope(
-    sheaf: FiltrationSheaf, poly: HPolytope, cap: int = DEFAULT_CAP
+def _line_stratum(
+    sheaf: FiltrationSheaf, poly: HPolytope, cap: int
 ) -> tuple[Fraction, Subspace, bool]:
-    """Exact maximum of mu(subsheaf(S, line)) over all lines.
+    """Exact maximum of mu(subsheaf(S, line)) over all lines, unverified.
 
     Any line V lies in C(V) = intersection of the jump subspaces E^F(p(V)_F),
     a member of the intersection closure with a pointwise-smaller profile;
@@ -250,9 +205,7 @@ def max_line_slope(
     line maximum.  Returns (max, witness line, closure reached fixpoint).
     """
     seeds = [v for f in range(sheaf.num_facets) for _, v in sheaf.filtrations[f]]
-    members, fixpoint = _closure(
-        seeds, sheaf.rank, cap,
-        use_intersections=True, use_sums=False, keep_proper_only=False)
+    members, fixpoint = _closure(seeds, sheaf.rank, cap, join=False)
     best: Optional[Fraction] = None
     best_c: Optional[Subspace] = None
     best_profile: Optional[list[int]] = None
@@ -269,7 +222,16 @@ def max_line_slope(
         if below.dim < best_c.dim:
             avoid.append(below)
     vec = _generic_vector_avoiding(best_c, avoid)
-    line = Subspace.span(sheaf.rank, [vec])
+    return best, Subspace.span(sheaf.rank, [vec]), fixpoint
+
+
+def max_line_slope(
+    sheaf: FiltrationSheaf, poly: HPolytope, cap: int = DEFAULT_CAP
+) -> tuple[Fraction, Subspace, bool]:
+    """Exact maximum of mu(subsheaf(S, line)) over all lines, with a line
+    realizing it (re-verified through ``subsheaf``) and whether the
+    intersection closure reached its fixed point."""
+    best, line, fixpoint = _line_stratum(sheaf, poly, cap)
     _verify_witness(sheaf, poly, line, best, "line")
     return best, line, fixpoint
 
@@ -279,75 +241,19 @@ def max_hyperplane_slope(
 ) -> tuple[Fraction, Subspace, bool]:
     """Exact maximum of mu(subsheaf(S, W)) over all corank-one W (rank >= 2).
 
-    For corank-one W, i_F(det S_W) = i_F(det S) - j_F(W) with
-    j_F(W) = min{i : E^F(i) not<= W}; maximizing mu(S_W) maximizes
-    sum_F j_F(W) latvol(F).  A generic hyperplane above a sum S0 of jump
-    subspaces contains exactly the jump steps inside S0, so the maximum is
-    attained over the sum closure (including S0 = 0).
+    S_W is the kernel of a rank-one quotient whose dual is the line subsheaf
+    of dual(S) cut out by W^perp, so (r-1) mu(S_W) = r mu(S) + mu(dual(S)_L)
+    with L = W^perp: the hyperplane maximum is the line maximum of the dual
+    sheaf.  Returns (max, witness hyperplane, closure reached fixpoint).
     """
     r = sheaf.rank
     if r < 2:
         raise InputError("hyperplane stratum needs rank >= 2")
-    seeds = _proper_jump_subspaces(sheaf)
-    members, fixpoint = _closure(
-        seeds, sheaf.rank, cap,
-        use_intersections=False, use_sums=True, keep_proper_only=True)
-    members = [Subspace.zero(r)] + members
-    det_sum = sum(
-        (Fraction(i) * poly.facet_latvol(f)
-         for f, i in enumerate(det_indices(sheaf))), Fraction(0))
-    best = None
-    best_s0 = None
-    for s0 in members:
-        jsum = Fraction(0)
-        for f in range(sheaf.num_facets):
-            j = None
-            for i, v in sheaf.filtrations[f]:
-                if not s0.contains(v):
-                    j = i
-                    break
-            jsum += Fraction(j) * poly.facet_latvol(f)
-        val = (jsum - det_sum) / (r - 1)
-        if best is None or val > best:
-            best, best_s0 = val, s0
-    # realize with a hyperplane: ker(phi) above best_s0 with phi avoiding the
-    # annihilators of the first jump spaces sticking out of best_s0
-    stickers = []
-    for f in range(sheaf.num_facets):
-        for i, v in sheaf.filtrations[f]:
-            if not best_s0.contains(v):
-                stickers.append(v)
-                break
-    phi = _generic_functional(r, best_s0, stickers)
-    hyper = _kernel_of_functional(r, phi)
+    val, line, fixpoint = _line_stratum(dual(sheaf), poly, cap)
+    best = (r * slope(sheaf, poly) + val) / (r - 1)
+    hyper = line.perp()
     _verify_witness(sheaf, poly, hyper, best, "hyperplane")
     return best, hyper, fixpoint
-
-
-def _generic_functional(r: int, contained: Subspace, stickers: list[Subspace]):
-    """A functional vanishing on ``contained`` but on none of the sticker
-    subspaces; found on a moment curve in the annihilator of ``contained``."""
-    from . import linalg
-
-    ann = linalg.nullspace([list(row) for row in contained.rows], r) \
-        if contained.rows else list(linalg.identity_mat(r))
-    bound = len(stickers) * max(len(ann) - 1, 0) + 1
-    for t in range(bound + 1):
-        phi = tuple(
-            sum(Fraction(t) ** k * ann[k][j] for k in range(len(ann)))
-            for j in range(r))
-        if any(phi) and all(
-            any(sum(phi[j] * row[j] for j in range(r)) != 0 for row in v.rows)
-            for v in stickers
-        ):
-            return phi
-    raise InternalError("moment curve failed to avoid sticker annihilators")
-
-
-def _kernel_of_functional(r: int, phi) -> Subspace:
-    from . import linalg
-
-    return Subspace.span(r, linalg.nullspace([list(phi)], r))
 
 
 def _random_rows(rng: Random, r: int) -> list[list[int]]:
@@ -355,7 +261,7 @@ def _random_rows(rng: Random, r: int) -> list[list[int]]:
     dim = rng.randint(1, r - 1)
     while True:
         rows = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(dim)]
-        if _int_rank(rows) == dim:
+        if linalg.int_rank(rows) == dim:
             return rows
 
 
@@ -428,7 +334,7 @@ def check_stability(
     if r >= 4:
         family = candidate_subspaces(sheaf, cap)
         for w in family.subspaces:
-            evaluations.append((score(_int_rows(w.rows)), w.dim, w))
+            evaluations.append((score(linalg.int_rows(w.rows)), w.dim, w))
         if not family.reached_fixpoint:
             capped.append("candidates")
 

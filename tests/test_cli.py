@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 from toricgit import cli
 from toricgit.cli import main
@@ -256,6 +257,11 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
          "options": {"k_max": "x"}},
         {"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"max_iter": 0}},
+        {"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": 5},
+        {"command": "solve-minkowski", "inputs": {**SQUARE_TARGETS, "normals": 5}},
+        {"command": "solve-minkowski", "inputs": {**SQUARE_TARGETS, "volumes": 5}},
+        *({"command": "solve-minkowski", "inputs": {**SQUARE_TARGETS, "volumes": [2.0, 1, bad, 1]}}
+          for bad in (float("nan"), float("inf"), float("-inf"))),
         *({"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"tol": tol}}
           for tol in ("x", -1, 0, True, [1e-6], float("nan"), float("inf"))),
         *({"command": command, "inputs": inputs, "options": {"seed": seed}}
@@ -274,6 +280,68 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
                           "--tol", tol)
         assert code == 1, tol
         assert capsys.readouterr().err.startswith("error: "), tol
+
+
+def test_solver_overflow_exits_two(tmp_path, capsys):
+    # targets this large overflow the float iterate: a solver failure, not a crash
+    job = {"command": "solve-minkowski",
+           "inputs": {"normals": SQUARE_TARGETS["normals"], "volumes": [1e300] * 4}}
+    code, _ = run_job(tmp_path, job)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("failed: NoConvergence: ")
+
+
+SQUARE = {"n": 2, "facets": [
+    {"normal": [1, 0], "support": "0/1"}, {"normal": [-1, 0], "support": "2/1"},
+    {"normal": [0, 1], "support": "0/1"}, {"normal": [0, -1], "support": "2/1"}]}
+
+# one small valid job per cheap command
+FUZZ_JOBS = (
+    {"command": "quotient", "inputs": {"setup": P2_SETUP}},
+    {"command": "classify", "inputs": {"setup": P2_SETUP}},
+    {"command": "slope", "inputs": {"polytope": P2_SETUP["polytope"], "sheaf": TANGENT_SHEAF}},
+    {"command": "stability",
+     "inputs": {"polytope": P2_SETUP["polytope"], "sheaf": TANGENT_SHEAF},
+     "options": {"cap": 50, "random_trials": 5, "seed": 3}},
+    {"command": "descend", "inputs": {"setup": P2_SETUP, "sheaf": TANGENT_SHEAF}},
+    {"command": "pullback",
+     "inputs": {"setup": P2_SETUP, "sheaf": TANGENT_SHEAF, "indices": {"2": 0}}},
+    {"command": "pushforward", "inputs": {"setup": P2_SETUP, "sheaf": TANGENT_SHEAF}},
+    {"command": "minkowski-check", "inputs": {"setup": P2_SETUP}},
+    {"command": "falsify-converse", "inputs": {"setup": P2_SETUP}},
+    {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
+     "options": {"k_max": 3}},
+    {"command": "solve-minkowski", "inputs": SQUARE_TARGETS,
+     "options": {"tol": 1e-6, "max_iter": 50, "seed": 2}},
+    {"command": "bundle", "inputs": {"base": SQUARE, "summands": [{"0": 1}, {"2": 1}]}},
+)
+JUNK = ("x", float("nan"), float("inf"), float("-inf"), [], {}, None, True, 10 ** 30, "1/0")
+
+
+def _paths(obj, path=()):
+    """Every position in a JSON value: each leaf and each nested list or object."""
+    if path:
+        yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def test_mutated_jobs_exit_with_documented_codes(tmp_path, capsys):
+    # every mutated job returns a report (0) or fails with a typed error (1, 2)
+    rng = Random(61)
+    for k in range(360):
+        job = json.loads(json.dumps(FUZZ_JOBS[k % len(FUZZ_JOBS)]))
+        *parents, last = rng.choice(list(_paths(job)))
+        node = job
+        for key in parents:
+            node = node[key]
+        node[last] = rng.choice(JUNK)
+        code, _ = run_job(tmp_path, job)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (job, err)
+        assert code == 0 or err.split(":")[0] in ("error", "infeasible", "failed"), (job, err)
 
 
 def test_internal_error_exits_three_without_traceback(tmp_path, capsys, monkeypatch):

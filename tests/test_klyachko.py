@@ -12,6 +12,7 @@ from toricgit.klyachko import (
     det_indices,
     dimension_jumps,
     direct_sum,
+    dual,
     first_chern,
     inclusion_morphism,
     is_morphism,
@@ -146,6 +147,34 @@ def test_subsheaf_jumps_total_dimension():
 def test_subsheaf_zero_rejected():
     with pytest.raises(InputError):
         subsheaf(TANGENT, Subspace.zero(2))
+
+
+def test_dual_filtrations_are_shifted_annihilators():
+    # E^F(i)^dual = E^F(-i-1)^perp at every index, jumps included
+    rng = Random(13)
+    for _ in range(30):
+        s = random_sheaf(rng, rng.randint(1, 5), 3)
+        d = dual(s)
+        for f in range(3):
+            for i in range(-6, 6):
+                assert d.value_at(f, i) == s.value_at(f, -i - 1).perp()
+
+
+def test_dual_is_an_involution():
+    rng = Random(14)
+    for _ in range(50):
+        s = random_sheaf(rng, rng.randint(1, 5), rng.randint(1, 4))
+        assert dual(dual(s)) == s
+    assert dual(TANGENT).filtrations[0] == ((0, L1.perp()), (1, E2))
+
+
+def test_dual_of_line_bundle_negates_divisor():
+    rng = Random(15)
+    for _ in range(20):
+        d = rng.randint(1, 5)
+        coeffs = {f: rng.randint(-4, 4) for f in range(d)}
+        assert dual(line_bundle(d, coeffs)) == \
+            line_bundle(d, {f: -c for f, c in coeffs.items()})
 
 
 def test_sections_on_chart_deep_weight_full():

@@ -55,6 +55,19 @@ def test_smith_normal_form_properties():
                 linalg.identity_mat(len(t))
 
 
+def test_rank_matches_rational_elimination():
+    # fraction-free integer rank against the pivot count of rational rref,
+    # on rows built from fewer generators so that many are rank-deficient
+    rng = Random(8)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        gens = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(0, n))]
+        rows = [[sum((rng.randint(-2, 2) * g[j] for g in gens), Fraction(0))
+                 for j in range(n)] for _ in range(rng.randint(0, 5))]
+        assert linalg.rank(rows) == len(linalg.rref(rows)[1])
+
+
 def test_integer_kernel_is_saturated_and_annihilates():
     rng = Random(9)
     for _ in range(50):

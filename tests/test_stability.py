@@ -7,13 +7,15 @@ from random import Random
 
 import pytest
 
-from toricgit import stability
+from toricgit import linalg, stability
 from toricgit.build import hirzebruch
 from toricgit.errors import FacetMismatch
 from toricgit.klyachko import (
     FiltrationSheaf,
     Subspace,
+    det_indices,
     direct_sum,
+    dual,
     line_bundle,
     structure_sheaf,
     subsheaf,
@@ -158,6 +160,70 @@ def test_slope_gap_invariant_under_jump_shift():
         assert check_stability(s, P2_O1).status == check_stability(shifted, P2_O1).status
 
 
+def test_dual_negates_slope():
+    rng = Random(58)
+    for poly in (P2_O1, hirzebruch(1), P2_O1.dilate(2)):
+        for _ in range(20):
+            s = random_sheaf(rng, rng.randint(1, 5), poly.num_facets)
+            assert slope(dual(s), poly) == -slope(s, poly)
+
+
+def coprofile_hyperplane_oracle(sheaf, poly, cap):
+    """The hyperplane maximum by co-profiles on the sum closure of the proper
+    jump subspaces: for corank-one W, i_F(det S_W) = i_F(det S) - j_F(W) with
+    j_F(W) = min{i : E^F(i) not<= W}, and a generic hyperplane above a sum S0
+    contains exactly the jump steps inside S0.  Returns (max, member count,
+    reached fixpoint)."""
+    r = sheaf.rank
+    found = dict.fromkeys(
+        v for filt in sheaf.filtrations for _, v in filt if 0 < v.dim < r)
+    frontier, fixpoint = list(found), True
+    while frontier and fixpoint:
+        new = []
+        for a in frontier:
+            for b in list(found):
+                c = a.add(b)
+                if a != b and c.dim < r and c not in found:
+                    found[c] = None
+                    new.append(c)
+                    if len(found) > cap:
+                        fixpoint = False
+                        break
+            if not fixpoint:
+                break
+        frontier = new
+    det_sum = sum((Fraction(i) * poly.facet_latvol(f)
+                   for f, i in enumerate(det_indices(sheaf))), Fraction(0))
+    best = None
+    for s0 in [Subspace.zero(r), *found]:
+        jsum = sum((Fraction(next(i for i, v in filt if not s0.contains(v)))
+                    * poly.facet_latvol(f) for f, filt in enumerate(sheaf.filtrations)),
+                   Fraction(0))
+        val = (jsum - det_sum) / (r - 1)
+        if best is None or val > best:
+            best = val
+    return best, len(found), fixpoint
+
+
+def test_hyperplane_stratum_matches_coprofile_oracle():
+    rng = Random(59)
+    polys = (P2_O1, hirzebruch(1), P2_O1.dilate(2))
+    for k in range(300):
+        r = (2, 3, 4, 5, 2, 3)[k % 6]
+        poly = polys[k % 3] if r <= 3 else P2_O1
+        s = random_sheaf(rng, r, poly.num_facets)
+        want, size, want_fix = coprofile_hyperplane_oracle(s, poly, stability.DEFAULT_CAP)
+        val, hyper, fixpoint = max_hyperplane_slope(s, poly)
+        assert val == want and fixpoint == want_fix
+        assert hyper.dim == r - 1
+        if k % 10 == 0:
+            # the dual line closure also holds the full dual space, so it
+            # stops at ``cap`` exactly where the sum closure stops at cap - 1
+            for cap in (size, size + 1):
+                assert max_hyperplane_slope(s, poly, cap=cap)[2] == \
+                    coprofile_hyperplane_oracle(s, poly, cap - 1)[2]
+
+
 def test_line_profile_max_dominates_random_lines():
     rng = Random(52)
     for _ in range(25):
@@ -239,7 +305,7 @@ def test_dimension_count_slope_matches_subsheaf():
         score = stability._slope_scorer(s, poly)
         for _ in range(5):
             w = random_subspace(rng, r, rng.randint(1, r - 1))
-            assert score(stability._int_rows(w.rows)) == slope(subsheaf(s, w), poly)
+            assert score(linalg.int_rows(w.rows)) == slope(subsheaf(s, w), poly)
 
 
 def test_semistable_witness_reverified_through_subsheaf(monkeypatch):
@@ -289,6 +355,22 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_package_imports_only_the_standard_library():
+    # the package stays stdlib-only: every absolute import names a stdlib module
+    for path in sorted((SRC / "toricgit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, \
+                    f"{path.name}:{node.lineno} imports {name}"
 
 
 def test_verdict_serialization():
