@@ -13,8 +13,9 @@ subspace U = annihilator of the sublattice:
 The first two tests read the exact vertex table of the slice P n U, which
 is enumerated once per setup: a face Q meets U iff some slice vertex is
 tight on all facets through Q, and ri Q meets U iff exactly those facets
-are tight on every such vertex.  Fourier-Motzkin is called once per face
-that meets U, only to produce its witness point.
+are tight on every such vertex.  Fourier-Motzkin only produces the witness
+point of a face that meets U, on the first read of that witness, so only
+the classification report pays for it.
 
 Setups with strictly semistable faces fail fast with NotGeneric in every
 downstream operation; the quotient machinery (quotient polytope, descent,
@@ -49,9 +50,25 @@ UNSTABLE = "Unstable"
 
 @dataclass(frozen=True)
 class FaceStatus:
+    """A face, its status, and the Fourier-Motzkin system whose solution is
+    the witness (None for an unstable face).  The witness is computed on
+    first read only."""
+
     face: Face
     status: str
-    witness: Optional[tuple[Fraction, ...]]  # a point of (rel.int.) Q n U
+    _system: Optional[tuple] = None  # (n, equations, inequalities)
+
+    @cached_property
+    def witness(self) -> Optional[tuple[Fraction, ...]]:
+        """A point of Q n U, in ri Q for a stable face; None if unstable."""
+        if self._system is None:
+            return None
+        point = linalg.feasible_point(*self._system)
+        if point is None:
+            raise InternalError(
+                f"face {sorted(self.face.active_facets)} meets U by the slice "
+                "vertices, but Fourier-Motzkin finds no witness")
+        return point
 
 
 class GitSetup:
@@ -84,7 +101,8 @@ class GitSetup:
         reads <y, proj(u_F)> >= -a_F.  Q n U is the face of the slice on
         which active(Q) is tight; when exactly active(Q) is tight on all of
         its vertices, their barycenter lies in ri Q (Rockafellar, Convex
-        Analysis, Thms 6.5-6.6)."""
+        Analysis, Thms 6.5-6.6).  No witness is searched here: each
+        FaceStatus keeps its Fourier-Motzkin system for the first read."""
         p = self.polytope
         gens = self.sublattice.generators
         g = len(gens)
@@ -110,12 +128,8 @@ class GitSetup:
             eqs += [(gen, Fraction(0)) for gen in gens]
             others = [(p.facets[f][0], -p.facets[f][1], stable)
                       for f in range(p.num_facets) if f not in face.active_facets]
-            witness = linalg.feasible_point(p.n, eqs, others)
-            if witness is None:
-                raise InternalError(
-                    f"face {active} meets U by the slice vertices, "
-                    "but Fourier-Motzkin finds no witness")
-            out.append(FaceStatus(face, STABLE if stable else STRICTLY_SEMISTABLE, witness))
+            out.append(FaceStatus(face, STABLE if stable else STRICTLY_SEMISTABLE,
+                                  (p.n, tuple(eqs), tuple(others))))
         return tuple(out)
 
     @cached_property

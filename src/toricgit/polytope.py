@@ -13,10 +13,10 @@ polytope's ample class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg, serialize
@@ -40,21 +40,73 @@ Constraint = tuple[IntVec, Fraction]  # <m, u> >= -a stored as (u, a)
 # evaluate volumes of systems that are not yet valid polytopes)
 
 
-def hsystem_vertices(n: int, cons: Sequence[Constraint]) -> list[QVec]:
-    """Vertices of {m : <m,u> >= -a}, by exact solves over all n-subsets.
+def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(lineality basis, extreme rays) of the cone {z in QQ^d : <a, z> >= 0
+    for every row a}, as primitive integer vectors, by the double
+    description method (Motzkin et al. 1953; Fukuda-Prodon 1996).
 
-    Assumes the system is bounded; redundant inequalities are harmless.
+    Rows are scaled to integers and added one at a time.  A row that does
+    not vanish on the lineality space L turns one lineality vector l0
+    into a ray and projects L and the rays along l0 into its hyperplane.
+    Otherwise the rays on its negative side are dropped, and each pair of
+    adjacent rays on opposite sides gives one new ray in the hyperplane.
+    Two rays are adjacent iff no third ray is tight on every row on which
+    both are (the combinatorial test); tight rows are kept as bit masks.
     """
-    verts: set[QVec] = set()
-    for subset in combinations(range(len(cons)), n):
-        mat = [cons[i][0] for i in subset]
-        rhs = [-cons[i][1] for i in subset]
-        x = linalg.solve_square(mat, rhs)
-        if x is None:
+    lin = [[int(i == j) for j in range(d)] for i in range(d)]
+    rays: list[tuple[list[int], int]] = []  # (ray, mask of its tight rows)
+    for k, row in enumerate(rows):
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        a = [int(x * den) for x in row]
+        bit = 1 << k
+        on_lin = [sum(x * y for x, y in zip(a, v)) for v in lin]
+        vals = [sum(x * y for x, y in zip(a, r)) for r, _ in rays]
+        piv = next((i for i, v in enumerate(on_lin) if v), None)
+        if piv is not None:
+            l0, v0 = lin.pop(piv), on_lin.pop(piv)
+            if v0 < 0:
+                l0, v0 = [-x for x in l0], -v0
+            lin = [_along(v0, l, -v, l0) for l, v in zip(lin, on_lin)]
+            rays = [(_along(v0, r, -v, l0), z | bit) for (r, z), v in zip(rays, vals)]
+            rays.append((l0, bit - 1))
             continue
-        if all(linalg.dot(x, u) >= -a for u, a in cons):
-            verts.add(x)
-    return sorted(verts)
+        new = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        need = d - len(lin) - 2  # a 2-face of the cone is tight on this many rows
+        for i in pos:
+            for j in neg:
+                common = rays[i][1] & rays[j][1]
+                if common.bit_count() >= need and not any(
+                        z & common == common for t, (_, z) in enumerate(rays)
+                        if t != i and t != j):
+                    new.append((_along(vals[i], rays[j][0], -vals[j], rays[i][0]),
+                                common | bit))
+        rays = new
+    return lin, [r for r, _ in rays]
+
+
+def _along(c: int, v: list[int], e: int, w: list[int]) -> list[int]:
+    """The primitive vector along c*v + e*w."""
+    out = [c * x + e * y for x, y in zip(v, w)]
+    g = linalg.vec_content(out)
+    return [x // g for x in out]
+
+
+def hsystem_vertices(n: int, cons: Sequence[Constraint]) -> list[QVec]:
+    """Vertices of {m : <m,u> >= -a}, sorted: the extreme rays (m, t) with
+    t > 0 of the homogenized cone {<m,u> + a t >= 0, t >= 0}, read as m/t.
+
+    Redundant inequalities are harmless and boundedness is not needed.  An
+    empty system, and one that contains a line (then its cone has a nonzero
+    lineality space), has no vertices.
+    """
+    rows = [(0,) * n + (1,)] + [(*u, a) for u, a in cons]
+    lin, rays = _cone_dd(rows, n + 1)
+    if lin:
+        return []
+    return sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0)
 
 
 def hsystem_volume_data(
@@ -125,15 +177,11 @@ def _affine_rank(pts: Sequence[QVec]) -> int:
 
 
 def positively_spanning(n: int, normals: Sequence[IntVec]) -> bool:
-    """True iff the normals positively span RR^n, i.e. the recession cone of
-    any associated halfspace system is trivial (bounded polytopes)."""
-    ineqs = [(u, Fraction(0), False) for u in normals]
-    for i in range(n):
-        for sign in (1, -1):
-            eq = tuple(sign if j == i else 0 for j in range(n))
-            if linalg.feasible_point(n, [(eq, Fraction(1))], ineqs) is not None:
-                return False
-    return True
+    """True iff the normals positively span RR^n, i.e. the recession cone
+    {d : <d, u> >= 0 for every normal u} of any associated halfspace system
+    is {0}: it has neither lineality nor extreme rays (bounded polytopes)."""
+    lin, rays = _cone_dd(normals, n)
+    return not lin and not rays
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +461,6 @@ def same_normal_fan(p: HPolytope, q: HPolytope) -> bool:
         raise DimensionMismatch("polytopes in different lattices")
 
     def max_cones(poly: HPolytope) -> set[frozenset[IntVec]]:
-        out = set()
-        for v in poly.vertices:
-            out.add(frozenset(poly.facets[i][0] for i in poly.active_set(v)))
-        return out
+        return {frozenset(poly.facets[i][0] for i in act) for act in poly._vertex_active}
 
     return max_cones(p) == max_cones(q)

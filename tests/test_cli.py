@@ -254,6 +254,9 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         {"command": "stability", "inputs": stab, "options": {"random_trials": 2.5}},
         {"command": "stability", "inputs": stab, "options": {"seed": True}},
         {"command": "stability", "inputs": stab, "options": {"cap": -1}},
+        {"command": "stability", "inputs": stab, "options": {"random_trials": 10_001}},
+        {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
+         "options": {"k_max": 13}},
         {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
          "options": {"k_max": "x"}},
         {"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"max_iter": 0}},
@@ -280,6 +283,19 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
                           "--tol", tol)
         assert code == 1, tol
         assert capsys.readouterr().err.startswith("error: "), tol
+    # the upper bounds themselves are accepted, in the job file and as flags
+    for job, args in (
+            ({"command": "stability", "inputs": stab, "options": {"random_trials": 10_000}}, ()),
+            ({"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
+              "options": {"k_max": 12}}, ()),
+            ({"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]}},
+             ("--k-max", "12"))):
+        code, _ = run_job(tmp_path, job, *args)
+        assert code == 0, job
+    code, _ = run_job(tmp_path, {"command": "compatible-subgroups",
+                                 "inputs": {"polytope": P2_SETUP["polytope"]}}, "--k-max", "13")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solver_overflow_exits_two(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -5,6 +6,7 @@ from random import Random
 import pytest
 
 from toricgit import linalg
+from toricgit.cli import main
 from toricgit.errors import InternalError, NotGeneric, NotSaturated
 from toricgit.git import (
     STABLE,
@@ -440,13 +442,32 @@ def test_classification_calls_fourier_motzkin_once_per_face_meeting_u(monkeypatc
     calls = count_calls(monkeypatch, linalg, "feasible_point")
     for n in (2, 3, 4):
         for rank in range(n + 1):
-            setup = random_setup(rng, n, rank)
             calls.clear()
-            result = setup._classify()
-            assert calls["feasible_point"] == sum(fs.status != UNSTABLE for fs in result)
+            setup = random_setup(rng, n, rank)
+            setup.is_generic(), setup.stable_facets, setup.unstable_facets
+            if setup.is_generic():
+                setup.quotient_polytope()
+            assert calls["feasible_point"] == 0  # building and reading statuses
+            first = [fs.witness for fs in setup.classification]
+            assert calls["feasible_point"] == sum(
+                fs.status != UNSTABLE for fs in setup.classification)
+            calls.clear()
+            assert [fs.witness for fs in setup.classification] == first
+            setup.classification_report()
+            assert calls["feasible_point"] == 0  # witnesses are cached
 
 
-def test_classification_raises_when_witness_search_disagrees(monkeypatch):
+def test_classification_raises_when_witness_search_disagrees(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(linalg, "feasible_point", lambda *args, **kwargs: None)
+    setup = GitSetup(P2_TRANSLATED, N0_DIAG)
+    assert setup.is_generic() and setup.stable_facets == (0, 1)
+    meets_u = [fs for fs in setup.classification if fs.status != UNSTABLE]
+    with pytest.raises(InternalError, match="Fourier-Motzkin finds no witness"):
+        meets_u[0].witness
     with pytest.raises(InternalError):
-        SETUP._classify()
+        setup.classification_report()
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "classify", "inputs": {"setup": setup.to_json_dict()}}))
+    assert main(["--input", str(job)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal: InternalError: ") and "Traceback" not in err

@@ -17,12 +17,19 @@ from toricgit.lattice import primitive_content
 from toricgit.polytope import (
     DivisorClass,
     HPolytope,
+    _affine_rank,
+    hsystem_vertices,
     hsystem_volume_data,
     positively_spanning,
     same_normal_fan,
 )
 
-from util import brute_force_vertices, count_calls, random_polytope
+from util import (
+    brute_force_system_vertices,
+    brute_force_vertices,
+    count_calls,
+    random_polytope,
+)
 
 SQUARE = HPolytope(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
 P2_O3 = HPolytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)])  # degree-3 simplex
@@ -47,6 +54,99 @@ def test_vertices_match_brute_force_oracle():
     rng = Random(2)
     for poly in (SQUARE, P2_O3, CUBE, SEGMENT):
         assert set(poly.vertices) == brute_force_vertices(poly)
+
+
+def raw_system(rng, n):
+    """A seeded raw system: a box (each side kept with probability 0.9,
+    supports in [-2, 3], so some are empty or flat) plus up to four cuts,
+    each random, through a box vertex, or tangent to the box, and maybe a
+    duplicate or scaled duplicate; shuffled.  Returns (system, kinds)."""
+    box = [(tuple(s * int(i == j) for j in range(n)), Fraction(rng.randint(-2, 3)))
+           for i in range(n) for s in (1, -1) if rng.random() < 0.9]
+    cons, kinds = list(box), Counter()
+    corners = brute_force_system_vertices(n, box)
+    for _ in range(rng.randint(0, 4)):
+        w = tuple(rng.randint(-2, 2) for _ in range(n))
+        if not any(w):
+            continue
+        kind = rng.choice(("random", "through", "tangent")) if corners else "random"
+        if kind == "random":
+            a = Fraction(rng.randint(-3, 5), rng.choice((1, 2, 3)))
+        elif kind == "through":
+            a = -linalg.dot(rng.choice(corners), w)
+        else:
+            a = -min(linalg.dot(v, w) for v in corners)
+        cons.append((w, a))
+        kinds[kind] += 1
+    if cons and rng.random() < 0.3:
+        u, a = rng.choice(cons)
+        c = rng.choice((1, 2, 3))
+        cons.append((tuple(c * x for x in u), c * a))
+        kinds["duplicate" if c == 1 else "scaled duplicate"] += 1
+    rng.shuffle(cons)
+    return cons, kinds
+
+
+def test_system_vertices_match_subset_oracle():
+    rng = Random(37)
+    seen = Counter()
+    for n, reps in ((1, 60), (2, 150), (3, 70), (4, 20), (5, 8)):
+        for _ in range(reps):
+            cons, kinds = raw_system(rng, n)
+            got = hsystem_vertices(n, cons)
+            assert got == brute_force_system_vertices(n, cons), (n, cons)
+            assert all(type(x) is Fraction for v in got for x in v)
+            seen.update(kinds)
+            seen["systems"] += 1
+            if not got:
+                seen["no vertex"] += 1
+            elif _affine_rank(got) < n:
+                seen["flat"] += 1
+    assert seen["systems"] >= 300
+    for kind in ("random", "through", "tangent", "duplicate", "scaled duplicate",
+                 "no vertex", "flat"):
+        assert seen[kind] >= 10, (kind, seen)
+
+
+def fourier_motzkin_spanning(n, normals):
+    """Oracle: the normals positively span iff no coordinate direction
+    +-e_i, normalized to x_i = +-1, has <x, u> >= 0 for all of them (2n
+    Fourier-Motzkin calls)."""
+    ineqs = [(u, Fraction(0), False) for u in normals]
+    for i in range(n):
+        for sign in (1, -1):
+            eq = tuple(sign if j == i else 0 for j in range(n))
+            if linalg.feasible_point(n, [(eq, Fraction(1))], ineqs) is not None:
+                return False
+    return True
+
+
+def test_positively_spanning_matches_fourier_motzkin():
+    rng = Random(41)
+    seen = Counter()
+    for trial in range(520):
+        n = 1 + trial % 4
+        dim = rng.randint(1, n) if trial % 3 == 0 else n  # rank-deficient sets
+        normals = []
+        for _ in range(rng.randint(0, 2 * n + 2)):
+            w = tuple(rng.randint(-2, 2) if j < dim else 0 for j in range(n))
+            if any(w):
+                normals.append(w)
+        got = positively_spanning(n, normals)
+        assert got == fourier_motzkin_spanning(n, normals), (n, normals)
+        seen[n, got] += 1
+        seen["rank-deficient", got] += linalg.rank(normals or [[0] * n]) < n
+    for n in (1, 2, 3, 4):
+        assert seen[n, True] and seen[n, False], n
+    assert seen["rank-deficient", False] >= 50 and seen["rank-deficient", True] == 0
+
+
+def test_construction_runs_no_fourier_motzkin(monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "feasible_point")
+    for poly in (HPolytope(4, unit_cube_system(4)), HPolytope(2, P2_O3.facets),
+                 HPolytope(3, PYRAMID.facets)):
+        poly.face_lattice, poly.volume()
+    assert calls["feasible_point"] == 0
 
 
 def test_unbounded_rejected():
@@ -82,7 +182,7 @@ def fourier_motzkin_validity(n, facets):
     """Oracle: (error class, message) of Fourier-Motzkin validation, with
     one strict and one loose system for the interior and 1 + d calls for
     the facets, or None for a valid polytope."""
-    if not positively_spanning(n, [u for u, _ in facets]):
+    if not fourier_motzkin_spanning(n, [u for u, _ in facets]):
         return Unbounded, "facet normals do not positively span; polytope unbounded"
     if linalg.feasible_point(n, [], [(u, -a, True) for u, a in facets]) is None:
         if linalg.feasible_point(n, [], [(u, -a, False) for u, a in facets]) is None:

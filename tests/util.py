@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from toricgit import linalg
@@ -102,19 +103,21 @@ def random_quotient_sheaf(rng: Random, setup: GitSetup, max_rank: int = 3) -> Fi
 
 
 def brute_force_vertices(poly: HPolytope):
-    """Vertex oracle: feasible intersections of n facet hyperplanes, checked
-    against every inequality (redundant with the implementation's method but
-    independent of its caching/dedup path)."""
-    from itertools import combinations
+    """Vertex oracle for a polytope, as a set (see below)."""
+    return set(brute_force_system_vertices(poly.n, poly.facets))
 
+
+def brute_force_system_vertices(n: int, cons):
+    """Vertex oracle for a raw system {m : <m,u> >= -a}: the feasible
+    intersections of n constraint hyperplanes, sorted.  Independent of the
+    double description in the package; redundant, duplicate, empty, flat
+    and unbounded systems are all fine."""
     out = set()
-    for subset in combinations(range(poly.num_facets), poly.n):
-        mat = [poly.facets[i][0] for i in subset]
-        rhs = [-poly.facets[i][1] for i in subset]
-        x = linalg.solve_square(mat, rhs)
-        if x is not None and poly.contains(x):
+    for subset in combinations(range(len(cons)), n):
+        x = linalg.solve_square([cons[i][0] for i in subset], [-cons[i][1] for i in subset])
+        if x is not None and all(linalg.dot(x, u) >= -a for u, a in cons):
             out.add(x)
-    return out
+    return sorted(out)
 
 
 def count_calls(monkeypatch, module, name: str) -> Counter:
