@@ -10,8 +10,9 @@ input (exit 1).  Worst cases measured on a 2-vCPU Xeon, Python 3.11:
 * random_trials <= 10,000: the trials of a Heuristic rank-4 stability job
   on four facets take ~2.4 s at the bound (the cost per trial grows with
   rank and facet count);
-* k_max <= 12: compatible-subgroups on P^2, F_1, F_2, P^1 x P^1, P^3 and
-  the hexagon takes at most ~0.7 s at the bound (F_2).
+* k_max <= 12: compatible-subgroups builds one setup per GIT chamber, so
+  its cost does not grow with the supports; on P^2, F_1, F_2, P^1 x P^1,
+  P^3, the hexagon and the 3000 x 3000 square it takes at most ~0.04 s.
 The member cap of the stability closures is bounded from below only.
 
 Reports embed the sha256 of the canonical input JSON and echo the input, so

@@ -10,16 +10,18 @@ subspace U = annihilator of the sublattice:
                 spans everything,
 * strictly semistable -- the rest.
 
-The first two tests read the exact vertex table of the slice P n U, which
-is enumerated once per setup: a face Q meets U iff some slice vertex is
-tight on all facets through Q, and ri Q meets U iff exactly those facets
-are tight on every such vertex.  Fourier-Motzkin only produces the witness
-point of a face that meets U, on the first read of that witness, so only
-the classification report pays for it.
+The classification is eager: it is built with the setup, from the exact
+vertex table of the slice P n U and the facets tight on each slice vertex.
+A face Q meets U iff some slice vertex is tight on all facets through Q,
+and ri Q meets U iff exactly those facets are tight on every such vertex.
+Fourier-Motzkin only produces the witness point of a face that meets U, on
+the first read of that witness, so only the classification report pays.
 
-Setups with strictly semistable faces fail fast with NotGeneric in every
-downstream operation; the quotient machinery (quotient polytope, descent,
-pullback functors) is only geometric in the generic case.
+The quotient side is lazy: the quotient lattice is built once per
+Sublattice object, the quotient polytope on first use.  Setups with
+strictly semistable faces fail fast with NotGeneric in every downstream
+operation; the quotient machinery (quotient polytope, descent, pullback
+functors) is only geometric in the generic case.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .errors import (
     NotSaturated,
 )
 from .klyachko import FiltrationSheaf, SheafMorphism, Subspace, _compress
-from .lattice import Lattice, QuotientLattice, Sublattice, primitive_content, quotient, saturate
-from .polytope import Face, HPolytope, hsystem_vertices
+from .lattice import Lattice, QuotientLattice, Sublattice, primitive_content, quotient
+from .polytope import Face, HPolytope, _vertex_table
 
 STABLE = "Stable"
 STRICTLY_SEMISTABLE = "StrictlySemistable"
@@ -78,15 +80,11 @@ class GitSetup:
     def __init__(self, polytope: HPolytope, sublattice: Sublattice):
         if sublattice.ambient.rank != polytope.n:
             raise DimensionMismatch("sublattice rank does not match polytope")
-        if saturate(sublattice).generators != sublattice.generators:
-            raise NotSaturated("GIT setup requires a saturated sublattice")
         self.polytope = polytope
         self.sublattice = sublattice
         self.lattice = Lattice(polytope.n)
         self.quotient_lattice: QuotientLattice = quotient(self.lattice, sublattice)
         self.classification: tuple[FaceStatus, ...] = self._classify()
-        if self.is_generic():
-            self._quotient_data  # materialize the quotient table eagerly
 
     @property
     def u_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -107,9 +105,7 @@ class GitSetup:
         gens = self.sublattice.generators
         g = len(gens)
         cut = [(self.quotient_lattice.project(u), a) for u, a in p.facets]
-        slice_active = [
-            frozenset(f for f, (w, a) in enumerate(cut) if linalg.dot(y, w) == -a)
-            for y in hsystem_vertices(p.n - g, cut)]
+        slice_active = [act for _, act in _vertex_table(p.n - g, cut)]
         out = []
         for face in p.face_lattice:
             over = [s for s in slice_active if face.active_facets <= s]

@@ -8,6 +8,7 @@ precision throughout; normal-form intermediates are allowed to swell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -67,6 +68,25 @@ class Sublattice:
         coeffs = linalg.solve_general(linalg.transpose(self.generators), vec)
         return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
+    @cached_property
+    def _quotient(self) -> "QuotientLattice":
+        """quotient(ambient, self), built and checked once per object."""
+        n, gens = self.ambient.rank, self.generators
+        if saturate(self).generators != gens:
+            raise NotSaturated("quotient by a non-saturated sublattice")
+        proj = linalg.integer_kernel(gens, n) if gens else \
+            linalg.hnf_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        section = linalg.integer_right_inverse(proj)
+        if section is None:
+            raise NotSaturated("projection is not surjective; kernel not saturated")
+        q = QuotientLattice(self.ambient, self, proj, tuple(tuple(r) for r in section))
+        # construction-time invariants
+        if linalg.mat_mul(proj, section) != linalg.identity_mat(len(proj)):
+            raise InternalError("projection o section != id")
+        if any(any(q.project(g)) for g in gens):
+            raise InternalError("kernel generator with nonzero image")
+        return q
+
 
 def saturate(s: Sublattice) -> Sublattice:
     """Saturation (QQ-span of s) intersected with the ambient lattice.
@@ -111,7 +131,7 @@ class QuotientLattice:
 
     def project(self, v: Sequence[int]) -> IntVec:
         vec = self.ambient.check_vector(v)
-        return tuple(int(linalg.dot(row, vec)) for row in self.projection_matrix)
+        return tuple(linalg.dot(row, vec) for row in self.projection_matrix)
 
     def lift(self, w: Sequence[int]) -> IntVec:
         if len(w) != self.rank:
@@ -128,28 +148,9 @@ def quotient(n: Lattice, n0: Sublattice) -> QuotientLattice:
 
     The projection rows are the canonical basis of the annihilator of N0 in
     the dual lattice, so pairing a dual vector written in those coordinates
-    against pi(v) agrees with the ambient pairing.
+    against pi(v) agrees with the ambient pairing.  It depends on N0 only,
+    so it is built once per Sublattice object and then shared.
     """
     if n0.ambient != n:
         raise DimensionMismatch("sublattice of a different lattice")
-    if saturate(n0).generators != n0.generators:
-        raise NotSaturated("quotient by a non-saturated sublattice")
-    proj = linalg.integer_kernel(n0.generators, n.rank) if n0.generators else \
-        linalg.hnf_rows([[1 if i == j else 0 for j in range(n.rank)]
-                         for i in range(n.rank)])
-    section = linalg.integer_right_inverse(proj)
-    if section is None:
-        raise NotSaturated("projection is not surjective; kernel not saturated")
-    q = QuotientLattice(
-        ambient=n,
-        kernel=n0,
-        projection_matrix=proj,
-        section_matrix=tuple(tuple(r) for r in section),
-    )
-    # construction-time invariants
-    comp = linalg.mat_mul(linalg.frac_mat(proj), linalg.frac_mat(section))
-    if comp != linalg.identity_mat(len(proj)):
-        raise InternalError("projection o section != id")
-    if any(any(q.project(g)) for g in n0.generators):
-        raise InternalError("kernel generator with nonzero image")
-    return q
+    return n0._quotient

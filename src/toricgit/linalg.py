@@ -1,7 +1,9 @@
 """Exact linear algebra over QQ and ZZ.
 
 Everything here works on tuples of ints / fractions.Fraction; no floats, no
-machine-word arithmetic.  Three layers:
+machine-word arithmetic.  Floats are not accepted: ``dot``, ``vec_add``
+and ``vec_sub`` work unboxed (ints give ints) and would pass floats on.
+Three layers:
 
 * rational Gauss-Jordan (rref, solvers, affine solution spaces) and exact
   rank by fraction-free integer elimination,
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -33,15 +36,15 @@ def frac_mat(rows: Sequence[Sequence]) -> Mat:
 def dot(a: Sequence, b: Sequence) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b))
 
 
 def vec_add(a: Sequence, b: Sequence) -> Vec:
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: Sequence, b: Sequence) -> Vec:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_scale(c, a: Sequence) -> Vec:

@@ -33,7 +33,7 @@ from .errors import (
     MinkowskiFails,
     NoConvergence,
 )
-from .git import GitSetup, UnstableIndexVector, pullback_functor, translation_classes
+from .git import GitSetup, UnstableIndexVector, pullback_functor
 from .klyachko import FiltrationSheaf, det_indices, direct_sum, line_bundle
 from .lattice import Lattice, Sublattice, primitive_content, saturate
 from .polytope import HPolytope, hsystem_vertices, hsystem_volume_data
@@ -483,8 +483,8 @@ def compatible_subgroups(
     determines the only possible subgroup (its saturated span); subsets with
     u_D = 0 are reported separately since the counting bound assumes they do
     not occur.  For each candidate the search scans dilations up to k_max
-    and one lattice translation per residue class (translating inside the
-    annihilator of the subgroup does not change the classification); a hit
+    and one lattice translation per GIT chamber (moving the linearization
+    inside a chamber does not change the classification); a hit
     must be generic with stable facet set exactly D, and then satisfies the
     Minkowski condition automatically (verified exactly anyway).
     """
@@ -497,6 +497,7 @@ def compatible_subgroups(
             vertex_stars.add(tuple(sorted(face.active_facets)))
     upper_bound = sum(math.comb(d, k) for k in range(n, d))
     found: dict[tuple[IntVec, ...], CompatibleSubgroup] = {}
+    sublattices: dict[tuple[IntVec, ...], Sublattice] = {}
     zero_direction = 0
     ambient = Lattice(n)
     for size in range(n, d):
@@ -513,6 +514,7 @@ def compatible_subgroups(
             n0 = saturate(Sublattice(ambient, (prim,)))
             if n0.generators in found:
                 continue
+            n0 = sublattices.setdefault(n0.generators, n0)  # one quotient per N0
             witness = _search_linearization(poly, n0, subset, k_max)
             if witness is None:
                 continue
@@ -538,10 +540,29 @@ def compatible_subgroups(
 def _search_linearization(
     poly: HPolytope, n0: Sublattice, subset: Sequence[int], k_max: int
 ) -> Optional[tuple[GitSetup, int]]:
+    """The first hit (setup, k) of the scan over translation_classes, with
+    one setup per GIT chamber (Thaddeus 1996; Dolgachev-Hu 1998).
+
+    N0 = ZZ g, and the translate t = rinv * s slices k*P at <m, g> = -s.  A
+    face meets the slice iff s lies in the closed range of the walls -<v, g>
+    of its vertices v; its relative interior does iff s lies in the open
+    range or the face is flat at s; rank additivity does not depend on t.
+    So the hit test is constant between consecutive walls, and no wall is
+    generic: a vertex lies in the slice there and is never stable.  The
+    least integer inside each chamber, in increasing order, thus finds the
+    same first hit, with work independent of the lattice width of P.
+    """
     want = tuple(sorted(subset))
+    (gen,) = n0.generators
+    rinv = [row[0] for row in linalg.integer_right_inverse(n0.generators)]
     for k in range(1, k_max + 1):
-        for _, moved in translation_classes(poly, n0, k):
-            setup = GitSetup(moved, n0)
+        scaled = poly.dilate(k)
+        walls = sorted({-linalg.dot(v, gen) for v in scaled.vertices})
+        for lo, hi in zip(walls, walls[1:]):
+            s = math.floor(lo) + 1
+            if s >= hi:
+                continue
+            setup = GitSetup(scaled.translate([r * s for r in rinv]), n0)
             if setup.is_generic() and setup.stable_facets == want:
                 return setup, k
     return None

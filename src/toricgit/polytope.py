@@ -40,10 +40,11 @@ Constraint = tuple[IntVec, Fraction]  # <m, u> >= -a stored as (u, a)
 # evaluate volumes of systems that are not yet valid polytopes)
 
 
-def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[list[int]]]:
+def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[tuple]]:
     """(lineality basis, extreme rays) of the cone {z in QQ^d : <a, z> >= 0
     for every row a}, as primitive integer vectors, by the double
-    description method (Motzkin et al. 1953; Fukuda-Prodon 1996).
+    description method (Motzkin et al. 1953; Fukuda-Prodon 1996).  Each
+    ray comes with the bit mask of the rows it is tight on (bit k, row k).
 
     Rows are scaled to integers and added one at a time.  A row that does
     not vanish on the lineality space L turns one lineality vector l0
@@ -51,7 +52,9 @@ def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[li
     Otherwise the rays on its negative side are dropped, and each pair of
     adjacent rays on opposite sides gives one new ray in the hyperplane.
     Two rays are adjacent iff no third ray is tight on every row on which
-    both are (the combinatorial test); tight rows are kept as bit masks.
+    both are (the combinatorial test).  The masks are exact: a new ray is
+    a positive combination of two rays on which every earlier row is >= 0,
+    and moving along a lineality vector changes no earlier row.
     """
     lin = [[int(i == j) for j in range(d)] for i in range(d)]
     rays: list[tuple[list[int], int]] = []  # (ray, mask of its tight rows)
@@ -84,7 +87,7 @@ def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[li
                     new.append((_along(vals[i], rays[j][0], -vals[j], rays[i][0]),
                                 common | bit))
         rays = new
-    return lin, [r for r, _ in rays]
+    return lin, rays
 
 
 def _along(c: int, v: list[int], e: int, w: list[int]) -> list[int]:
@@ -102,11 +105,18 @@ def hsystem_vertices(n: int, cons: Sequence[Constraint]) -> list[QVec]:
     empty system, and one that contains a line (then its cone has a nonzero
     lineality space), has no vertices.
     """
+    return [v for v, _ in _vertex_table(n, cons)]
+
+
+def _vertex_table(n: int, cons: Sequence[Constraint]) -> list[tuple[QVec, frozenset[int]]]:
+    """hsystem_vertices, each with the constraints tight on it (DD masks)."""
     rows = [(0,) * n + (1,)] + [(*u, a) for u, a in cons]
     lin, rays = _cone_dd(rows, n + 1)
     if lin:
         return []
-    return sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0)
+    return sorted((tuple(Fraction(x, r[n]) for x in r[:n]),
+                   frozenset(i for i in range(len(cons)) if z >> (i + 1) & 1))
+                  for r, z in rays if r[n] > 0)
 
 
 def hsystem_volume_data(
@@ -170,10 +180,9 @@ def hsystem_volume_data(
 
 
 def _affine_rank(pts: Sequence[QVec]) -> int:
-    """Dimension of the affine hull of the points; -1 for no points."""
-    if not pts:
-        return -1
-    return linalg.rank([linalg.vec_sub(p, pts[0]) for p in pts[1:]])
+    """Dimension of the affine hull of the points (the rank of the
+    homogenized points (p, 1), minus 1); -1 for no points."""
+    return linalg.rank([(*p, 1) for p in pts]) - 1
 
 
 def positively_spanning(n: int, normals: Sequence[IntVec]) -> bool:
@@ -301,12 +310,16 @@ class HPolytope:
 
     @cached_property
     def vertices(self) -> tuple[QVec, ...]:
-        return tuple(hsystem_vertices(self.n, self.facets))
+        return tuple(v for v, _ in self._table)
 
     @cached_property
     def _vertex_active(self) -> tuple[frozenset[int], ...]:
         """The facets through each vertex."""
-        return tuple(self.active_set(v) for v in self.vertices)
+        return tuple(act for _, act in self._table)
+
+    @cached_property
+    def _table(self) -> list[tuple[QVec, frozenset[int]]]:
+        return _vertex_table(self.n, self.facets)
 
     def support_vector(self) -> QVec:
         return tuple(a for _, a in self.facets)

@@ -1,10 +1,13 @@
 import json
+import time
 from random import Random
 
-from toricgit import cli
+from toricgit import cli, minkowski
 from toricgit.cli import main
 from toricgit.errors import InternalError
 from toricgit.serialize import canonical_dumps, sha256_of
+
+from util import count_calls
 
 P2_SETUP = {
     "polytope": {"n": 2, "facets": [
@@ -142,6 +145,30 @@ def test_compatible_subgroups_report(tmp_path):
     assert code == 0
     assert len(report["result"]["subgroups"]) == 3
     assert report["result"]["upper_bound"] == 3
+
+
+def test_subgroup_search_work_does_not_grow_with_the_supports(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, minkowski, "GitSetup")
+    setups, found = [], []
+    for width in (40, 3000):
+        calls.clear()
+        job = {"command": "compatible-subgroups", "options": {"k_max": 2}, "inputs": {
+            "polytope": {"n": 2, "facets": [
+                {"normal": [1, 0], "support": "0/1"},
+                {"normal": [0, 1], "support": "0/1"},
+                {"normal": [-1, 0], "support": f"{width}/1"},
+                {"normal": [0, -1], "support": f"{width}/1"},
+            ]}}}
+        start = time.perf_counter()
+        code, report = run_job(tmp_path, job)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        setups.append(calls["GitSetup"])
+        found.append([(s["sublattice"], s["stable_facets"], s["dilation"])
+                      for s in report["result"]["subgroups"]])
+    assert setups[0] == setups[1] > 0
+    assert found[0] == found[1] == [([[1, 1]], [0, 1], 1), ([[1, -1]], [0, 3], 1)]
+    assert elapsed < 5  # one setup per translation class took ~56 s
 
 
 def test_bundle_report_includes_alpha_formula(tmp_path):

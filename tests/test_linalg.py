@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -132,3 +133,27 @@ def test_feasible_point_witness_satisfies_system():
         for a, c, strict in ineqs:
             val = linalg.dot(a, p)
             assert val > c if strict else val >= c
+
+
+def test_vector_helpers_match_the_fraction_boxed_oracle():
+    rng = Random(61)
+
+    def entry(ints):
+        if ints or rng.random() < 0.4:
+            return rng.choice((rng.randint(-9, 9), rng.randint(-10 ** 30, 10 ** 30)))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    typed = Counter()
+    for _ in range(1000):
+        n, ints = rng.randint(0, 5), rng.random() < 0.3
+        a = tuple(entry(ints) for _ in range(n))
+        b = tuple(entry(ints) for _ in range(n))
+        dot = linalg.dot(a, b)
+        assert dot == sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+        assert linalg.vec_add(a, b) == tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+        assert linalg.vec_sub(a, b) == tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+        if ints:
+            assert type(dot) is int
+            assert all(type(x) is int for x in linalg.vec_add(a, b) + linalg.vec_sub(a, b))
+        typed[type(dot).__name__] += 1
+    assert typed["int"] >= 250 and typed["Fraction"] >= 250

@@ -3,14 +3,15 @@ from random import Random
 
 import pytest
 
-from toricgit.build import product, projective_space
+from toricgit import lattice, minkowski
+from toricgit.build import hirzebruch, product, projective_space
 from toricgit.errors import (
     CurveQuotient,
     InfeasibleTargets,
     InputError,
     NotGeneric,
 )
-from toricgit.git import GitSetup
+from toricgit.git import GitSetup, translation_classes
 from toricgit.lattice import Lattice, Sublattice
 from toricgit.minkowski import (
     ample_class_alpha,
@@ -24,7 +25,7 @@ from toricgit.minkowski import (
 )
 from toricgit.polytope import HPolytope
 
-from util import random_generic_setup
+from util import BASE_FAMILIES, count_calls, random_generic_setup
 
 L2 = Lattice(2)
 N0_DIAG = Sublattice(L2, ((1, 1),))
@@ -258,3 +259,45 @@ def test_normalized_supports_translation_and_scale_invariance():
     scaled = normalized_supports(normals, [3, 6, 9, 12])
     assert max(abs(a - b) for a, b in zip(base, shifted)) < 1e-12
     assert max(abs(a - b) for a, b in zip(base, scaled)) < 1e-12
+
+
+def full_scan_search(poly, n0, subset, k_max):
+    """Oracle for minkowski._search_linearization: one setup per lattice
+    translation class, in the order of translation_classes."""
+    want = tuple(sorted(subset))
+    for k in range(1, k_max + 1):
+        for _, moved in translation_classes(poly, n0, k):
+            setup = GitSetup(moved, n0)
+            if setup.is_generic() and setup.stable_facets == want:
+                return setup, k
+    return None
+
+
+def test_chamber_scan_finds_what_the_full_translation_scan_finds(monkeypatch):
+    rng = Random(97)
+    hits = 0
+    for _ in range(30):
+        poly = rng.choice(BASE_FAMILIES)()
+        poly = poly.dilate(Fraction(rng.randint(1, 3), rng.randint(1, 2))).translate(
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(poly.n)])
+        k_max = rng.randint(4, 6)
+        got = compatible_subgroups(poly, k_max).to_json_dict()
+        with monkeypatch.context() as m:
+            m.setattr(minkowski, "_search_linearization", full_scan_search)
+            assert compatible_subgroups(poly, k_max).to_json_dict() == got
+        hits += len(got["subgroups"])
+    assert hits >= 30
+
+
+def test_subgroup_search_builds_one_setup_per_chamber_on_f1(monkeypatch):
+    calls = count_calls(monkeypatch, minkowski, "GitSetup")
+    compatible_subgroups(hirzebruch(1), k_max=6)
+    assert calls["GitSetup"] == 25  # 113 with one setup per translation class
+
+
+def test_subgroup_search_builds_one_quotient_lattice_per_sublattice(monkeypatch):
+    # the saturation check inside lattice runs once per quotient lattice built
+    calls = count_calls(monkeypatch, lattice, "saturate")
+    res = compatible_subgroups(hirzebruch(1), k_max=6)
+    assert len(res.subgroups) == 3
+    assert calls["saturate"] == 5  # the distinct directions searched; 113 setups before

@@ -18,6 +18,7 @@ from toricgit.polytope import (
     DivisorClass,
     HPolytope,
     _affine_rank,
+    _vertex_table,
     hsystem_vertices,
     hsystem_volume_data,
     positively_spanning,
@@ -106,6 +107,36 @@ def test_system_vertices_match_subset_oracle():
     for kind in ("random", "through", "tangent", "duplicate", "scaled duplicate",
                  "no vertex", "flat"):
         assert seen[kind] >= 10, (kind, seen)
+
+
+def test_double_description_tight_masks_match_dot_products():
+    rng = Random(43)
+    seen = Counter()
+    for n, reps in ((1, 30), (2, 110), (3, 50), (4, 15), (5, 5)):
+        for _ in range(reps):
+            cons, kinds = raw_system(rng, n)
+            table = _vertex_table(n, cons)
+            assert [v for v, _ in table] == hsystem_vertices(n, cons)
+            for v, tight in table:
+                assert tight == frozenset(
+                    i for i, (u, a) in enumerate(cons) if linalg.dot(v, u) == -a)
+            seen.update(kinds)
+            seen["systems"] += 1
+            seen["vertices"] += len(table)
+            if table and not all(any(i in t for _, t in table) for i in range(len(cons))):
+                seen["tight on no vertex"] += 1
+    assert seen["systems"] >= 200 and seen["vertices"] >= 300
+    for kind in ("random", "through", "tangent", "duplicate", "scaled duplicate",
+                 "tight on no vertex"):
+        assert seen[kind] >= 10, (kind, seen)
+    # the tight sets carried over to translates and dilates are theirs too
+    for _ in range(40):
+        poly = random_polytope(rng, rng.randint(1, 4))
+        t = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(poly.n)]
+        k = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        for p in (poly, poly.translate(t), poly.dilate(k), poly.dilate(k).translate(t)):
+            assert p._vertex_active == tuple(p.active_set(v) for v in p.vertices)
+            assert p._vertex_active == HPolytope(p.n, p.facets)._vertex_active
 
 
 def fourier_motzkin_spanning(n, normals):
