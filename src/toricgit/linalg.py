@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 IntVec = tuple[int, ...]
+Scalar = int | Fraction  # what the unboxed helpers return
 
 
 def frac_vec(v: Sequence) -> Vec:
@@ -33,17 +34,17 @@ def frac_mat(rows: Sequence[Sequence]) -> Mat:
     return tuple(frac_vec(r) for r in rows)
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
+def dot(a: Sequence, b: Sequence) -> Scalar:
     if len(a) != len(b):
         raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
     return sum(map(mul, a, b))
 
 
-def vec_add(a: Sequence, b: Sequence) -> Vec:
+def vec_add(a: Sequence, b: Sequence) -> tuple[Scalar, ...]:
     return tuple(map(add, a, b))
 
 
-def vec_sub(a: Sequence, b: Sequence) -> Vec:
+def vec_sub(a: Sequence, b: Sequence) -> tuple[Scalar, ...]:
     return tuple(map(sub, a, b))
 
 
@@ -52,11 +53,11 @@ def vec_scale(c, a: Sequence) -> Vec:
     return tuple(c * Fraction(x) for x in a)
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vec:
+def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple[Scalar, ...]:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
     bt = list(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 

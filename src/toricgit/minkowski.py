@@ -33,7 +33,7 @@ from .errors import (
     MinkowskiFails,
     NoConvergence,
 )
-from .git import GitSetup, UnstableIndexVector, pullback_functor
+from .git import GitSetup, UnstableIndexVector, pullback_functor, translation_classes
 from .klyachko import FiltrationSheaf, det_indices, direct_sum, line_bundle
 from .lattice import Lattice, Sublattice, primitive_content, saturate
 from .polytope import HPolytope, hsystem_vertices, hsystem_volume_data
@@ -548,21 +548,26 @@ def _search_linearization(
     of its vertices v; its relative interior does iff s lies in the open
     range or the face is flat at s; rank additivity does not depend on t.
     So the hit test is constant between consecutive walls, and no wall is
-    generic: a vertex lies in the slice there and is never stable.  The
-    least integer inside each chamber, in increasing order, thus finds the
-    same first hit, with work independent of the lattice width of P.
+    generic: a vertex lies in the slice there and is never stable.  The scan
+    starts at the first translation class s0 (none: no lattice translate of
+    k*P meets U) and visits the least integer inside each chamber, in
+    increasing order, as a translate of that class by rinv * (s - s0); it
+    finds the same first hit, with work independent of the lattice width.
     """
     want = tuple(sorted(subset))
     (gen,) = n0.generators
     rinv = [row[0] for row in linalg.integer_right_inverse(n0.generators)]
     for k in range(1, k_max + 1):
-        scaled = poly.dilate(k)
-        walls = sorted({-linalg.dot(v, gen) for v in scaled.vertices})
+        first = next(translation_classes(poly, n0, k), None)
+        if first is None:
+            continue
+        _, base = first  # walls relative to s0, since <rinv, g> = 1
+        walls = sorted({-linalg.dot(v, gen) for v in base.vertices})
         for lo, hi in zip(walls, walls[1:]):
             s = math.floor(lo) + 1
             if s >= hi:
                 continue
-            setup = GitSetup(scaled.translate([r * s for r in rinv]), n0)
+            setup = GitSetup(base.translate([r * s for r in rinv]), n0)
             if setup.is_generic() and setup.stable_facets == want:
                 return setup, k
     return None

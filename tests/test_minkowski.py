@@ -296,8 +296,7 @@ def test_subgroup_search_builds_one_setup_per_chamber_on_f1(monkeypatch):
 
 
 def test_subgroup_search_builds_one_quotient_lattice_per_sublattice(monkeypatch):
-    # the saturation check inside lattice runs once per quotient lattice built
-    calls = count_calls(monkeypatch, lattice, "saturate")
+    calls = count_calls(monkeypatch, lattice, "QuotientLattice")
     res = compatible_subgroups(hirzebruch(1), k_max=6)
     assert len(res.subgroups) == 3
-    assert calls["saturate"] == 5  # the distinct directions searched; 113 setups before
+    assert calls["QuotientLattice"] == 5  # the distinct directions searched; 113 before
