@@ -548,11 +548,10 @@ def _search_linearization(
     of its vertices v; its relative interior does iff s lies in the open
     range or the face is flat at s; rank additivity does not depend on t.
     So the hit test is constant between consecutive walls, and no wall is
-    generic: a vertex lies in the slice there and is never stable.  The scan
-    starts at the first translation class s0 (none: no lattice translate of
-    k*P meets U) and visits the least integer inside each chamber, in
-    increasing order, as a translate of that class by rinv * (s - s0); it
-    finds the same first hit, with work independent of the lattice width.
+    generic: a vertex lies in the slice there and is never stable.  From the
+    first translation class s0, the scan visits s0 + s, s the least integer
+    in each chamber, in increasing order: the same first hit, in work
+    independent of the lattice width.
     """
     want = tuple(sorted(subset))
     (gen,) = n0.generators
