@@ -13,7 +13,9 @@ input (exit 1).  Worst cases measured on a 2-vCPU Xeon, Python 3.11:
 * k_max <= 12: compatible-subgroups builds one setup per GIT chamber, so
   its cost does not grow with the supports; on P^2, F_1, F_2, P^1 x P^1,
   P^3, the hexagon and the 3000 x 3000 square it takes at most ~0.04 s.
-The member cap of the stability closures is bounded from below only.
+The member cap of the stability closures is bounded from below only.  An
+option the command does not read, from the job file or a flag, is malformed
+input as well.
 
 Reports embed the sha256 of the canonical input JSON and echo the input, so
 a report can be re-run bit-for-bit.  Rationals travel as "p/q" strings;
@@ -42,33 +44,45 @@ COMMANDS = (
 )
 
 
-# Upper bounds on the options that size a search (see the module docstring).
-MAX_RANDOM_TRIALS = 10_000
-MAX_K_MAX = 12
+# option -> (type, minimum, maximum); a float must exceed its minimum.  The
+# maxima bound the options that size a search (see the module docstring).
+OPTIONS = {
+    "cap": (int, 0, None),
+    "random_trials": (int, 0, 10_000),
+    "seed": (int, None, None),
+    "max_iter": (int, 1, None),
+    "k_max": (int, 1, 12),
+    "tol": (float, 0, None),
+}
+SOLVER_OPTIONS = ("tol", "max_iter", "seed")
+READS = {
+    "stability": ("cap", "random_trials", "seed"),
+    "solve-minkowski": SOLVER_OPTIONS,
+    "alpha": SOLVER_OPTIONS,
+    "slope-identity": SOLVER_OPTIONS,
+    "compatible-subgroups": ("k_max",),
+}
 
 
-def _int_option(
-    options: dict, key: str, default: Optional[int], minimum: Optional[int] = None,
-    maximum: Optional[int] = None,
-) -> Optional[int]:
-    if key not in options:
-        return default
-    val = options[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise InputError(f'option "{key}" must be an integer, got {val!r}')
-    if minimum is not None and val < minimum:
-        raise InputError(f'option "{key}" must be >= {minimum}, got {val}')
-    if maximum is not None and val > maximum:
-        raise InputError(f'option "{key}" must be <= {maximum}, got {val}')
-    return val
-
-
-def _tol_option(options: dict) -> float:
-    val = options.get("tol", minkowski.SOLVER_TOL)
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not math.isfinite(val) or val <= 0:
-        raise InputError(f'option "tol" must be a finite number > 0, got {val!r}')
-    return val
+def _check_options(command: str, options: dict) -> None:
+    """Reject an option the command does not read or a value out of its
+    range; the library defaults apply to the options not given."""
+    for key, val in options.items():
+        if key not in READS.get(command, ()):
+            raise InputError(f'command "{command}" does not read option "{key}"')
+        kind, minimum, maximum = OPTIONS[key]
+        if kind is float:
+            if isinstance(val, bool) or not isinstance(val, (int, float)) \
+                    or not math.isfinite(val) or val <= minimum:
+                raise InputError(
+                    f'option "{key}" must be a finite number > {minimum}, got {val!r}')
+            continue
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise InputError(f'option "{key}" must be an integer, got {val!r}')
+        if minimum is not None and val < minimum:
+            raise InputError(f'option "{key}" must be >= {minimum}, got {val}')
+        if maximum is not None and val > maximum:
+            raise InputError(f'option "{key}" must be <= {maximum}, got {val}')
 
 
 def _need(payload: dict, key: str):
@@ -104,6 +118,7 @@ def _indices(payload, setup: GitSetup) -> UnstableIndexVector:
 
 def run_command(command: str, payload: dict, options: dict) -> dict:
     """Dispatch a single job; returns the result dictionary."""
+    _check_options(command, options)
     if command == "quotient":
         setup = _setup(payload)
         py, fmap, b = setup.quotient_polytope()
@@ -128,13 +143,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
     if command == "stability":
         poly = HPolytope.from_json_dict(_need(payload, "polytope"))
         sheaf = _sheaf(payload)
-        verdict = stability.check_stability(
-            sheaf, poly,
-            cap=_int_option(options, "cap", stability.DEFAULT_CAP, 0),
-            random_trials=_int_option(options, "random_trials",
-                                      stability.DEFAULT_RANDOM_TRIALS, 0, MAX_RANDOM_TRIALS),
-            seed=_int_option(options, "seed", stability.DEFAULT_SEED),
-        )
+        verdict = stability.check_stability(sheaf, poly, **options)
         return {"verdict": verdict.to_json_dict()}
     if command == "descend":
         setup = _setup(payload)
@@ -166,12 +175,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         normals = [serialize.int_vector(u) for u in _need_list(payload, "normals")]
         volumes = [serialize.frac_from_obj(v) if not isinstance(v, float) else v
                    for v in _need_list(payload, "volumes")]
-        sol = minkowski.solve_minkowski(
-            normals, volumes,
-            tol=_tol_option(options),
-            max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
-            seed=_int_option(options, "seed", None),
-        )
+        sol = minkowski.solve_minkowski(normals, volumes, **options)
         return {
             "normals": [list(u) for u in sol.normals],
             "supports": [f"{a:.12g}" for a in sol.supports],
@@ -180,29 +184,18 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         }
     if command == "alpha":
         setup = _setup(payload)
-        alpha = minkowski.ample_class_alpha(
-            setup,
-            tol=_tol_option(options),
-            max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
-            seed=_int_option(options, "seed", None),
-        )
+        alpha = minkowski.ample_class_alpha(setup, **options)
         return {"alpha": alpha.to_json_dict()}
     if command == "slope-identity":
         setup = _setup(payload)
         sheaf = _sheaf(payload)
         ivec = _indices(payload, setup)
-        alpha = minkowski.ample_class_alpha(
-            setup,
-            tol=_tol_option(options),
-            max_iter=_int_option(options, "max_iter", minkowski.SOLVER_MAX_ITER, 1),
-            seed=_int_option(options, "seed", None),
-        )
+        alpha = minkowski.ample_class_alpha(setup, **options)
         report = minkowski.verify_slope_identity(setup, sheaf, ivec, alpha)
         return {"identity": report.to_json_dict(), "alpha": alpha.to_json_dict()}
     if command == "compatible-subgroups":
         poly = HPolytope.from_json_dict(_need(payload, "polytope"))
-        res = minkowski.compatible_subgroups(
-            poly, k_max=_int_option(options, "k_max", 6, 1, MAX_K_MAX))
+        res = minkowski.compatible_subgroups(poly, **options)
         return res.to_json_dict()
     if command == "bundle":
         spec = BundleSpec.from_json_dict(payload)
@@ -280,7 +273,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not isinstance(options, dict):
             raise InputError('"options" must be a JSON object')
         options = dict(options)
-        for key in ("tol", "seed", "max_iter", "cap", "k_max"):
+        for key in OPTIONS:
             val = getattr(args, key, None)
             if val is not None:
                 options[key] = val

@@ -6,9 +6,13 @@ one increasing filtration per facet, stored sparsely by its jumps: a list
 the last of which is QQ^r.  Below the first jump the filtration is 0.
 
 Subspaces are canonicalized by reduced row echelon bases so that equality,
-intersection and sum are deterministic.  The ground field is QQ; witnesses
-defined only over an extension field are out of reach and verdicts record
-that restriction.
+intersection and sum are deterministic.  Containment, sum and meet are
+decided by one exact rank, s = rank[W; E] = dim(W + E): E <= W iff
+s = dim W, and the meet has dimension dim W + dim E - s; a meet that is
+neither zero nor one of the two is computed as (W^perp + E^perp)^perp.
+
+The ground field is QQ; witnesses defined only over an extension field are
+out of reach and verdicts record that restriction.
 """
 
 from __future__ import annotations
@@ -64,62 +68,39 @@ class Subspace:
             out.append(next(j for j, x in enumerate(row) if x != 0))
         return out
 
-    def _residual(self, v: Sequence) -> Optional[list[Fraction]]:
-        """v reduced against the echelon basis; None when v lies inside."""
-        vv = [Fraction(x) for x in v]
-        for row in self.rows:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            c = vv[p]
-            if c:
-                vv = [a - c * b for a, b in zip(vv, row)]
-        return None if not any(vv) else vv
-
     def contains_vector(self, v: Sequence) -> bool:
-        return self._residual(v) is None
+        return linalg.rank([*self.rows, v]) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces of different ambient spaces")
         if other.dim > self.dim:
             return False
-        return self.is_full() or all(self._residual(row) is None for row in other.rows)
+        if self.is_full() or other.is_zero():
+            return True
+        return linalg.rank([*self.rows, *other.rows]) == self.dim
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces of different ambient spaces")
-        if self.dim <= other.dim and other.contains(self):
+        s = linalg.rank([*self.rows, *other.rows])
+        if s == other.dim:
             return other
-        if other.dim <= self.dim and self.contains(other):
+        if s == self.dim:
             return self
         return Subspace.span(self.ambient, [*self.rows, *other.rows])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces of different ambient spaces")
-        if self.is_zero() or other.is_zero():
+        d = self.dim + other.dim - linalg.rank([*self.rows, *other.rows])
+        if d == 0:
             return Subspace.zero(self.ambient)
-        if self.dim <= other.dim and other.contains(self):
+        if d == self.dim:
             return self
-        if other.dim <= self.dim and self.contains(other):
+        if d == other.dim:
             return other
-        if self.dim == 1 or other.dim == 1:
-            return Subspace.zero(self.ambient)
-        # x = y*A = z*B: solve [A^T | -B^T] (y,z)^T = 0
-        a, b = self.rows, other.rows
-        cols = len(a) + len(b)
-        system = [
-            tuple(list(col_a) + [-x for x in col_b])
-            for col_a, col_b in zip(zip(*a), zip(*b))
-        ]
-        kernel = linalg.nullspace(system, cols)
-        vecs = []
-        for k in kernel:
-            y = k[: len(a)]
-            vec = tuple(
-                sum(y[i] * a[i][j] for i in range(len(a))) for j in range(self.ambient)
-            )
-            vecs.append(vec)
-        return Subspace.span(self.ambient, vecs)
+        return self.perp().add(other.perp()).perp()
 
     def perp(self) -> "Subspace":
         """The annihilator {x : x . w = 0 for w in W}, in the dual space

@@ -104,13 +104,15 @@ def saturate(s: Sublattice) -> Sublattice:
 
 
 def saturation_index(s: Sublattice) -> int:
-    """Index [saturate(s) : s], the product of the Smith diagonal."""
-    if not s.generators:
-        return 1
-    diag = linalg.smith_diagonal(s.generators)
+    """Index [saturate(s) : s].  Both Hermite bases have the same pivot
+    columns (they depend only on the rational span) and the change of basis
+    between them is triangular there, so the index is the quotient of their
+    pivot products."""
     out = 1
-    for d in diag:
-        out *= d
+    for row in s.generators:
+        out *= next(x for x in row if x)
+    for row in saturate(s).generators:
+        out //= next(x for x in row if x)
     return out
 
 

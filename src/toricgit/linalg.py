@@ -361,11 +361,6 @@ def smith_normal_form(
     return a, u, v
 
 
-def smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
-    d, _, _ = smith_normal_form(mat)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-
-
 def integer_right_inverse(mat: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
     """Integer S with mat * S = I; exists iff mat is surjective onto ZZ^k."""
     k = len(mat)

@@ -236,12 +236,11 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of an HPolytope: the facets containing it, its dimension, a
-    relative-interior witness (vertex barycenter), and its vertices."""
+    """A face of an HPolytope: the facets containing it, its dimension and
+    its vertices."""
 
     active_facets: frozenset[int]
     dim: int
-    relint_point: QVec
     vertex_ids: tuple[int, ...]
 
     def key(self) -> tuple[int, ...]:
@@ -364,8 +363,7 @@ class HPolytope:
             pts = [verts[i] for i in ids]
             common = frozenset.intersection(*[active[i] for i in ids])
             dim = _affine_rank(pts)
-            bary = tuple(sum(p[j] for p in pts) / len(pts) for j in range(self.n))
-            faces.append(Face(common, dim, bary, ids))
+            faces.append(Face(common, dim, ids))
         faces.sort(key=lambda f: (f.dim, f.key()))
         return tuple(faces)
 
@@ -421,15 +419,14 @@ class HPolytope:
         """The image under a translation or a positive dilation, built
         without validation: such a map keeps validity, normals and faces.
         Both maps keep the lexicographic order of points, so vertex ids
-        carry over; so does the face lattice, when already computed."""
+        carry over; so does the face lattice, which holds no coordinates,
+        when already computed."""
         out = object.__new__(HPolytope)
         out.n, out.facets = self.n, tuple(facets)
         out.vertices = tuple(move(v) for v in self.vertices)
         out._vertex_active = self._vertex_active
         if "face_lattice" in vars(self):
-            out.face_lattice = tuple(
-                Face(f.active_facets, f.dim, move(f.relint_point), f.vertex_ids)
-                for f in self.face_lattice)
+            out.face_lattice = self.face_lattice
         return out
 
     def vertex_barycenter(self) -> QVec:

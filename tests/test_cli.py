@@ -300,6 +300,15 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
               ("alpha", {"setup": P2_SETUP}),
               ("slope-identity", {"setup": P2_SETUP, "sheaf": TANGENT_SHEAF}))
           for seed in ([1], "x", True, 1.5, None)),
+        # options the command does not read
+        {"command": "stability", "inputs": stab,
+         "options": {"randon_trials": 5, "k_max": 99, "tol": "garbage"}},
+        *({"command": "stability", "inputs": stab, "options": {key: 5}}
+          for key in ("randon_trials", "k_max", "tol", "max_iter")),
+        {"command": "classify", "inputs": {"setup": P2_SETUP}, "options": {"seed": 1}},
+        {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
+         "options": {"cap": 5}},
+        {"command": "alpha", "inputs": {"setup": P2_SETUP}, "options": {"k_max": 6}},
     ]
     for job in jobs:
         code, _ = run_job(tmp_path, job)
@@ -310,6 +319,17 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
                           "--tol", tol)
         assert code == 1, tol
         assert capsys.readouterr().err.startswith("error: "), tol
+    # flags the command does not read
+    stab_job = {"command": "stability", "inputs": stab}
+    for job, flag in (
+            (stab_job, ("--tol", "1e-6")),
+            (stab_job, ("--max-iter", "5")),
+            (stab_job, ("--k-max", "3")),
+            ({"command": "classify", "inputs": {"setup": P2_SETUP}}, ("--seed", "1")),
+            ({"command": "solve-minkowski", "inputs": SQUARE_TARGETS}, ("--cap", "5"))):
+        code, _ = run_job(tmp_path, job, *flag)
+        assert code == 1, flag
+        assert capsys.readouterr().err.startswith("error: "), flag
     # the upper bounds themselves are accepted, in the job file and as flags
     for job, args in (
             ({"command": "stability", "inputs": stab, "options": {"random_trials": 10_000}}, ()),

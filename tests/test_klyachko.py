@@ -53,6 +53,87 @@ def test_subspace_meet_join():
     assert a.intersect(Subspace.zero(3)).is_zero()
 
 
+def residual_oracle(w, v):
+    """The former containment test: v reduced against W's echelon rows,
+    None when v lies in W."""
+    vv = [Fraction(x) for x in v]
+    for row in w.rows:
+        p = next(j for j, x in enumerate(row) if x != 0)
+        c = vv[p]
+        if c:
+            vv = [a - c * b for a, b in zip(vv, row)]
+    return None if not any(vv) else vv
+
+
+def meet_oracle(w, e):
+    """The former meet: x = y*A = z*B from the nullspace of [A^T | -B^T]."""
+    if w.is_zero() or e.is_zero():
+        return Subspace.zero(w.ambient)
+    a, b = w.rows, e.rows
+    system = [tuple(list(col_a) + [-x for x in col_b])
+              for col_a, col_b in zip(zip(*a), zip(*b))]
+    vecs = [tuple(sum(k[i] * a[i][j] for i in range(len(a))) for j in range(w.ambient))
+            for k in linalg.nullspace(system, len(a) + len(b))]
+    return Subspace.span(w.ambient, vecs)
+
+
+def rational_rows(rng, n, k):
+    return [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(k)]
+
+
+def combinations_of(rng, w, k):
+    """k random rational combinations of W's basis (a subspace of W)."""
+    return [[sum(c * row[j] for c, row in zip(coeffs, w.rows)) for j in range(w.ambient)]
+            for coeffs in rational_rows(rng, w.dim, k)]
+
+
+def random_pair(rng, n, kind):
+    w = Subspace.span(n, rational_rows(rng, n, rng.randint(0, n + 1)))
+    if kind == "zero":
+        return w, Subspace.zero(n)
+    if kind == "full":
+        return w, Subspace.full(n)
+    if kind == "equal":
+        return w, Subspace.span(n, combinations_of(rng, w, w.dim + rng.randint(0, 1)))
+    if kind == "nested":
+        return w, Subspace.span(n, combinations_of(rng, w, rng.randint(1, max(w.dim - 1, 1))))
+    if kind == "integer":
+        return random_subspace(rng, n, rng.randint(0, n)), random_subspace(rng, n, rng.randint(0, n))
+    if kind == "crossing" and n >= 3:  # dimensions force a nonzero meet, generically proper
+        a = rng.randint(2, n - 1)
+        return (Subspace.span(n, rational_rows(rng, n, a)),
+                Subspace.span(n, rational_rows(rng, n, rng.randint(n - a + 1, n - 1))))
+    return w, Subspace.span(n, rational_rows(rng, n, rng.randint(0, n + 1)))
+
+
+def test_subspace_relations_match_elimination_oracles():
+    rng = Random(62)
+    kinds = ("zero", "full", "equal", "nested", "integer", "crossing", "rational")
+    seen = dict.fromkeys(("zero", "full", "equal", "nested", "crossing", "rational"), 0)
+    for t in range(700):
+        n = rng.randint(1, 6)
+        w, e = random_pair(rng, n, kinds[t % len(kinds)])
+        meet_dim = w.intersect(e).dim
+        seen["zero"] += w.is_zero() or e.is_zero()
+        seen["full"] += w.is_full() or e.is_full()
+        seen["equal"] += w == e
+        seen["nested"] += 0 < min(w.dim, e.dim) < max(w.dim, e.dim) == w.dim + e.dim - meet_dim
+        seen["crossing"] += meet_dim not in (0, w.dim, e.dim)
+        seen["rational"] += any(x.denominator > 1 for row in (*w.rows, *e.rows) for x in row)
+        for x, y in ((w, e), (e, w)):
+            assert x.contains(y) == all(residual_oracle(x, r) is None for r in y.rows)
+            join, want_join = x.add(y), Subspace.span(n, [*x.rows, *y.rows])
+            assert join == want_join and join.to_json() == want_join.to_json()
+            meet, want_meet = x.intersect(y), meet_oracle(x, y)
+            assert meet == want_meet and meet.to_json() == want_meet.to_json()
+            vectors = [*y.rows, *combinations_of(rng, x, 1),
+                       [rng.randint(-2, 2) for _ in range(n)]]
+            for v in vectors:
+                assert x.contains_vector(v) == (residual_oracle(x, v) is None)
+    assert all(count >= 40 for count in seen.values()), seen
+
+
 def test_invalid_filtrations_rejected():
     with pytest.raises(InputError):
         FiltrationSheaf(2, (((0, L1),),))  # never reaches the full space

@@ -68,6 +68,17 @@ def test_saturation_index_snf_diagonal_product():
     assert saturation_index(s) == 6
     assert saturation_index(Sublattice(L2, ((1, 0),))) == 1
     assert saturation_index(Sublattice(L2, ((2, 2),))) == 2
+    assert saturation_index(Sublattice(L3, ())) == 1
+    # against the Smith diagonal of the raw generators, rank-deficient ones too
+    rng = Random(61)
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        gens = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        d, _, _ = linalg.smith_normal_form(gens)
+        want = 1
+        for i in range(min(len(gens), n)):
+            want *= d[i][i] or 1
+        assert saturation_index(Sublattice(Lattice(n), gens)) == want, gens
 
 
 def test_quotient_by_diagonal():

@@ -265,8 +265,16 @@ def test_face_lattice_counts():
 
 
 def test_face_relint_point_is_interior():
-    for face in P2_O3.face_lattice:
-        assert P2_O3.active_set(face.relint_point) == face.active_facets
+    # the barycenter of a face's vertices lies in its relative interior; a
+    # moved polytope shares the face lattice, so its vertex ids must carry over
+    for base in (P2_O3, CUBE):
+        faces = base.face_lattice
+        for poly in (base, base.translate((3, -2, 1)[:base.n]), base.dilate(3)):
+            assert poly.face_lattice is faces
+            for face in faces:
+                pts = [poly.vertices[i] for i in face.vertex_ids]
+                bary = tuple(sum(p[j] for p in pts) / len(pts) for j in range(poly.n))
+                assert poly.active_set(bary) == face.active_facets
 
 
 def test_same_normal_fan_examples():
