@@ -8,11 +8,15 @@ volumes b_F * deg_P(D_F) on the quotient normals, and the resulting polytope
 (unique up to translation) is the quotient class that makes the pullback
 functors slope-compatible.
 
-The solver is floating point by design: it maximizes the polytope volume
-over the affine slice f . a = const by projected ascent with backtracking,
-using the exact identity  d vol / d a_F = latvol(F); volumes are evaluated
-exactly by the polytope module on rational approximations of the iterate.
-Everything else in this module is exact rational arithmetic.
+In the plane with exact targets the solver is exact: a convex polygon is
+fixed up to translation by its normals and lattice edge lengths, so it walks
+the edges in angular order and reads the supports off the vertices.  In
+dimension >= 3, and for float targets (balanced only within tol), it is
+floating point: it maximizes the polytope volume over the affine slice
+f . a = const by projected ascent with backtracking, using the exact
+identity  d vol / d a_F = latvol(F); volumes are evaluated exactly by the
+polytope module on rational approximations of the iterate.  Everything else
+in this module is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from random import Random
 from typing import Optional, Sequence
@@ -75,7 +80,7 @@ def minkowski_condition(setup: GitSetup) -> MinkowskiReport:
 
 
 # ---------------------------------------------------------------------------
-# numerical reconstruction of a polytope from facet volumes
+# reconstruction of a polytope from facet volumes
 
 
 @dataclass(frozen=True)
@@ -86,12 +91,15 @@ class MinkowskiSolution:
     iterations: int
 
     def to_polytope(self, max_denominator: int = 10 ** 6) -> HPolytope:
-        """Exact rational polytope snapped from the float supports."""
-        n = len(self.normals[0])
-        return HPolytope(n, [
-            (u, Fraction(a).limit_denominator(max_denominator))
-            for u, a in zip(self.normals, self.supports)
-        ])
+        return _snapped_polytope(self.normals, self.supports, max_denominator)
+
+
+def _snapped_polytope(normals, supports, max_denominator: int) -> HPolytope:
+    """Exact rational polytope snapped from float supports."""
+    return HPolytope(len(normals[0]), [
+        (u, Fraction(a).limit_denominator(max_denominator))
+        for u, a in zip(normals, supports)
+    ])
 
 
 def _snap(support: float) -> Fraction:
@@ -99,6 +107,15 @@ def _snap(support: float) -> Fraction:
     if not math.isfinite(support):
         raise NoConvergence("solver iterate is no longer finite")
     return Fraction(support).limit_denominator(RATIONALIZE_DENOM)
+
+
+def _floats(values) -> list[float]:
+    """The exact values as floats; one beyond the float range is a solver
+    failure, as an overflowing iterate is."""
+    try:
+        return [float(x) for x in values]
+    except OverflowError:
+        raise NoConvergence("a target or support exceeds the float range") from None
 
 
 def _evaluate(n: int, normals, supports) -> tuple[float, list[float]]:
@@ -119,7 +136,9 @@ def solve_minkowski(
     Requires the balance sum volumes_i * normals_i = 0 (checked exactly for
     rational targets, within tol otherwise) and normals spanning.  The
     translation gauge puts the vertex barycenter at the origin; the scale is
-    fixed by the targets.
+    fixed by the targets.  Planar exact targets are solved exactly by
+    _planar_solution (residual 0, 0 iterations; tol, max_iter and seed do
+    not change the answer); everything else takes the float ascent.
     """
     norm_t = tuple(tuple(int(x) for x in u) for u in normals)
     if not norm_t:
@@ -157,8 +176,10 @@ def solve_minkowski(
         scale = max(abs(float(t)) for t in targets) or 1.0
         if any(abs(float(x)) > tol * scale for x in balance):
             raise InfeasibleTargets(f"weighted normal sum {balance} exceeds tolerance")
+    if n == 2 and exact_targets:
+        return _planar_solution(norm_t, targets)
 
-    f = [float(t) for t in targets]
+    f = _floats(targets)
     ff = sum(x * x for x in f)
     rng = Random(seed)
     a = [1.0 + (rng.uniform(0.0, 0.3) if seed is not None else 0.0)
@@ -216,6 +237,40 @@ def solve_minkowski(
     return MinkowskiSolution(norm_t, tuple(a), residual, iterations)
 
 
+def _by_angle(u: IntVec, v: IntVec) -> int:
+    """Counterclockwise order of distinct primitive plane vectors from the
+    positive x-axis: the half-plane [0, pi) first, then the sign of the
+    cross product, which decides inside a half-plane."""
+    hu = 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
+    hv = 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+    return hu - hv or v[0] * u[1] - u[0] * v[1]
+
+
+def _planar_solution(normals: tuple[IntVec, ...], targets: list[Fraction]) -> MinkowskiSolution:
+    """The exact polygon with lattice edge lengths ``targets`` on the inward
+    normals (Minkowski's existence theorem; Schneider, Convex Bodies).
+
+    The edge on the primitive normal (a, b) is its length times (b, -a), so
+    the edges in the normals' counterclockwise order close up (the targets
+    balance) into a convex polygon.  Walking them from the origin gives each
+    edge its start vertex p; with the vertex barycenter c moved to the origin
+    (the ascent's gauge) its support is <c - p, u>.
+    """
+    start, p = {}, (0, 0)
+    for i in sorted(range(len(normals)),
+                    key=cmp_to_key(lambda i, j: _by_angle(normals[i], normals[j]))):
+        (a, b), t = normals[i], targets[i]
+        start[i] = p
+        p = (p[0] + t * b, p[1] - t * a)
+    bary = [sum(v[j] for v in start.values()) / len(start) for j in range(2)]
+    supports = [linalg.dot([c - x for c, x in zip(bary, start[i])], u)
+                for i, u in enumerate(normals)]
+    _, latvols, _ = hsystem_volume_data(2, list(zip(normals, supports)))
+    if latvols != targets:
+        raise InternalError(f"edge walk gave facet volumes {latvols}, not {targets}")
+    return MinkowskiSolution(normals, tuple(_floats(supports)), 0.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # the quotient ample class
 
@@ -232,11 +287,7 @@ class AmpleClassNumeric:
     gauge: str = "vertex-barycenter"
 
     def to_polytope(self, max_denominator: int = 10 ** 6) -> HPolytope:
-        n = len(self.normals[0])
-        return HPolytope(n, [
-            (u, Fraction(a).limit_denominator(max_denominator))
-            for u, a in zip(self.normals, self.supports)
-        ])
+        return _snapped_polytope(self.normals, self.supports, max_denominator)
 
     def direction(self) -> tuple[float, ...]:
         """Supports normalized to unit Euclidean length (class up to scale,
@@ -254,20 +305,6 @@ class AmpleClassNumeric:
             "targets": [serialize.frac_to_str(t) for t in self.targets],
             "gauge": self.gauge,
         }
-
-
-def normalized_supports(normals: Sequence[IntVec], supports: Sequence) -> list[float]:
-    """Barycenter-gauged, unit-norm support vector of an exact class, for
-    scale/translation-free comparison against a solver result."""
-    n = len(normals[0])
-    cons = [(u, Fraction(a)) for u, a in zip(normals, supports)]
-    verts = hsystem_vertices(n, cons)
-    if not verts:
-        raise InputError("class defines an empty polytope")
-    bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
-    gauged = [float(a + linalg.dot(bary, u)) for u, a in cons]
-    norm = math.sqrt(sum(x * x for x in gauged))
-    return [x / norm for x in gauged]
 
 
 def ample_class_alpha(

@@ -250,6 +250,28 @@ def test_alpha_and_slope_identity_on_bundle(tmp_path):
     assert float(report3["result"]["identity"]["residual"]) <= 1e-5
 
 
+def test_alpha_on_a_surface_is_exact_at_tight_tol(tmp_path):
+    # the rank-2 bundle with summands {4: 1}, {1: 1} over the hexagon (dP6);
+    # the float ascent stopped at residual 2.854e-9 and exited 2 at tol 1e-9
+    hexagon = [[1, 0], [0, 1], [-1, 1], [-1, 0], [0, -1], [1, -1]]
+    summands = [{4: 1}, {1: 1}]
+    facets = [u + [s.get(rho, 0) for s in summands] for rho, u in enumerate(hexagon)]
+    facets += [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1]]
+    setup = {"polytope": {"n": 4, "facets": [{"normal": u, "support": "1/1"}
+                                             for u in facets]},
+             "sublattice": [[0, 0, 1, 0], [0, 0, 0, 1]]}
+    for seed in (None, 7):
+        options = {"tol": 1e-9} if seed is None else {"tol": 1e-9, "seed": seed}
+        code, report = run_job(tmp_path, {"command": "alpha", "inputs": {"setup": setup},
+                                          "options": options})
+        assert code == 0
+        alpha = report["result"]["alpha"]
+        assert alpha["residual"] == "0"
+        assert alpha["targets"] == ["13/3", "14/3", "13/3", "13/3", "14/3", "13/3"]
+        assert alpha["supports"] == ["4.5", "4.33333333333", "4.5", "4.5",
+                                     "4.33333333333", "4.5"]
+
+
 def test_descend_command(tmp_path):
     job = {"command": "descend", "inputs": {
         "setup": P2_SETUP, "sheaf": TANGENT_SHEAF}}
@@ -346,12 +368,16 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
 
 
 def test_solver_overflow_exits_two(tmp_path, capsys):
-    # targets this large overflow the float iterate: a solver failure, not a crash
-    job = {"command": "solve-minkowski",
-           "inputs": {"normals": SQUARE_TARGETS["normals"], "volumes": [1e300] * 4}}
-    code, _ = run_job(tmp_path, job)
-    assert code == 2
-    assert capsys.readouterr().err.startswith("failed: NoConvergence: ")
+    # targets this large overflow the float iterate or the float supports of
+    # the exact edge walk: a solver failure, not a crash
+    huge = "1" + "0" * 400
+    cube = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    for inputs in ({"normals": SQUARE_TARGETS["normals"], "volumes": [1e300] * 4},
+                   {"normals": SQUARE_TARGETS["normals"], "volumes": [huge, "1"] * 2},
+                   {"normals": cube, "volumes": [huge] * 6}):
+        code, _ = run_job(tmp_path, {"command": "solve-minkowski", "inputs": inputs})
+        assert code == 2
+        assert capsys.readouterr().err.startswith("failed: NoConvergence: ")
 
 
 SQUARE = {"n": 2, "facets": [

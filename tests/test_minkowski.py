@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from toricgit import lattice, minkowski
-from toricgit.build import hirzebruch, product, projective_space
+from toricgit.build import BundleSpec, hirzebruch, product, projective_space, projectivized_bundle
 from toricgit.errors import (
     CurveQuotient,
     InfeasibleTargets,
@@ -12,7 +13,7 @@ from toricgit.errors import (
     NotGeneric,
 )
 from toricgit.git import GitSetup, translation_classes
-from toricgit.lattice import Lattice, Sublattice
+from toricgit.lattice import Lattice, Sublattice, primitive_content
 from toricgit.minkowski import (
     ample_class_alpha,
     compatible_subgroups,
@@ -20,12 +21,11 @@ from toricgit.minkowski import (
     curve_slope_ratio,
     is_weighted_projective_quotient,
     minkowski_condition,
-    normalized_supports,
     solve_minkowski,
 )
 from toricgit.polytope import HPolytope
 
-from util import BASE_FAMILIES, count_calls, random_generic_setup
+from util import BASE_FAMILIES, count_calls, normalized_supports, random_generic_setup
 
 L2 = Lattice(2)
 N0_DIAG = Sublattice(L2, ((1, 1),))
@@ -107,6 +107,88 @@ def test_solver_three_dimensional_cube():
     # a 1 x 4 x 2 box: x-faces have area 8 ... checked via targets
     lv = [float(x) for x in poly.latvols()]
     assert max(abs(a - b) / b for a, b in zip(lv, [2, 2, 8, 8, 4, 4])) < 1e-4
+
+
+def _random_primitive(rng: Random) -> tuple[int, int]:
+    while True:
+        u = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if u != (0, 0):
+            return primitive_content(u)[0]
+
+
+def random_balanced_polygon(rng: Random, q: int) -> tuple[list, list]:
+    """Distinct primitive normals with entries in [-3, 3], often with an
+    opposite pair, and positive targets in (1/q)ZZ whose weighted normal sum
+    is exactly zero: the last two targets close the polygon."""
+    while True:
+        normals = []
+        for _ in range(rng.randint(3, 7)):
+            u = _random_primitive(rng)
+            if u not in normals:
+                normals.append(u)
+        if rng.random() < 0.3 and (-normals[0][0], -normals[0][1]) not in normals:
+            normals.insert(1, (-normals[0][0], -normals[0][1]))
+        *free, v, w = normals
+        d = v[0] * w[1] - v[1] * w[0]
+        if d == 0:
+            continue
+        # free targets in (d/q)ZZ keep the closing ones in (1/q)ZZ
+        targets = [Fraction(abs(d) * rng.randint(1, 4 * q), q) for _ in free]
+        s = [-sum(t * u[j] for t, u in zip(targets, free)) for j in range(2)]
+        t_v = (s[0] * w[1] - s[1] * w[0]) / d
+        t_w = (v[0] * s[1] - v[1] * s[0]) / d
+        if t_v > 0 and t_w > 0:
+            return normals, targets + [t_v, t_w]
+
+
+def _direction(supports):
+    norm = math.sqrt(sum(a * a for a in supports))
+    return [a / norm for a in supports]
+
+
+def test_planar_solver_is_exact_and_agrees_with_the_ascent():
+    rng = Random(109)
+    cases = []
+    # the surface classes of the rank-1 and rank-2 bundles over dP6
+    hexagon = HPolytope(2, [(u, 1) for u in ((1, 0), (0, 1), (-1, 1), (-1, 0),
+                                             (0, -1), (1, -1))])
+    for summands in (({4: 1},), ({3: 1},), ({0: 1, 1: 1},), ({5: 1},),
+                     ({4: 1}, {1: 1}), ({3: 1}, {4: 1}), ({4: 2}, {0: 1, 4: 2})):
+        alpha = ample_class_alpha(projectivized_bundle(BundleSpec(hexagon, summands)))
+        cases.append((list(alpha.normals), list(alpha.targets)))
+    # common denominators up to 99991: with at most 8 vertices the exact
+    # supports have denominators below the 10^6 that to_polytope snaps to
+    for _ in range(200):
+        cases.append(random_balanced_polygon(rng, rng.choice((1, 2, 3, 6, 12, 997, 99991))))
+    opposite = sum(any((-u[0], -u[1]) in normals for u in normals) for normals, _ in cases)
+    assert opposite >= 50
+    for k, (normals, targets) in enumerate(cases):
+        sol = solve_minkowski(normals, targets, tol=1e-9, seed=k)
+        assert (sol.residual, sol.iterations) == (0.0, 0)
+        poly = sol.to_polytope()
+        assert poly.latvols() == tuple(targets)
+        assert poly.vertex_barycenter() == (0, 0)
+        if k >= 7 and k % 4:
+            continue  # the ascent costs ~0.1 s: the dP6 classes and every fourth polygon
+        # the same targets as floats still take the ascent
+        ascent = solve_minkowski(normals, [float(t) for t in targets], tol=1e-6)
+        assert ascent.iterations > 0
+        diff = max(abs(a - b) for a, b in zip(_direction(sol.supports),
+                                              _direction(ascent.supports)))
+        assert diff <= 1e-6
+
+
+def test_solver_volume_evaluations_are_pinned(monkeypatch):
+    calls = count_calls(monkeypatch, minkowski, "hsystem_volume_data")
+    # the edge walk is checked by one evaluation, whatever tol, max_iter and seed
+    hexagon = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+    solve_minkowski(hexagon, [1, 2, 1, 1, 2, 1], tol=1e-9, max_iter=1, seed=4)
+    assert calls["hsystem_volume_data"] == 1
+    # the float ascent on the 1 x 4 x 2 box: 27 iterations
+    cube = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    sol = solve_minkowski(cube, [2, 2, 8, 8, 4, 4], tol=1e-5)
+    assert sol.iterations == 27
+    assert calls["hsystem_volume_data"] == 1 + 45
 
 
 def test_solver_rejects_dimension_one():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -9,11 +10,11 @@ from random import Random
 
 from toricgit import linalg
 from toricgit.build import hirzebruch, product, projective_space
-from toricgit.errors import InfeasibleError
+from toricgit.errors import InfeasibleError, InputError
 from toricgit.git import GitSetup, translation_classes
 from toricgit.klyachko import FiltrationSheaf, Subspace
 from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
-from toricgit.polytope import HPolytope
+from toricgit.polytope import HPolytope, hsystem_vertices
 
 
 def snf_saturation_oracle(gens, n):
@@ -118,6 +119,20 @@ def brute_force_system_vertices(n: int, cons):
         if x is not None and all(linalg.dot(x, u) >= -a for u, a in cons):
             out.add(x)
     return sorted(out)
+
+
+def normalized_supports(normals, supports) -> list[float]:
+    """Barycenter-gauged, unit-norm support vector of an exact class, for
+    scale/translation-free comparison against a solver result."""
+    n = len(normals[0])
+    cons = [(u, Fraction(a)) for u, a in zip(normals, supports)]
+    verts = hsystem_vertices(n, cons)
+    if not verts:
+        raise InputError("class defines an empty polytope")
+    bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
+    gauged = [float(a + linalg.dot(bary, u)) for u, a in cons]
+    norm = math.sqrt(sum(x * x for x in gauged))
+    return [x / norm for x in gauged]
 
 
 def count_calls(monkeypatch, module, name: str) -> Counter:
