@@ -44,15 +44,16 @@ COMMANDS = (
 )
 
 
-# option -> (type, minimum, maximum); a float must exceed its minimum.  The
-# maxima bound the options that size a search (see the module docstring).
+# option -> (type, minimum, maximum).  The minimum of tol is the solver's
+# accuracy floor; the maxima bound the options that size a search (see the
+# module docstring).
 OPTIONS = {
     "cap": (int, 0, None),
     "random_trials": (int, 0, 10_000),
     "seed": (int, None, None),
     "max_iter": (int, 1, None),
     "k_max": (int, 1, 12),
-    "tol": (float, 0, None),
+    "tol": (float, minkowski.TOL_FLOOR, None),
 }
 SOLVER_OPTIONS = ("tol", "max_iter", "seed")
 READS = {
@@ -73,9 +74,9 @@ def _check_options(command: str, options: dict) -> None:
         kind, minimum, maximum = OPTIONS[key]
         if kind is float:
             if isinstance(val, bool) or not isinstance(val, (int, float)) \
-                    or not math.isfinite(val) or val <= minimum:
+                    or not math.isfinite(val) or val < minimum:
                 raise InputError(
-                    f'option "{key}" must be a finite number > {minimum}, got {val!r}')
+                    f'option "{key}" must be a finite number >= {minimum:g}, got {val!r}')
             continue
         if isinstance(val, bool) or not isinstance(val, int):
             raise InputError(f'option "{key}" must be an integer, got {val!r}')

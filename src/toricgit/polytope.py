@@ -120,11 +120,13 @@ def _vertex_table(n: int, cons: Sequence[Constraint]) -> list[tuple[QVec, frozen
 
 
 def hsystem_volume_data(
-    n: int, cons: Sequence[Constraint], verts: Optional[Sequence[QVec]] = None
-) -> tuple[Fraction, list[Fraction], list[QVec]]:
+    n: int, cons: Sequence[Constraint], verts: Optional[Sequence[QVec]] = None,
+    rates: bool = False,
+):
     """(volume, per-constraint facet volumes, vertices) of a bounded
     halfspace system, without validity requirements.  ``verts``, when
-    given, must be the system's vertices in sorted order.
+    given, must be the system's vertices in sorted order.  With ``rates``
+    a fourth entry is appended: the matrix H[F][G] = d latvol(F) / d a_G.
 
     Cones from a vertex over the facets, recursively:
         vol_k(F) = (1/k) * sum_G gap(v0, G) * vol_{k-1}(G)
@@ -138,11 +140,21 @@ def hsystem_volume_data(
     face, whose volume is 0 at that level but not one level down.
     Redundant, duplicate and tangent constraints thus get zero-volume faces,
     and a lower-dimensional system has volume 0.
+
+    The rates come from the memo.  For G != F, moving a_G moves the ridge
+    F & G inside F's lattice at speed 1/g, where g is the content of u_G
+    on that lattice, so H[F][G] = latvol(F & G) / g (a point ridge, n = 2,
+    counts 1).  For primitive u_F, g is the index of the image of ZZ^n
+    under (u_F, u_G), the gcd of their 2x2 minors.  Translations keep every
+    facet volume, so sum_G H[F][G] u_G = 0, which gives the diagonal.  Rows
+    of absent facets are 0, and the rates are one-sided where the system is
+    not simple.
     """
     cons = [(tuple(int(x) for x in u), Fraction(a)) for u, a in cons]
     verts = hsystem_vertices(n, cons) if verts is None else list(verts)
     if not verts:
-        return Fraction(0), [Fraction(0)] * len(cons), verts
+        out = Fraction(0), [Fraction(0)] * len(cons), verts
+        return (*out, [[Fraction(0)] * len(cons) for _ in cons]) if rates else out
     slack = [[linalg.dot(v, u) + a for u, a in cons] for v in verts]
     tight = [frozenset(i for i, s in enumerate(slack) if s[j] == 0)
              for j in range(len(cons))]
@@ -176,7 +188,22 @@ def hsystem_volume_data(
 
     identity = [[int(i == t) for t in range(n)] for i in range(n)]
     vol, latvols = cone(n, frozenset(range(len(verts))), identity)
-    return vol, latvols, verts
+    if not rates:
+        return vol, latvols, verts
+    hess = [[Fraction(0)] * len(cons) for _ in cons]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for f, (u, _) in enumerate(cons):
+        if not latvols[f]:
+            continue
+        row, w = hess[f], primitive_content(u)[0]
+        for j, (v, _) in enumerate(cons):
+            g = math.gcd(*(w[p] * v[q] - w[q] * v[p] for p, q in pairs))
+            sub = tight[f] & tight[j]
+            if g and len(sub) >= n - 1:  # the tests of cone
+                row[j] = (memo[n - 2, sub] if n > 2 else Fraction(1)) / g
+        i = next(i for i, x in enumerate(u) if x)
+        row[f] = -sum(h * v[i] for h, (v, _) in zip(row, cons)) / u[i]
+    return vol, latvols, verts, hess
 
 
 def _affine_rank(pts: Sequence[QVec]) -> int:

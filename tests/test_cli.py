@@ -251,8 +251,9 @@ def test_alpha_and_slope_identity_on_bundle(tmp_path):
 
 
 def test_alpha_on_a_surface_is_exact_at_tight_tol(tmp_path):
-    # the rank-2 bundle with summands {4: 1}, {1: 1} over the hexagon (dP6);
-    # the float ascent stopped at residual 2.854e-9 and exited 2 at tol 1e-9
+    # the rank-2 bundle with summands {4: 1}, {1: 1} over the hexagon (dP6):
+    # a planar class with exact targets, which the edge walk solves exactly
+    # at any tol
     hexagon = [[1, 0], [0, 1], [-1, 1], [-1, 0], [0, -1], [1, -1]]
     summands = [{4: 1}, {1: 1}]
     facets = [u + [s.get(rho, 0) for s in summands] for rho, u in enumerate(hexagon)]
@@ -315,7 +316,8 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         *({"command": "solve-minkowski", "inputs": {**SQUARE_TARGETS, "volumes": [2.0, 1, bad, 1]}}
           for bad in (float("nan"), float("inf"), float("-inf"))),
         *({"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"tol": tol}}
-          for tol in ("x", -1, 0, True, [1e-6], float("nan"), float("inf"))),
+          for tol in ("x", -1, 0, minkowski.TOL_FLOOR / 2, True, [1e-6], float("nan"),
+                      float("inf"))),
         *({"command": command, "inputs": inputs, "options": {"seed": seed}}
           for command, inputs in (
               ("solve-minkowski", SQUARE_TARGETS),
@@ -336,7 +338,7 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         code, _ = run_job(tmp_path, job)
         assert code == 1, job
         assert capsys.readouterr().err.startswith("error: "), job
-    for tol in ("-1", "0", "nan", "inf"):
+    for tol in ("-1", "0", repr(minkowski.TOL_FLOOR / 2), "nan", "inf"):
         code, _ = run_job(tmp_path, {"command": "solve-minkowski", "inputs": SQUARE_TARGETS},
                           "--tol", tol)
         assert code == 1, tol
@@ -352,8 +354,12 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         code, _ = run_job(tmp_path, job, *flag)
         assert code == 1, flag
         assert capsys.readouterr().err.startswith("error: "), flag
-    # the upper bounds themselves are accepted, in the job file and as flags
+    # the bounds themselves are accepted, in the job file and as flags
     for job, args in (
+            ({"command": "solve-minkowski", "inputs": SQUARE_TARGETS,
+              "options": {"tol": minkowski.TOL_FLOOR}}, ()),
+            ({"command": "solve-minkowski", "inputs": SQUARE_TARGETS},
+             ("--tol", repr(minkowski.TOL_FLOOR))),
             ({"command": "stability", "inputs": stab, "options": {"random_trials": 10_000}}, ()),
             ({"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
               "options": {"k_max": 12}}, ()),

@@ -10,6 +10,7 @@ from toricgit.errors import (
     CurveQuotient,
     InfeasibleTargets,
     InputError,
+    NoConvergence,
     NotGeneric,
 )
 from toricgit.git import GitSetup, translation_classes
@@ -25,7 +26,13 @@ from toricgit.minkowski import (
 )
 from toricgit.polytope import HPolytope
 
-from util import BASE_FAMILIES, count_calls, normalized_supports, random_generic_setup
+from util import (
+    BASE_FAMILIES,
+    count_calls,
+    normalized_supports,
+    random_generic_setup,
+    random_polytope,
+)
 
 L2 = Lattice(2)
 N0_DIAG = Sublattice(L2, ((1, 1),))
@@ -102,11 +109,70 @@ def test_solver_hexagon():
 
 def test_solver_three_dimensional_cube():
     normals = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    sol = solve_minkowski(normals, [2, 2, 8, 8, 4, 4], tol=1e-5)
-    poly = sol.to_polytope(10 ** 4)
-    # a 1 x 4 x 2 box: x-faces have area 8 ... checked via targets
-    lv = [float(x) for x in poly.latvols()]
-    assert max(abs(a - b) / b for a, b in zip(lv, [2, 2, 8, 8, 4, 4])) < 1e-4
+    for tol in (1e-5, 1e-9):
+        sol = solve_minkowski(normals, [2, 2, 8, 8, 4, 4], tol=tol)
+        assert sol.residual <= tol and sol.iterations <= 10
+        poly = sol.to_polytope(10 ** 4)
+        # a 1 x 4 x 2 box: x-faces have area 8 ... checked via targets
+        lv = [float(x) for x in poly.latvols()]
+        assert max(abs(a - b) / b for a, b in zip(lv, [2, 2, 8, 8, 4, 4])) < 1e-4
+
+
+def test_solver_fails_typed_below_the_snapping_size():
+    # supports near 1e-15 snap to 0 at denominators <= 10^12
+    cube = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    assert solve_minkowski(cube, [Fraction(1, 10 ** 20)] * 6).residual == 0
+    with pytest.raises(NoConvergence):
+        solve_minkowski(cube, [Fraction(1, 10 ** 30)] * 6)
+
+
+def test_solver_cuts_in_a_facet_absent_at_the_start(monkeypatch):
+    # the cube [-1, 1]^3 with a sliver cut off an edge by 5x + y >= -11/2;
+    # from the start jittered by seed 4 that cut misses the start polytope
+    normals = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+               (5, 1, 0)]
+    poly = HPolytope(3, [(u, 1) for u in normals[:6]] + [((5, 1, 0), Fraction(11, 2))])
+    targets = list(poly.latvols())
+    first = []
+    volume_data = minkowski.hsystem_volume_data
+
+    def recording(*args, **kwargs):
+        out = volume_data(*args, **kwargs)
+        first.append(out[1])
+        return out
+
+    monkeypatch.setattr(minkowski, "hsystem_volume_data", recording)
+    sol = solve_minkowski(normals, targets, tol=1e-9, seed=4)
+    assert first[0][6] == 0 and all(first[0][:6])
+    assert sol.residual <= 1e-9 and sol.iterations <= 10
+    bary = poly.vertex_barycenter()
+    gauged = [float(a + sum(b * c for b, c in zip(bary, u))) for u, a in poly.facets]
+    assert max(abs(x - y) for x, y in zip(sol.supports, gauged)) < 1e-8
+
+
+def test_solver_newton_on_polytopes_of_dimension_three_and_four():
+    # targets read off seeded polytopes, exact and as floats, at three scales
+    rng = Random(113)
+    for k in range(16):
+        n = 3 if k % 4 else 4
+        poly = random_polytope(rng, n)
+        scale = Fraction(rng.choice((1, 1000))) / rng.choice((1, 1000))
+        targets = [scale * t for t in poly.latvols()]
+        normals = [u for u, _ in poly.facets]
+        for volumes in (targets, [float(t) for t in targets]):
+            sol = solve_minkowski(normals, volumes, tol=1e-9, seed=k if k % 2 else None)
+            assert sol.residual <= 1e-9 and sol.iterations <= 10 and sol.exact is None
+
+
+def test_solver_rejects_tol_below_the_floor():
+    square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    cube = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    for normals in (square, cube):
+        for tol in (minkowski.TOL_FLOOR / 2, 0.0, -1.0, float("nan")):
+            with pytest.raises(InputError):
+                solve_minkowski(normals, [1] * len(normals), tol=tol)
+        assert solve_minkowski(normals, [1] * len(normals),
+                               tol=minkowski.TOL_FLOOR).residual <= minkowski.TOL_FLOOR
 
 
 def _random_primitive(rng: Random) -> tuple[int, int]:
@@ -146,7 +212,7 @@ def _direction(supports):
     return [a / norm for a in supports]
 
 
-def test_planar_solver_is_exact_and_agrees_with_the_ascent():
+def test_planar_solver_is_exact_and_agrees_with_newton():
     rng = Random(109)
     cases = []
     # the surface classes of the rank-1 and rank-2 bundles over dP6
@@ -156,8 +222,9 @@ def test_planar_solver_is_exact_and_agrees_with_the_ascent():
                      ({4: 1}, {1: 1}), ({3: 1}, {4: 1}), ({4: 2}, {0: 1, 4: 2})):
         alpha = ample_class_alpha(projectivized_bundle(BundleSpec(hexagon, summands)))
         cases.append((list(alpha.normals), list(alpha.targets)))
-    # common denominators up to 99991: with at most 8 vertices the exact
-    # supports have denominators below the 10^6 that to_polytope snaps to
+    # an octagon with targets over 997
+    cases.append(([(0, -1), (-2, 1), (-1, -1), (1, 1), (1, 2), (0, 1), (-1, -3), (4, 1)],
+                  [Fraction(t, 997) for t in (1038, 6247, 5820, 98, 3638, 4723, 5502, 5020)]))
     for _ in range(200):
         cases.append(random_balanced_polygon(rng, rng.choice((1, 2, 3, 6, 12, 997, 99991))))
     opposite = sum(any((-u[0], -u[1]) in normals for u in normals) for normals, _ in cases)
@@ -168,14 +235,26 @@ def test_planar_solver_is_exact_and_agrees_with_the_ascent():
         poly = sol.to_polytope()
         assert poly.latvols() == tuple(targets)
         assert poly.vertex_barycenter() == (0, 0)
-        if k >= 7 and k % 4:
-            continue  # the ascent costs ~0.1 s: the dP6 classes and every fourth polygon
-        # the same targets as floats still take the ascent
-        ascent = solve_minkowski(normals, [float(t) for t in targets], tol=1e-6)
-        assert ascent.iterations > 0
+        # the same targets as floats take Newton, at the default tol
+        newton = solve_minkowski(normals, [float(t) for t in targets],
+                                 seed=k if k % 2 else None)
+        assert newton.residual <= 1e-6 and newton.exact is None
         diff = max(abs(a - b) for a, b in zip(_direction(sol.supports),
-                                              _direction(ascent.supports)))
+                                              _direction(newton.supports)))
         assert diff <= 1e-6
+
+
+def test_exact_planar_solution_round_trips_through_to_polytope():
+    # a sliver: supports up to 1.5e7 with denominator 3 * 99991, which the
+    # float supports snapped at denominators <= 10^6 do not recover
+    normals = [(-1115767, 1118151), (1, 0), (0, -1)]
+    targets = [Fraction(1, 99991), Fraction(1115767, 99991), Fraction(1118151, 99991)]
+    sol = solve_minkowski(normals, targets)
+    assert sol.to_polytope().latvols() == tuple(targets)
+    assert sol.to_polytope().vertex_barycenter() == (0, 0)
+    snapped = HPolytope(2, [(u, Fraction(a).limit_denominator(10 ** 6))
+                            for u, a in zip(normals, sol.supports)])
+    assert snapped.latvols() != tuple(targets)
 
 
 def test_solver_volume_evaluations_are_pinned(monkeypatch):
@@ -184,11 +263,14 @@ def test_solver_volume_evaluations_are_pinned(monkeypatch):
     hexagon = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
     solve_minkowski(hexagon, [1, 2, 1, 1, 2, 1], tol=1e-9, max_iter=1, seed=4)
     assert calls["hsystem_volume_data"] == 1
-    # the float ascent on the 1 x 4 x 2 box: 27 iterations
+    # Newton on the 1 x 4 x 2 box: the start, the scaled start, one full step
+    # per iteration and the final check
     cube = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     sol = solve_minkowski(cube, [2, 2, 8, 8, 4, 4], tol=1e-5)
-    assert sol.iterations == 27
-    assert calls["hsystem_volume_data"] == 1 + 45
+    assert sol.iterations == 5
+    assert calls["hsystem_volume_data"] == 1 + 8
+    with pytest.raises(NoConvergence):
+        solve_minkowski(cube, [2, 2, 8, 8, 4, 4], tol=1e-5, max_iter=4)
 
 
 def test_solver_rejects_dimension_one():

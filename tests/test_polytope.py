@@ -474,6 +474,66 @@ def test_volume_engine_visits_each_face_once(monkeypatch):
         assert sum(calls.values()) == faces
 
 
+def simple_polytope(rng: Random, n: int) -> HPolytope:
+    """A seeded simple n-polytope: the cube's normals and up to three random
+    cuts with random supports, redrawn until every vertex is on n facets."""
+    while True:
+        normals = {tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)}
+        for _ in range(rng.randint(1, 3)):
+            w = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(w):
+                normals.add(primitive_content(w)[0])
+        facets = [(u, Fraction(rng.randint(10, 40), rng.choice((7, 10)))) for u in sorted(normals)]
+        try:
+            poly = HPolytope(n, facets)
+        except InfeasibleError:
+            continue
+        if all(len(act) == n for act in poly._vertex_active):
+            return poly
+
+
+def forward_derivative(values, h):
+    """p'(0) for the polynomial p of degree < len(values) with p(k h) =
+    values[k]: sum_k (-1)^(k+1) Delta^k p(0) / k, exact for such p."""
+    total, diffs = Fraction(0), list(values)
+    for k in range(1, len(values)):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        total += Fraction((-1) ** (k + 1), k) * diffs[0]
+    return total / h
+
+
+def test_volume_rates_match_exact_finite_differences():
+    # While the combinatorial type holds, latvol(F) is a polynomial of degree
+    # n - 1 in a_G, so n values at the steps 0, h, ..., (n-1) h give its
+    # derivative exactly.  Tangent facets (latvol 0) are left out: moving one
+    # out changes nothing and moving it in cuts a new facet, so their rates
+    # are one-sided.  A constraint tangent at one vertex is appended to the
+    # rates call only, where it must get a zero row and column and leave
+    # the other rates alone.
+    rng = Random(29)
+    h = Fraction(1, 10 ** 6)
+    for k in range(8):
+        n = 3 if k < 6 else 4
+        poly = simple_polytope(rng, n)
+        facets, m = list(poly.facets), poly.num_facets
+        while True:  # a supporting hyperplane that meets the polytope in one vertex
+            w = primitive_content([rng.randint(1, 9) * rng.choice((1, -1))
+                                   for _ in range(n)])[0]
+            heights = sorted(linalg.dot(v, w) for v in poly.vertices)
+            if heights[0] < heights[1] and w not in [u for u, _ in facets]:
+                break
+        vol, latvols, _, rates = hsystem_volume_data(n, facets + [(w, -heights[0])],
+                                                     rates=True)
+        assert latvols[m] == 0 and not any(rates[m]) and not any(r[m] for r in rates)
+        for g, (u, a) in enumerate(facets):
+            moved = [hsystem_volume_data(n, facets[:g] + [(u, a + j * h)] + facets[g + 1:])[1]
+                     for j in range(n)]
+            for f in range(m):
+                assert rates[f][g] == forward_derivative([lv[f] for lv in moved], h)
+        # the rates are the Hessian of the volume: symmetric
+        assert all(rates[f][g] == rates[g][f] for f in range(m) for g in range(m))
+
+
 def assert_same_polytope(moved, fresh):
     assert moved == fresh
     assert moved.vertices == fresh.vertices
