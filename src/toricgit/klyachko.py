@@ -8,8 +8,10 @@ the last of which is QQ^r.  Below the first jump the filtration is 0.
 Subspaces are canonicalized by reduced row echelon bases so that equality,
 intersection and sum are deterministic.  Containment, sum and meet are
 decided by one exact rank, s = rank[W; E] = dim(W + E): E <= W iff
-s = dim W, and the meet has dimension dim W + dim E - s; a meet that is
-neither zero nor one of the two is computed as (W^perp + E^perp)^perp.
+s = dim W, and the meet has dimension dim W + dim E - s.  A meet that is
+neither zero nor one of the two is read off one reduced row echelon form
+of [W | W; E | 0] (Zassenhaus): its rows (w + e, w) with vanishing left
+half have w in W n E, and their right halves are the canonical basis.
 
 The ground field is QQ; witnesses defined only over an extension field are
 out of reach and verdicts record that restriction.
@@ -100,7 +102,10 @@ class Subspace:
             return self
         if d == other.dim:
             return other
-        return self.perp().add(other.perp()).perp()
+        n = self.ambient
+        reduced, pivots = linalg.rref([*(w + w for w in self.rows),
+                                       *(e + (0,) * n for e in other.rows)])
+        return Subspace(n, tuple(tuple(row[n:]) for row, p in zip(reduced, pivots) if p >= n))
 
     def perp(self) -> "Subspace":
         """The annihilator {x : x . w = 0 for w in W}, in the dual space

@@ -1,12 +1,12 @@
 """Exact linear algebra over QQ and ZZ.
 
 Everything here works on tuples of ints / fractions.Fraction; no floats, no
-machine-word arithmetic.  Floats are not accepted: ``dot``, ``vec_add``
-and ``vec_sub`` work unboxed (ints give ints) and would pass floats on.
-Three layers:
+machine-word arithmetic.  Floats are not accepted: ``dot`` and ``vec_add``
+work unboxed (ints give ints) and would pass floats on.  Three layers:
 
-* rational Gauss-Jordan (rref, solvers, affine solution spaces) and exact
-  rank by fraction-free integer elimination,
+* one fraction-free elimination, ``echelon`` (Bareiss), on rows scaled to
+  integers: it gives the exact rank, the reduced row echelon form (divided
+  once at the end), nullspaces and solutions of linear systems,
 * integer lattice normal forms (row-style Hermite form, Smith form with
   transforms, kernels, right inverses),
 * Fourier-Motzkin feasibility for mixed strict/non-strict rational systems,
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -44,10 +44,6 @@ def vec_add(a: Sequence, b: Sequence) -> tuple[Scalar, ...]:
     return tuple(map(add, a, b))
 
 
-def vec_sub(a: Sequence, b: Sequence) -> tuple[Scalar, ...]:
-    return tuple(map(sub, a, b))
-
-
 def vec_scale(c, a: Sequence) -> Vec:
     c = Fraction(c)
     return tuple(c * Fraction(x) for x in a)
@@ -72,33 +68,42 @@ def transpose(m: Sequence[Sequence]) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# exact elimination
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def echelon(
+    rows: Sequence[Sequence[int]], reduce: bool = True
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix; returns
+    (nonzero rows, pivot columns, d), d the last pivot.
+
+    Each step replaces a row by (p*row - a*top) // prev, where top is the
+    pivot row, p its pivot, a the row's entry in the pivot column and prev
+    the previous pivot.  Every entry stays an integer minor, so each
+    division is exact (Bareiss 1968).  With ``reduce`` the rows above the
+    pivot are cleared too (Gauss-Jordan); that leaves every pivot equal to
+    d, so the rows divided by d are the reduced row echelon form.  Without
+    it only the rows below are cleared, which is enough for the rank."""
+    m = [list(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+    r, d = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(0 if reduce else r + 1, len(m)):
+            if i != r:
+                a = m[i][c]
+                m[i] = [(p * x - a * y) // d for x, y in zip(m[i], top)]
+        d = p
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return [row for row in m[:r]], pivots
+    return m[:r], pivots, d
 
 
 def int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -110,26 +115,15 @@ def int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    reduced, pivots, d = echelon(int_rows(rows))
+    return [[Fraction(x, d) for x in row] for row in reduced], pivots
+
+
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination:
-    every entry stays an integer minor, so each division is exact."""
-    m = [list(row) for row in rows]
-    r, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(r + 1, len(m)):
-            a = m[i][c]
-            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of an integer matrix."""
+    return len(echelon(rows, reduce=False)[1])
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -137,60 +131,43 @@ def rank(rows: Sequence[Sequence]) -> int:
     return int_rank(int_rows(rows))
 
 
-def solve_square(a: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
-    """Solve a*x = b for square a; None when a is singular."""
-    n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(bb)] for row, bb in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        return None
-    return tuple(reduced[i][n] for i in range(n))
-
-
-def solve_general(a: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
-    """One rational solution of a*x = b, or None when inconsistent."""
-    if not a:
-        return ()
-    n = len(a[0])
-    aug = [list(map(Fraction, row)) + [Fraction(bb)] for row, bb in zip(a, b)]
-    reduced, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for row, p in zip(reduced, pivots):
-        x[p] = row[n]
-    return tuple(x)
-
-
-def nullspace(a: Sequence[Sequence], n: Optional[int] = None) -> list[Vec]:
-    """Basis of {x in QQ^n : a*x = 0}."""
-    if n is None:
-        n = len(a[0]) if a else 0
-    reduced, pivots = rref(a) if a else ([], [])
-    free = [c for c in range(n) if c not in pivots]
+def _kernel(reduced: list[list[Fraction]], pivots: list[int], n: int) -> list[Vec]:
+    """Basis of the solutions in QQ^n of the homogeneous system in reduced
+    row echelon form: one vector per free column."""
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            basis.append(tuple(v))
     return basis
+
+
+def nullspace(a: Sequence[Sequence], n: int) -> list[Vec]:
+    """Basis of {x in QQ^n : a*x = 0}."""
+    return _kernel(*rref(a), n)
 
 
 def affine_solution_space(
     eqs: Sequence[tuple[Sequence, Fraction]], n: int
 ) -> Optional[tuple[Vec, list[Vec]]]:
     """Solutions of the system {a.x = c}: (particular point, direction basis),
-    or None when inconsistent."""
-    if not eqs:
-        return tuple(Fraction(0) for _ in range(n)), list(identity_mat(n))
-    a = [list(coef) for coef, _ in eqs]
-    b = [c for _, c in eqs]
-    point = solve_general(a, b)
-    if point is None:
+    or None when inconsistent; both read off one reduced form of [a | c]."""
+    reduced, pivots = rref([[*a, c] for a, c in eqs])
+    if n in pivots:
         return None
-    return point, nullspace(a, n)
+    point = [Fraction(0)] * n
+    for row, p in zip(reduced, pivots):
+        point[p] = row[n]
+    return tuple(point), _kernel(reduced, pivots, n)
+
+
+def solve_general(a: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
+    """One rational solution of a*x = b, or None when inconsistent."""
+    sol = affine_solution_space(list(zip(a, b)), len(a[0]) if a else 0)
+    return None if sol is None else sol[0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +351,6 @@ def integer_right_inverse(mat: Sequence[Sequence[int]]) -> Optional[list[list[in
               for j in range(k)] for i in range(n)]
     s = mat_mul(frac_mat(v), mat_mul(frac_mat(dplus), frac_mat(u)))
     return [[int(x) for x in row] for row in s]
-
-
-def invert_unimodular(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(mat)
-    aug = [list(map(Fraction, row)) + list(identity_mat(n)[i]) for i, row in enumerate(mat)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    inv = [row[n:] for row in reduced]
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------

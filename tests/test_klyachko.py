@@ -23,7 +23,7 @@ from toricgit.klyachko import (
 )
 from toricgit.polytope import HPolytope
 
-from util import random_sheaf, random_subspace
+from util import random_sheaf, random_subspace, rref_oracle
 
 L1 = Subspace.span(2, [(1, 0)])
 L2 = Subspace.span(2, [(0, 1)])
@@ -65,6 +65,11 @@ def residual_oracle(w, v):
     return None if not any(vv) else vv
 
 
+def span_oracle(n, vectors):
+    """Subspace.span with the basis canonicalized by the plain oracle."""
+    return Subspace(n, tuple(tuple(row) for row in rref_oracle(vectors)[0]))
+
+
 def meet_oracle(w, e):
     """The former meet: x = y*A = z*B from the nullspace of [A^T | -B^T]."""
     if w.is_zero() or e.is_zero():
@@ -72,9 +77,17 @@ def meet_oracle(w, e):
     a, b = w.rows, e.rows
     system = [tuple(list(col_a) + [-x for x in col_b])
               for col_a, col_b in zip(zip(*a), zip(*b))]
-    vecs = [tuple(sum(k[i] * a[i][j] for i in range(len(a))) for j in range(w.ambient))
-            for k in linalg.nullspace(system, len(a) + len(b))]
-    return Subspace.span(w.ambient, vecs)
+    reduced, pivots = rref_oracle(system)
+    ys = []
+    for f in range(len(a) + len(b)):  # one kernel vector per free column
+        if f not in pivots:
+            y = [Fraction(int(i == f)) for i in range(len(a))]
+            for row, p in zip(reduced, pivots):
+                if p < len(a):
+                    y[p] = -row[f]
+            ys.append(y)
+    return span_oracle(w.ambient, [[sum(y[i] * a[i][j] for i in range(len(a)))
+                                    for j in range(w.ambient)] for y in ys])
 
 
 def rational_rows(rng, n, k):
@@ -123,7 +136,7 @@ def test_subspace_relations_match_elimination_oracles():
         seen["rational"] += any(x.denominator > 1 for row in (*w.rows, *e.rows) for x in row)
         for x, y in ((w, e), (e, w)):
             assert x.contains(y) == all(residual_oracle(x, r) is None for r in y.rows)
-            join, want_join = x.add(y), Subspace.span(n, [*x.rows, *y.rows])
+            join, want_join = x.add(y), span_oracle(n, [*x.rows, *y.rows])
             assert join == want_join and join.to_json() == want_join.to_json()
             meet, want_meet = x.intersect(y), meet_oracle(x, y)
             assert meet == want_meet and meet.to_json() == want_meet.to_json()

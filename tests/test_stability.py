@@ -288,17 +288,18 @@ def test_rank3_generic_flags_certified_from_exact_strata(monkeypatch):
 
 def test_elimination_work_counts_are_pinned(monkeypatch):
     # exact elimination counts of one Certified rank-3 job: containment, sum
-    # and meet each cost one rank, so a second elimination routine creeping
+    # and meet each cost one rank, a proper meet one rref more, and every
+    # rank and rref is one echelon, so a second elimination routine creeping
     # back in shows as a changed count
     f1 = hirzebruch(1)
     f1.latvols()
     s = generic_full_flag_sheaf(Random(55), 3, 4)
     counts = {name: count_calls(monkeypatch, linalg, name)
-              for name in ("rank", "rref", "nullspace")}
+              for name in ("echelon", "rank", "rref", "nullspace")}
     verdict = check_stability(s, f1)
     assert verdict.certainty == "Certified"
     assert {name: c[name] for name, c in counts.items()} == \
-        {"rank": 582, "rref": 233, "nullspace": 90}
+        {"echelon": 626, "rank": 555, "rref": 71, "nullspace": 9}
 
 
 def test_strata_cap_hit_sets_cap_exceeded():

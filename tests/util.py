@@ -17,11 +17,57 @@ from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
 from toricgit.polytope import HPolytope, hsystem_vertices
 
 
+def rref_oracle(rows):
+    """Reduced row echelon form by plain Gauss-Jordan in Fractions, as
+    (nonzero rows, pivot columns): independent of ``linalg.echelon``."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def solve_square(a, b):
+    """Solve a*x = b for square a; None when a is singular."""
+    n = len(a)
+    reduced, pivots = rref_oracle([[*row, bb] for row, bb in zip(a, b)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(reduced[i][n] for i in range(n))
+
+
+def invert_unimodular(mat):
+    """Inverse of a unimodular integer matrix."""
+    n = len(mat)
+    reduced, pivots = rref_oracle([[*row, *linalg.identity_mat(n)[i]]
+                                   for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is not invertible")
+    inv = [row[n:] for row in reduced]
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
+
+
 def snf_saturation_oracle(gens, n):
     """Saturation via the Smith transform: rows i of V^-1 with nonzero
     diagonal span the saturation (independent of the double-perp route)."""
     d, u, v = linalg.smith_normal_form([list(g) for g in gens])
-    vinv = linalg.invert_unimodular(v)
+    vinv = invert_unimodular(v)
     rows = [vinv[i] for i in range(min(len(d), n)) if i < len(d[0] if d else []) and d[i][i]]
     return linalg.hnf_rows(rows)
 
@@ -115,7 +161,7 @@ def brute_force_system_vertices(n: int, cons):
     and unbounded systems are all fine."""
     out = set()
     for subset in combinations(range(len(cons)), n):
-        x = linalg.solve_square([cons[i][0] for i in subset], [-cons[i][1] for i in subset])
+        x = solve_square([cons[i][0] for i in subset], [-cons[i][1] for i in subset])
         if x is not None and all(linalg.dot(x, u) >= -a for u, a in cons):
             out.add(x)
     return sorted(out)
