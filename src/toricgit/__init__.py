@@ -52,6 +52,7 @@ from .minkowski import (
     curve_slope_ratio,
     is_weighted_projective_quotient,
     minkowski_condition,
+    quotient_degrees,
     solve_minkowski,
     verify_slope_identity,
 )
@@ -71,7 +72,8 @@ __all__ = [
     "hirzebruch", "in_image", "is_morphism", "is_weighted_projective_quotient",
     "line_bundle", "minkowski_condition", "primitive_content", "product",
     "projective_space", "projectivized_bundle", "pullback", "pullback_functor",
-    "pushforward", "quotient", "restrict_to_stable", "same_normal_fan",
-    "saturate", "saturation_index", "sections_on_chart", "slope",
-    "solve_minkowski", "structure_sheaf", "subsheaf", "verify_slope_identity",
+    "pushforward", "quotient", "quotient_degrees", "restrict_to_stable",
+    "same_normal_fan", "saturate", "saturation_index", "sections_on_chart",
+    "slope", "solve_minkowski", "structure_sheaf", "subsheaf",
+    "verify_slope_identity",
 ]

@@ -140,11 +140,11 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
     if command == "slope":
         poly = HPolytope.from_json_dict(_need(payload, "polytope"))
         sheaf = _sheaf(payload)
-        return {"slope": serialize.frac_to_str(stability.slope(sheaf, poly))}
+        return {"slope": serialize.frac_to_str(stability.slope(sheaf, poly.latvols()))}
     if command == "stability":
         poly = HPolytope.from_json_dict(_need(payload, "polytope"))
         sheaf = _sheaf(payload)
-        verdict = stability.check_stability(sheaf, poly, **options)
+        verdict = stability.check_stability(sheaf, poly.latvols(), **options)
         return {"verdict": verdict.to_json_dict()}
     if command == "descend":
         setup = _setup(payload)

@@ -105,7 +105,7 @@ class GitSetup:
         gens = self.sublattice.generators
         g = len(gens)
         cut = [(self.quotient_lattice.project(u), a) for u, a in p.facets]
-        slice_active = [act for _, act in _vertex_table(p.n - g, cut)]
+        slice_active = [act for _, act in _vertex_table(p.n - g, cut)[0]]
         out = []
         for face in p.face_lattice:
             over = [s for s in slice_active if face.active_facets <= s]

@@ -17,8 +17,12 @@ Jacobian dL/da comes exactly from the volume engine
 (polytope.hsystem_volume_data with rates), a bordered system fixes the
 translations in its kernel, and a step is halved until the largest relative
 residual falls.  Volumes are evaluated exactly on rational snaps of the
-float iterates (denominators <= 10^12).  Everything else in this module is
-exact rational arithmetic.
+float iterates (denominators <= 10^12).  The solver is the only float path:
+its supports feed just the alpha and solve-minkowski reports.  The degrees
+of alpha are exact without any solve (quotient_degrees: by Minkowski's
+theorem they are the targets), so slopes and stability against alpha, and
+the slope identity, are exact in every dimension.  Everything else in this
+module is exact rational arithmetic.
 
 Accuracy floor.  Snapping moves a support by at most 1/(q * 10^12), q the
 snapped denominator, and by about 1e-24 for a generic float, so float
@@ -51,7 +55,7 @@ from .errors import (
     NoConvergence,
 )
 from .git import GitSetup, UnstableIndexVector, pullback_functor, translation_classes
-from .klyachko import FiltrationSheaf, det_indices, direct_sum, line_bundle
+from .klyachko import FiltrationSheaf, direct_sum, line_bundle
 from .lattice import Lattice, Sublattice, primitive_content, saturate
 from .polytope import HPolytope, hsystem_volume_data
 from .stability import slope
@@ -103,17 +107,6 @@ class MinkowskiSolution:
     residual: float
     iterations: int
     exact: Optional[tuple[Fraction, ...]] = None  # the supports of an exact solve
-
-    def to_polytope(self, max_denominator: int = 10 ** 6) -> HPolytope:
-        return _solved_polytope(self.normals, self.supports, self.exact, max_denominator)
-
-
-def _solved_polytope(normals, supports, exact, max_denominator: int) -> HPolytope:
-    """The exact polytope of an exact solve, else one snapped from the float
-    supports at denominators <= max_denominator."""
-    if exact is None:
-        exact = [Fraction(a).limit_denominator(max_denominator) for a in supports]
-    return HPolytope(len(normals[0]), zip(normals, exact))
 
 
 def _snap(support: float) -> Fraction:
@@ -227,6 +220,8 @@ def solve_minkowski(
     if not norm_t:
         raise InputError("no normals")
     n = len(norm_t[0])
+    if any(len(u) != n for u in norm_t):
+        raise InputError("normals differ in length")
     if n < 2:
         raise InputError("the facet-volume problem needs dimension >= 2")
     if len(set(norm_t)) != len(norm_t):
@@ -343,17 +338,14 @@ def _planar_solution(normals: tuple[IntVec, ...], targets: list[Fraction]) -> Mi
 @dataclass(frozen=True)
 class AmpleClassNumeric:
     """Numerically reconstructed quotient class: one float support per
-    quotient facet, vertex-barycenter gauge."""
+    quotient facet, vertex-barycenter gauge.  ``targets`` are its exact
+    facet degrees (quotient_degrees)."""
 
     normals: tuple[IntVec, ...]
     supports: tuple[float, ...]
     residual: float
     targets: tuple[Fraction, ...]
     gauge: str = "vertex-barycenter"
-    exact: Optional[tuple[Fraction, ...]] = None  # the supports of an exact solve
-
-    def to_polytope(self, max_denominator: int = 10 ** 6) -> HPolytope:
-        return _solved_polytope(self.normals, self.supports, self.exact, max_denominator)
 
     def direction(self) -> tuple[float, ...]:
         """Supports normalized to unit Euclidean length (class up to scale,
@@ -373,6 +365,14 @@ class AmpleClassNumeric:
         }
 
 
+def quotient_degrees(setup: GitSetup) -> tuple[Fraction, ...]:
+    """b_F * deg_P(D_F) for the stable facets F, in quotient facet order: the
+    facet volumes prescribed to the quotient class alpha, and so, once it
+    exists, its exact degree vector."""
+    b = setup.b_values()
+    return tuple(b[f] * setup.polytope.facet_latvol(f) for f in setup.stable_facets)
+
+
 def ample_class_alpha(
     setup: GitSetup,
     tol: float = SOLVER_TOL,
@@ -388,17 +388,14 @@ def ample_class_alpha(
     report = minkowski_condition(setup)
     if not report.holds:
         raise MinkowskiFails(f"Minkowski defect {report.defect} is nonzero")
-    py, fmap, b = setup.quotient_polytope()
-    targets = []
-    for f in setup.stable_facets:
-        targets.append(Fraction(b[f]) * setup.polytope.facet_latvol(f))
+    py, _, _ = setup.quotient_polytope()
+    targets = quotient_degrees(setup)
     sol = solve_minkowski([u for u, _ in py.facets], targets, tol, max_iter, seed)
     return AmpleClassNumeric(
         normals=sol.normals,
         supports=sol.supports,
         residual=sol.residual,
-        targets=tuple(targets),
-        exact=sol.exact,
+        targets=targets,
     )
 
 
@@ -408,19 +405,19 @@ def ample_class_alpha(
 
 @dataclass(frozen=True)
 class SlopeIdentityReport:
-    lhs: Fraction            # mu_L of the lifted sheaf, exact
-    mu_alpha: float          # quotient slope against the numeric class
+    lhs: Fraction            # mu_L of the lifted sheaf
+    mu_alpha: Fraction       # quotient slope against alpha's exact degrees
     correction: Fraction     # sum over unstable facets of i_F deg_L(D_F)
-    residual: float
+    residual: Fraction
 
     def to_json_dict(self) -> dict:
         from . import serialize
 
         return {
             "lhs": serialize.frac_to_str(self.lhs),
-            "mu_alpha": f"{self.mu_alpha:.12g}",
+            "mu_alpha": f"{float(self.mu_alpha):.12g}",
             "correction": serialize.frac_to_str(self.correction),
-            "residual": f"{self.residual:.12g}",
+            "residual": f"{float(self.residual):.12g}",
         }
 
 
@@ -430,23 +427,15 @@ def verify_slope_identity(
     indices: UnstableIndexVector,
     alpha: AmpleClassNumeric,
 ) -> SlopeIdentityReport:
-    """|mu_L(lift) - (mu_alpha(sheaf) - sum_us i_F deg_L(D_F))| with the
-    lifted side exact and the alpha side in floating point."""
+    """|mu_L(lift) - (mu_alpha(sheaf) - sum_us i_F deg_L(D_F))|, exactly: mu_alpha
+    reads alpha's exact degrees (its targets), not its float supports."""
     setup.require_generic()
-    lifted = pullback_functor(setup, indices, quotient_sheaf)
-    lhs = slope(lifted, setup.polytope)
-    cons = [(u, Fraction(a).limit_denominator(RATIONALIZE_DENOM))
-            for u, a in zip(alpha.normals, alpha.supports)]
-    _, latvols, _ = hsystem_volume_data(len(alpha.normals[0]), cons)
-    idx = det_indices(quotient_sheaf)
-    mu_alpha = -sum(float(i) * float(lv) for i, lv in zip(idx, latvols)) \
-        / quotient_sheaf.rank
-    correction = Fraction(0)
+    lhs = slope(pullback_functor(setup, indices, quotient_sheaf), setup.polytope.latvols())
+    mu_alpha = slope(quotient_sheaf, alpha.targets)
     ivec = indices.as_dict()
-    for f in setup.unstable_facets:
-        correction += ivec[f] * setup.polytope.facet_latvol(f)
-    residual = abs(float(lhs) - (mu_alpha - float(correction)))
-    return SlopeIdentityReport(lhs, mu_alpha, correction, residual)
+    correction = sum((ivec[f] * setup.polytope.facet_latvol(f)
+                      for f in setup.unstable_facets), Fraction(0))
+    return SlopeIdentityReport(lhs, mu_alpha, correction, abs(lhs - (mu_alpha - correction)))
 
 
 def curve_slope_ratio(setup: GitSetup) -> tuple[dict[int, Fraction], bool]:
@@ -456,9 +445,7 @@ def curve_slope_ratio(setup: GitSetup) -> tuple[dict[int, Fraction], bool]:
     setup.require_generic()
     if setup.dim_quotient() != 1:
         raise InputError("curve ratio only for one-dimensional quotients")
-    b = setup.b_values()
-    ratios = {f: Fraction(b[f]) * setup.polytope.facet_latvol(f)
-              for f in setup.stable_facets}
+    ratios = dict(zip(setup.stable_facets, quotient_degrees(setup)))
     values = set(ratios.values())
     return ratios, len(values) == 1
 
@@ -507,11 +494,9 @@ def converse_falsifier(setup: GitSetup) -> Optional[ConverseCounterexample]:
     report = minkowski_condition(setup)
     if report.holds:
         return None
-    py, fmap, b = setup.quotient_polytope()
-    ratios = {}
-    for f in setup.stable_facets:
-        ratios[f] = (Fraction(b[f]) * setup.polytope.facet_latvol(f)
-                     / py.facet_latvol(fmap[f]))
+    py, fmap, _ = setup.quotient_polytope()
+    degrees = dict(zip(setup.stable_facets, quotient_degrees(setup)))
+    ratios = {f: degrees[f] / py.facet_latvol(fmap[f]) for f in setup.stable_facets}
     pair = None
     for f1, f2 in combinations(setup.stable_facets, 2):
         if ratios[f1] != ratios[f2]:
@@ -520,8 +505,7 @@ def converse_falsifier(setup: GitSetup) -> Optional[ConverseCounterexample]:
     if pair is None:
         raise InternalError("nonzero defect but constant ratio table")
     f1, f2 = pair
-    d1 = Fraction(b[f2]) * setup.polytope.facet_latvol(f2)
-    d2 = Fraction(b[f1]) * setup.polytope.facet_latvol(f1)
+    d1, d2 = degrees[f2], degrees[f1]
     scale = math.lcm(d1.denominator, d2.denominator)
     d1i, d2i = int(d1 * scale), int(d2 * scale)
     sheaf = direct_sum(
@@ -531,7 +515,8 @@ def converse_falsifier(setup: GitSetup) -> Optional[ConverseCounterexample]:
     zero = UnstableIndexVector.zero(setup)
     lift1 = pullback_functor(setup, zero, line_bundle(py.num_facets, {fmap[f1]: d1i}))
     lift2 = pullback_functor(setup, zero, line_bundle(py.num_facets, {fmap[f2]: d2i}))
-    s1, s2 = slope(lift1, setup.polytope), slope(lift2, setup.polytope)
+    degrees_x = setup.polytope.latvols()
+    s1, s2 = slope(lift1, degrees_x), slope(lift2, degrees_x)
     if s1 != s2:
         raise InternalError("constructed summands must have equal lifted slopes")
     return ConverseCounterexample(

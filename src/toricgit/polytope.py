@@ -105,18 +105,23 @@ def hsystem_vertices(n: int, cons: Sequence[Constraint]) -> list[QVec]:
     empty system, and one that contains a line (then its cone has a nonzero
     lineality space), has no vertices.
     """
-    return [v for v, _ in _vertex_table(n, cons)]
+    return [v for v, _ in _vertex_table(n, cons)[0]]
 
 
-def _vertex_table(n: int, cons: Sequence[Constraint]) -> list[tuple[QVec, frozenset[int]]]:
-    """hsystem_vertices, each with the constraints tight on it (DD masks)."""
+def _vertex_table(
+    n: int, cons: Sequence[Constraint]
+) -> tuple[list[tuple[QVec, frozenset[int]]], bool]:
+    """(hsystem_vertices, each with the constraints tight on it (DD masks),
+    whether the normals positively span RR^n).  They do iff the recession
+    cone {d : <d, u> >= 0}, the cone's slice at t = 0, is {0}: iff the cone
+    has no lineality and no ray with t = 0."""
     rows = [(0,) * n + (1,)] + [(*u, a) for u, a in cons]
     lin, rays = _cone_dd(rows, n + 1)
     if lin:
-        return []
+        return [], False
     return sorted((tuple(Fraction(x, r[n]) for x in r[:n]),
                    frozenset(i for i in range(len(cons)) if z >> (i + 1) & 1))
-                  for r, z in rays if r[n] > 0)
+                  for r, z in rays if r[n] > 0), all(r[n] for r, _ in rays)
 
 
 def hsystem_volume_data(
@@ -212,14 +217,6 @@ def _affine_rank(pts: Sequence[QVec]) -> int:
     return linalg.rank([(*p, 1) for p in pts]) - 1
 
 
-def positively_spanning(n: int, normals: Sequence[IntVec]) -> bool:
-    """True iff the normals positively span RR^n, i.e. the recession cone
-    {d : <d, u> >= 0 for every normal u} of any associated halfspace system
-    is {0}: it has neither lineality nor extreme rays (bounded polytopes)."""
-    lin, rays = _cone_dd(normals, n)
-    return not lin and not rays
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -300,12 +297,12 @@ class HPolytope:
     # -- construction-time invariants ------------------------------------
 
     def _validate(self) -> None:
-        """Read validity off the exact vertex table of the (bounded) system:
-        it is empty iff it has no vertex, has empty interior iff its
-        vertices span less than n dimensions, and inequality i defines no
-        facet iff its tight vertices span less than n - 1."""
-        normals = [u for u, _ in self.facets]
-        if not positively_spanning(self.n, normals):
+        """Read validity off the exact vertex table of the system: it is
+        unbounded iff its normals do not positively span, else empty iff it
+        has no vertex, has empty interior iff its vertices span less than n
+        dimensions, and inequality i defines no facet iff its tight vertices
+        span less than n - 1."""
+        if not self._table[1]:
             raise Unbounded("facet normals do not positively span; polytope unbounded")
         verts = self.vertices
         if not verts:
@@ -336,15 +333,15 @@ class HPolytope:
 
     @cached_property
     def vertices(self) -> tuple[QVec, ...]:
-        return tuple(v for v, _ in self._table)
+        return tuple(v for v, _ in self._table[0])
 
     @cached_property
     def _vertex_active(self) -> tuple[frozenset[int], ...]:
         """The facets through each vertex."""
-        return tuple(act for _, act in self._table)
+        return tuple(act for _, act in self._table[0])
 
     @cached_property
-    def _table(self) -> list[tuple[QVec, frozenset[int]]]:
+    def _table(self) -> tuple[list[tuple[QVec, frozenset[int]]], bool]:
         return _vertex_table(self.n, self.facets)
 
     def support_vector(self) -> QVec:

@@ -1,7 +1,11 @@
 """Slopes and slope-stability verdicts for equivariant reflexive sheaves.
 
-The slope of a sheaf against a polytope's ample class is the exact rational
-  mu(S) = -(1/rank) * sum_F i_F(det S) * latvol(F).
+The slope of a sheaf against an ample class L is the exact rational
+  mu(S) = -(1/rank) * sum_F i_F(det S) * deg_F,
+where deg_F = D_F . L^{n-1} is the degree of the divisor of facet F.  So a
+class enters only through its degree vector, one Fraction per facet: the
+facet volumes HPolytope.latvols() of a polytope's class, or the targets of
+the Minkowski quotient class (minkowski.quotient_degrees).
 Stability only needs to be tested against equivariant subsheaves, i.e.
 against subspaces W of the underlying space.  That family is infinite, so
 the search runs over:
@@ -43,7 +47,6 @@ from typing import Optional, Sequence
 from . import linalg, serialize
 from .errors import FacetMismatch, InputError, InternalError
 from .klyachko import FiltrationSheaf, Subspace, det_indices, dual, subsheaf
-from .polytope import HPolytope
 
 STABLE = "Stable"
 SEMISTABLE = "Semistable"
@@ -56,13 +59,11 @@ DEFAULT_RANDOM_TRIALS = 1_000
 DEFAULT_SEED = 20_240_601
 
 
-def slope(sheaf: FiltrationSheaf, poly: HPolytope) -> Fraction:
-    """Exact slope of the sheaf with respect to the polytope's class."""
-    if sheaf.num_facets != poly.num_facets:
-        raise FacetMismatch("sheaf facet set does not match polytope")
-    idx = det_indices(sheaf)
-    total = sum((Fraction(i) * poly.facet_latvol(f) for f, i in enumerate(idx)),
-                Fraction(0))
+def slope(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]) -> Fraction:
+    """Exact slope of the sheaf against the class with these facet degrees."""
+    if sheaf.num_facets != len(degrees):
+        raise FacetMismatch("sheaf facet set does not match the degree vector")
+    total = sum((i * d for i, d in zip(det_indices(sheaf), degrees)), Fraction(0))
     return -total / sheaf.rank
 
 
@@ -123,10 +124,11 @@ def candidate_subspaces(
 
 
 def _verify_witness(
-    sheaf: FiltrationSheaf, poly: HPolytope, w: Subspace, value: Fraction, what: str
+    sheaf: FiltrationSheaf, degrees: Sequence[Fraction], w: Subspace, value: Fraction,
+    what: str,
 ) -> None:
     """Re-derive a witness's slope from its actual subsheaf."""
-    if slope(subsheaf(sheaf, w), poly) != value:
+    if slope(subsheaf(sheaf, w), degrees) != value:
         raise InternalError(f"{what} witness slope failed verification")
 
 
@@ -134,18 +136,17 @@ def _verify_witness(
 # slopes from intersection dimensions
 
 
-def _slope_scorer(sheaf: FiltrationSheaf, poly: HPolytope):
+def _slope_scorer(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]):
     """mu(subsheaf(S, W)) from dim(W n E) = dim W + dim E - rank[W; E] alone,
     for W spanned by linearly independent integer rows."""
     r = sheaf.rank
-    latvols = [poly.facet_latvol(f) for f in range(sheaf.num_facets)]
     jumps = [[(i, v.dim, linalg.int_rows(v.rows)) for i, v in filt]
              for filt in sheaf.filtrations]
 
     def score(w_rows: list[list[int]]) -> Fraction:
         dim_w = len(w_rows)
         total = Fraction(0)
-        for latvol, facet_jumps in zip(latvols, jumps):
+        for deg, facet_jumps in zip(degrees, jumps):
             index, prev = 0, 0
             for i, dim_e, e_rows in facet_jumps:
                 d = dim_w if dim_e == r else dim_w + dim_e - linalg.int_rank(w_rows + e_rows)
@@ -153,7 +154,7 @@ def _slope_scorer(sheaf: FiltrationSheaf, poly: HPolytope):
                 prev = d
                 if d == dim_w:
                     break
-            total += index * latvol
+            total += index * deg
         return -total / dim_w
 
     return score
@@ -194,14 +195,14 @@ def _generic_vector_avoiding(c: Subspace, avoid: list[Subspace]) -> tuple:
 
 
 def _line_stratum(
-    sheaf: FiltrationSheaf, poly: HPolytope, cap: int
+    sheaf: FiltrationSheaf, degrees: Sequence[Fraction], cap: int
 ) -> tuple[Fraction, Subspace, bool]:
     """Exact maximum of mu(subsheaf(S, line)) over all lines, unverified.
 
     Any line V lies in C(V) = intersection of the jump subspaces E^F(p(V)_F),
     a member of the intersection closure with a pointwise-smaller profile;
     conversely a generic line of a closure member C realizes C's profile.
-    So the max over closure members of -sum_F p(C)_F latvol(F) is the exact
+    So the max over closure members of -sum_F p(C)_F deg_F is the exact
     line maximum.  Returns (max, witness line, closure reached fixpoint).
     """
     seeds = [v for f in range(sheaf.num_facets) for _, v in sheaf.filtrations[f]]
@@ -211,8 +212,7 @@ def _line_stratum(
     best_profile: Optional[list[int]] = None
     for c in members:
         prof = _profile(sheaf, c)
-        val = -sum((Fraction(p) * poly.facet_latvol(f) for f, p in enumerate(prof)),
-                   Fraction(0))
+        val = -sum((p * d for p, d in zip(prof, degrees)), Fraction(0))
         if best is None or val > best:
             best, best_c, best_profile = val, c, prof
     # realize the profile with an actual line of best_c
@@ -226,18 +226,18 @@ def _line_stratum(
 
 
 def max_line_slope(
-    sheaf: FiltrationSheaf, poly: HPolytope, cap: int = DEFAULT_CAP
+    sheaf: FiltrationSheaf, degrees: Sequence[Fraction], cap: int = DEFAULT_CAP
 ) -> tuple[Fraction, Subspace, bool]:
     """Exact maximum of mu(subsheaf(S, line)) over all lines, with a line
     realizing it (re-verified through ``subsheaf``) and whether the
     intersection closure reached its fixed point."""
-    best, line, fixpoint = _line_stratum(sheaf, poly, cap)
-    _verify_witness(sheaf, poly, line, best, "line")
+    best, line, fixpoint = _line_stratum(sheaf, degrees, cap)
+    _verify_witness(sheaf, degrees, line, best, "line")
     return best, line, fixpoint
 
 
 def max_hyperplane_slope(
-    sheaf: FiltrationSheaf, poly: HPolytope, cap: int = DEFAULT_CAP
+    sheaf: FiltrationSheaf, degrees: Sequence[Fraction], cap: int = DEFAULT_CAP
 ) -> tuple[Fraction, Subspace, bool]:
     """Exact maximum of mu(subsheaf(S, W)) over all corank-one W (rank >= 2).
 
@@ -249,10 +249,10 @@ def max_hyperplane_slope(
     r = sheaf.rank
     if r < 2:
         raise InputError("hyperplane stratum needs rank >= 2")
-    val, line, fixpoint = _line_stratum(dual(sheaf), poly, cap)
-    best = (r * slope(sheaf, poly) + val) / (r - 1)
+    val, line, fixpoint = _line_stratum(dual(sheaf), degrees, cap)
+    best = (r * slope(sheaf, degrees) + val) / (r - 1)
     hyper = line.perp()
-    _verify_witness(sheaf, poly, hyper, best, "hyperplane")
+    _verify_witness(sheaf, degrees, hyper, best, "hyperplane")
     return best, hyper, fixpoint
 
 
@@ -303,12 +303,13 @@ class StabilityVerdict:
 
 def check_stability(
     sheaf: FiltrationSheaf,
-    poly: HPolytope,
+    degrees: Sequence[Fraction],
     cap: int = DEFAULT_CAP,
     random_trials: int = DEFAULT_RANDOM_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> StabilityVerdict:
-    """Slope-stability verdict with an explicit certainty tier.
+    """Slope-stability verdict against the class with the given facet
+    degrees, with an explicit certainty tier.
 
     The dimension-1 and corank-1 strata are searched exactly in all cases.
     For rank <= 3 they are all proper subspaces, so the verdict is Certified
@@ -320,14 +321,14 @@ def check_stability(
     sweep is reported as Semistable/Heuristic after seeded random
     falsification.
     """
-    mu = slope(sheaf, poly)
+    mu = slope(sheaf, degrees)
     r = sheaf.rank
     if r == 1:
         return StabilityVerdict(
             status=STABLE, certainty=CERTIFIED, slope=mu, seed=seed,
             notes="rank 1: no proper subsheaves")
 
-    score = _slope_scorer(sheaf, poly)
+    score = _slope_scorer(sheaf, degrees)
     # (slope, dim W, W as a Subspace or as independent integer rows)
     evaluations: list[tuple[Fraction, int, object]] = []
     capped = []
@@ -338,9 +339,9 @@ def check_stability(
         if not family.reached_fixpoint:
             capped.append("candidates")
 
-    line_val, line_witness, line_fix = max_line_slope(sheaf, poly, cap)
+    line_val, line_witness, line_fix = max_line_slope(sheaf, degrees, cap)
     evaluations.append((line_val, 1, line_witness))
-    hyp_val, hyp_witness, hyp_fix = max_hyperplane_slope(sheaf, poly, cap)
+    hyp_val, hyp_witness, hyp_fix = max_hyperplane_slope(sheaf, degrees, cap)
     evaluations.append((hyp_val, r - 1, hyp_witness))
     if not line_fix:
         capped.append("lines")
@@ -369,7 +370,7 @@ def check_stability(
 
     if best_val >= mu:
         witness = best_w if isinstance(best_w, Subspace) else Subspace.span(r, best_w)
-        _verify_witness(sheaf, poly, witness, best_val, "final")
+        _verify_witness(sheaf, degrees, witness, best_val, "final")
         return StabilityVerdict(
             status=UNSTABLE if best_val > mu else SEMISTABLE, certainty=certainty,
             witness=witness, witness_slope=best_val, notes="; ".join(notes), **common)

@@ -247,7 +247,7 @@ def test_alpha_and_slope_identity_on_bundle(tmp_path):
         "options": {"seed": 5}}
     code3, report3 = run_job(tmp_path, job3)
     assert code3 == 0
-    assert float(report3["result"]["identity"]["residual"]) <= 1e-5
+    assert report3["result"]["identity"]["residual"] == "0"
 
 
 def test_alpha_on_a_surface_is_exact_at_tight_tol(tmp_path):
@@ -313,6 +313,11 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         {"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": 5},
         {"command": "solve-minkowski", "inputs": {**SQUARE_TARGETS, "normals": 5}},
         {"command": "solve-minkowski", "inputs": {**SQUARE_TARGETS, "volumes": 5}},
+        # ragged normals
+        {"command": "solve-minkowski", "inputs": {"normals": [[1, 0], [0, 1, 0], [-1, -1]],
+                                                  "volumes": [1, 1, 1]}},
+        {"command": "solve-minkowski", "inputs": {"normals": [[1, 0, 0], [0, 1], [-1, -1]],
+                                                  "volumes": [1, 1, 1]}},
         *({"command": "solve-minkowski", "inputs": {**SQUARE_TARGETS, "volumes": [2.0, 1, bad, 1]}}
           for bad in (float("nan"), float("inf"), float("-inf"))),
         *({"command": "solve-minkowski", "inputs": SQUARE_TARGETS, "options": {"tol": tol}}

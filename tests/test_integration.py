@@ -8,7 +8,8 @@ the quotients are a weighted projective triangle and a hexagon.
 
 from random import Random
 
-from toricgit.build import product, projective_space
+from toricgit import minkowski
+from toricgit.build import BundleSpec, product, projective_space, projectivized_bundle
 from toricgit.git import (
     GitSetup,
     UnstableIndexVector,
@@ -20,6 +21,7 @@ from toricgit.minkowski import (
     ample_class_alpha,
     is_weighted_projective_quotient,
     minkowski_condition,
+    quotient_degrees,
     verify_slope_identity,
 )
 from toricgit.stability import check_stability
@@ -65,7 +67,7 @@ def test_modulus_two_slope_identity(b2_setups):
             ivec = UnstableIndexVector.from_dict(
                 {f: rng.randint(-2, 2) for f in setup.unstable_facets})
             report = verify_slope_identity(setup, sheaf, ivec, alpha)
-            assert report.residual <= 1e-5
+            assert report.residual == 0
 
 
 def test_modulus_two_weighted_projective_quotient(b2_setups):
@@ -79,11 +81,39 @@ def test_modulus_two_stability_preserved(b2_setups):
                  if is_weighted_projective_quotient(s))
     py, _, _ = setup.quotient_polytope()
     alpha = ample_class_alpha(setup, seed=9)
-    alpha_poly = alpha.to_polytope()
     zero = UnstableIndexVector.zero(setup)
     for _ in range(8):
         sheaf = random_sheaf(rng, 2, py.num_facets)
-        down = check_stability(sheaf, alpha_poly)
-        up = check_stability(pullback_functor(setup, zero, sheaf), setup.polytope)
+        down = check_stability(sheaf, alpha.targets)
+        up = check_stability(pullback_functor(setup, zero, sheaf), setup.polytope.latvols())
         assert down.certainty == up.certainty == "Certified"
         assert down.status == up.status
+
+
+def test_threefold_quotient_stability_against_exact_degrees(monkeypatch):
+    # P(O + O(D)) over P^2 x P^1 quotients to a 3-fold, where alpha's float
+    # supports snap to a polytope with other facet volumes; the verdict
+    # against alpha's exact degrees needs no solve and matches the lift's
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a verdict against alpha must not solve")
+
+    monkeypatch.setattr(minkowski, "solve_minkowski", no_solve)
+    base = product(projective_space(2, 3), projective_space(1, 3))
+    rng = Random(2026)
+    statuses = set()
+    for summands in (({0: 1},), ({3: 1},), ({0: 1}, {4: 1})):
+        setup = projectivized_bundle(BundleSpec(base, summands))
+        assert setup.dim_quotient() == 3 and minkowski_condition(setup).holds
+        degrees = quotient_degrees(setup)
+        for k in range(10):
+            sheaf = random_sheaf(rng, rng.randint(2, 3), base.num_facets)
+            ivec = UnstableIndexVector.zero(setup) if k % 2 else \
+                UnstableIndexVector.from_dict(
+                    {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+            down = check_stability(sheaf, degrees)
+            up = check_stability(pullback_functor(setup, ivec, sheaf),
+                                 setup.polytope.latvols())
+            assert down.certainty == up.certainty == "Certified"
+            assert down.status == up.status
+            statuses.add(down.status)
+    assert {"Stable", "Unstable"} <= statuses

@@ -32,6 +32,7 @@ from util import (
     normalized_supports,
     random_generic_setup,
     random_polytope,
+    solved_polytope,
 )
 
 L2 = Lattice(2)
@@ -75,7 +76,7 @@ def test_solver_rectangle_from_spec_targets():
     expected = (0.5, 1.0, 0.5, 1.0)
     assert max(abs(a - e) for a, e in zip(sol.supports, expected)) < 1e-5
     # the snapped polytope has exactly the requested facet volumes
-    poly = sol.to_polytope()
+    poly = solved_polytope(sol)
     assert poly.latvols() == (2, 1, 2, 1)
 
 
@@ -112,7 +113,7 @@ def test_solver_three_dimensional_cube():
     for tol in (1e-5, 1e-9):
         sol = solve_minkowski(normals, [2, 2, 8, 8, 4, 4], tol=tol)
         assert sol.residual <= tol and sol.iterations <= 10
-        poly = sol.to_polytope(10 ** 4)
+        poly = solved_polytope(sol, 10 ** 4)
         # a 1 x 4 x 2 box: x-faces have area 8 ... checked via targets
         lv = [float(x) for x in poly.latvols()]
         assert max(abs(a - b) / b for a, b in zip(lv, [2, 2, 8, 8, 4, 4])) < 1e-4
@@ -232,7 +233,7 @@ def test_planar_solver_is_exact_and_agrees_with_newton():
     for k, (normals, targets) in enumerate(cases):
         sol = solve_minkowski(normals, targets, tol=1e-9, seed=k)
         assert (sol.residual, sol.iterations) == (0.0, 0)
-        poly = sol.to_polytope()
+        poly = solved_polytope(sol)
         assert poly.latvols() == tuple(targets)
         assert poly.vertex_barycenter() == (0, 0)
         # the same targets as floats take Newton, at the default tol
@@ -244,14 +245,15 @@ def test_planar_solver_is_exact_and_agrees_with_newton():
         assert diff <= 1e-6
 
 
-def test_exact_planar_solution_round_trips_through_to_polytope():
+def test_exact_planar_solution_keeps_the_exact_supports():
     # a sliver: supports up to 1.5e7 with denominator 3 * 99991, which the
     # float supports snapped at denominators <= 10^6 do not recover
     normals = [(-1115767, 1118151), (1, 0), (0, -1)]
     targets = [Fraction(1, 99991), Fraction(1115767, 99991), Fraction(1118151, 99991)]
     sol = solve_minkowski(normals, targets)
-    assert sol.to_polytope().latvols() == tuple(targets)
-    assert sol.to_polytope().vertex_barycenter() == (0, 0)
+    exact = HPolytope(2, zip(normals, sol.exact))
+    assert exact.latvols() == tuple(targets)
+    assert exact.vertex_barycenter() == (0, 0)
     snapped = HPolytope(2, [(u, Fraction(a).limit_denominator(10 ** 6))
                             for u, a in zip(normals, sol.supports)])
     assert snapped.latvols() != tuple(targets)
@@ -328,7 +330,7 @@ def test_curve_quotient_proportionality_identity():
         ivec = UnstableIndexVector.from_dict(
             {f: rng.randint(-2, 2) for f in SETUP.unstable_facets})
         lifted = pullback_functor(SETUP, ivec, q_sheaf)
-        lhs = slope(lifted, SETUP.polytope)
+        lhs = slope(lifted, SETUP.polytope.latvols())
         correction = sum(i * SETUP.polytope.facet_latvol(f)
                          for f, i in ivec.entries)
         mu_deg = -Fraction(sum(det_indices(q_sheaf)), q_sheaf.rank)

@@ -21,7 +21,6 @@ from toricgit.polytope import (
     _vertex_table,
     hsystem_vertices,
     hsystem_volume_data,
-    positively_spanning,
     same_normal_fan,
 )
 
@@ -116,7 +115,7 @@ def test_double_description_tight_masks_match_dot_products():
     for n, reps in ((1, 30), (2, 110), (3, 50), (4, 15), (5, 5)):
         for _ in range(reps):
             cons, kinds = raw_system(rng, n)
-            table = _vertex_table(n, cons)
+            table, _ = _vertex_table(n, cons)
             assert [v for v, _ in table] == hsystem_vertices(n, cons)
             for v, tight in table:
                 assert tight == frozenset(
@@ -153,24 +152,36 @@ def fourier_motzkin_spanning(n, normals):
     return True
 
 
-def test_positively_spanning_matches_fourier_motzkin():
+def test_unbounded_matches_fourier_motzkin():
+    # construction raises Unbounded exactly when the normals leave a
+    # recession direction, also (first) when the supports are inconsistent
     rng = Random(41)
     seen = Counter()
     for trial in range(520):
         n = 1 + trial % 4
         dim = rng.randint(1, n) if trial % 3 == 0 else n  # rank-deficient sets
-        normals = []
+        normals = set()
         for _ in range(rng.randint(0, 2 * n + 2)):
             w = tuple(rng.randint(-2, 2) if j < dim else 0 for j in range(n))
             if any(w):
-                normals.append(w)
-        got = positively_spanning(n, normals)
-        assert got == fourier_motzkin_spanning(n, normals), (n, normals)
-        seen[n, got] += 1
-        seen["rank-deficient", got] += linalg.rank(normals or [[0] * n]) < n
+                normals.add(primitive_content(w)[0])
+        facets = [(u, Fraction(rng.randint(-2, 3))) for u in sorted(normals)]
+        try:
+            HPolytope(n, facets)
+            spanning = True
+        except Unbounded:
+            spanning = False
+        except InfeasibleError:
+            spanning = True
+        assert spanning == fourier_motzkin_spanning(n, sorted(normals)), (n, facets)
+        seen[n, spanning] += 1
+        seen["rank-deficient", spanning] += linalg.rank(sorted(normals) or [[0] * n]) < n
+        seen["empty", spanning] += linalg.feasible_point(
+            n, [], [(u, -a, False) for u, a in facets]) is None
     for n in (1, 2, 3, 4):
         assert seen[n, True] and seen[n, False], n
     assert seen["rank-deficient", False] >= 50 and seen["rank-deficient", True] == 0
+    assert seen["empty", False] >= 10 and seen["empty", True] >= 10
 
 
 def test_construction_runs_no_fourier_motzkin(monkeypatch):

@@ -36,8 +36,11 @@ from util import count_calls, random_flag, random_sheaf, random_subspace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-P2_O1 = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
-SEGMENT = HPolytope(1, [((1,), 1), ((-1,), 1)])
+# classes enter as degree vectors, one per facet: here polytopes' facet volumes
+P2 = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
+P2_O1 = P2.latvols()
+SEGMENT = HPolytope(1, [((1,), 1), ((-1,), 1)]).latvols()
+F1 = hirzebruch(1).latvols()
 
 L1 = Subspace.span(2, [(1, 0)])
 L2 = Subspace.span(2, [(0, 1)])
@@ -139,7 +142,7 @@ def test_verdict_invariant_under_dilation():
     for _ in range(10):
         s = random_sheaf(rng, 2, 3)
         v1 = check_stability(s, P2_O1)
-        v2 = check_stability(s, P2_O1.dilate(3))
+        v2 = check_stability(s, P2.dilate(3).latvols())
         assert v1.status == v2.status
         assert v2.slope == 3 * v1.slope  # k^{n-1} scaling
 
@@ -162,13 +165,13 @@ def test_slope_gap_invariant_under_jump_shift():
 
 def test_dual_negates_slope():
     rng = Random(58)
-    for poly in (P2_O1, hirzebruch(1), P2_O1.dilate(2)):
+    for degrees in (P2_O1, F1, P2.dilate(2).latvols()):
         for _ in range(20):
-            s = random_sheaf(rng, rng.randint(1, 5), poly.num_facets)
-            assert slope(dual(s), poly) == -slope(s, poly)
+            s = random_sheaf(rng, rng.randint(1, 5), len(degrees))
+            assert slope(dual(s), degrees) == -slope(s, degrees)
 
 
-def coprofile_hyperplane_oracle(sheaf, poly, cap):
+def coprofile_hyperplane_oracle(sheaf, degrees, cap):
     """The hyperplane maximum by co-profiles on the sum closure of the proper
     jump subspaces: for corank-one W, i_F(det S_W) = i_F(det S) - j_F(W) with
     j_F(W) = min{i : E^F(i) not<= W}, and a generic hyperplane above a sum S0
@@ -192,12 +195,12 @@ def coprofile_hyperplane_oracle(sheaf, poly, cap):
             if not fixpoint:
                 break
         frontier = new
-    det_sum = sum((Fraction(i) * poly.facet_latvol(f)
+    det_sum = sum((Fraction(i) * degrees[f]
                    for f, i in enumerate(det_indices(sheaf))), Fraction(0))
     best = None
     for s0 in [Subspace.zero(r), *found]:
         jsum = sum((Fraction(next(i for i, v in filt if not s0.contains(v)))
-                    * poly.facet_latvol(f) for f, filt in enumerate(sheaf.filtrations)),
+                    * degrees[f] for f, filt in enumerate(sheaf.filtrations)),
                    Fraction(0))
         val = (jsum - det_sum) / (r - 1)
         if best is None or val > best:
@@ -207,21 +210,21 @@ def coprofile_hyperplane_oracle(sheaf, poly, cap):
 
 def test_hyperplane_stratum_matches_coprofile_oracle():
     rng = Random(59)
-    polys = (P2_O1, hirzebruch(1), P2_O1.dilate(2))
+    classes = (P2_O1, F1, P2.dilate(2).latvols())
     for k in range(300):
         r = (2, 3, 4, 5, 2, 3)[k % 6]
-        poly = polys[k % 3] if r <= 3 else P2_O1
-        s = random_sheaf(rng, r, poly.num_facets)
-        want, size, want_fix = coprofile_hyperplane_oracle(s, poly, stability.DEFAULT_CAP)
-        val, hyper, fixpoint = max_hyperplane_slope(s, poly)
+        degrees = classes[k % 3] if r <= 3 else P2_O1
+        s = random_sheaf(rng, r, len(degrees))
+        want, size, want_fix = coprofile_hyperplane_oracle(s, degrees, stability.DEFAULT_CAP)
+        val, hyper, fixpoint = max_hyperplane_slope(s, degrees)
         assert val == want and fixpoint == want_fix
         assert hyper.dim == r - 1
         if k % 10 == 0:
             # the dual line closure also holds the full dual space, so it
             # stops at ``cap`` exactly where the sum closure stops at cap - 1
             for cap in (size, size + 1):
-                assert max_hyperplane_slope(s, poly, cap=cap)[2] == \
-                    coprofile_hyperplane_oracle(s, poly, cap - 1)[2]
+                assert max_hyperplane_slope(s, degrees, cap=cap)[2] == \
+                    coprofile_hyperplane_oracle(s, degrees, cap - 1)[2]
 
 
 def test_line_profile_max_dominates_random_lines():
@@ -255,7 +258,7 @@ def generic_full_flag_sheaf(rng, rank, num_facets):
 def test_cap_exceeded_downgrades_to_heuristic():
     # four generic full flags in rank 4 spin up a meet/join closure past any cap
     rng = Random(54)
-    square = HPolytope(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
+    square = HPolytope(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]).latvols()
     for _ in range(5):
         s = generic_full_flag_sheaf(rng, 4, 4)
         verdict = check_stability(s, square, cap=40, random_trials=20)
@@ -274,12 +277,11 @@ def test_rank3_generic_flags_certified_from_exact_strata(monkeypatch):
         raise AssertionError("rank 3 must not build the candidate closure")
 
     monkeypatch.setattr(stability, "candidate_subspaces", no_candidates)
-    f1 = hirzebruch(1)
     s = generic_full_flag_sheaf(Random(55), 3, 4)
-    verdict = check_stability(s, f1)
+    verdict = check_stability(s, F1)
     assert verdict.certainty == "Certified" and not verdict.cap_exceeded
     assert verdict.slope == 0
-    best = max(max_line_slope(s, f1)[0], max_hyperplane_slope(s, f1)[0])
+    best = max(max_line_slope(s, F1)[0], max_hyperplane_slope(s, F1)[0])
     want = UNSTABLE if best > 0 else SEMISTABLE if best == 0 else STABLE
     assert verdict.status == want
     if verdict.witness is not None:
@@ -291,12 +293,10 @@ def test_elimination_work_counts_are_pinned(monkeypatch):
     # and meet each cost one rank, a proper meet one rref more, and every
     # rank and rref is one echelon, so a second elimination routine creeping
     # back in shows as a changed count
-    f1 = hirzebruch(1)
-    f1.latvols()
     s = generic_full_flag_sheaf(Random(55), 3, 4)
     counts = {name: count_calls(monkeypatch, linalg, name)
               for name in ("echelon", "rank", "rref", "nullspace")}
-    verdict = check_stability(s, f1)
+    verdict = check_stability(s, F1)
     assert verdict.certainty == "Certified"
     assert {name: c[name] for name, c in counts.items()} == \
         {"echelon": 626, "rank": 555, "rref": 71, "nullspace": 9}
@@ -305,7 +305,7 @@ def test_elimination_work_counts_are_pinned(monkeypatch):
 def test_strata_cap_hit_sets_cap_exceeded():
     # rank 3 builds no candidates, so only a strata closure can hit the cap
     s = generic_full_flag_sheaf(Random(56), 3, 4)
-    verdict = check_stability(s, hirzebruch(1), cap=9, random_trials=10)
+    verdict = check_stability(s, F1, cap=9, random_trials=10)
     assert verdict.cap_exceeded and verdict.certainty == "Heuristic"
     assert "lines" in verdict.notes or "hyperplanes" in verdict.notes
     assert verdict.status != STABLE
@@ -313,15 +313,15 @@ def test_strata_cap_hit_sets_cap_exceeded():
 
 def test_dimension_count_slope_matches_subsheaf():
     rng = Random(57)
-    polys = (P2_O1, hirzebruch(1), P2_O1.dilate(2))
+    classes = (P2_O1, F1, P2.dilate(2).latvols())
     for _ in range(200):
-        poly = rng.choice(polys)
+        degrees = rng.choice(classes)
         r = rng.randint(2, 5)
-        s = random_sheaf(rng, r, poly.num_facets)
-        score = stability._slope_scorer(s, poly)
+        s = random_sheaf(rng, r, len(degrees))
+        score = stability._slope_scorer(s, degrees)
         for _ in range(5):
             w = random_subspace(rng, r, rng.randint(1, r - 1))
-            assert score(linalg.int_rows(w.rows)) == slope(subsheaf(s, w), poly)
+            assert score(linalg.int_rows(w.rows)) == slope(subsheaf(s, w), degrees)
 
 
 def test_semistable_witness_reverified_through_subsheaf(monkeypatch):
@@ -354,7 +354,7 @@ def test_witness_check_survives_optimize_flag():
         "seg = HPolytope(1, [((1,), 1), ((-1,), 1)])\n"
         "s = direct_sum(line_bundle(2, {0: 3}), line_bundle(2, {0: 1}))\n"
         "try:\n"
-        "    stability.check_stability(s, seg)\n"
+        "    stability.check_stability(s, seg.latvols())\n"
         "except InternalError as exc:\n"
         "    print(exc)\n"
         "else:\n"

@@ -181,6 +181,15 @@ def normalized_supports(normals, supports) -> list[float]:
     return [x / norm for x in gauged]
 
 
+def solved_polytope(sol, max_denominator: int = 10 ** 6) -> HPolytope:
+    """The polytope of a Minkowski solution: its exact supports, else its
+    float supports snapped at denominators <= max_denominator."""
+    supports = sol.exact
+    if supports is None:
+        supports = [Fraction(a).limit_denominator(max_denominator) for a in sol.supports]
+    return HPolytope(len(sol.normals[0]), zip(sol.normals, supports))
+
+
 def count_calls(monkeypatch, module, name: str) -> Counter:
     """Patch ``module.name`` to count its calls under ``name`` in the
     returned Counter."""
