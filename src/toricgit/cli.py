@@ -257,7 +257,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError, InputError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an integer literal past the digit limit
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -118,8 +118,7 @@ class GitSetup:
                 # i.e. iff the active normals meet the sublattice span only
                 # in 0, an exact rank additivity test
                 normals = [p.facets[f][0] for f in active]
-                stacked = list(normals) + [list(x) for x in gens]
-                stable = linalg.rank(stacked) == linalg.rank(normals) + g
+                stable = linalg.int_rank(normals + list(gens)) == linalg.int_rank(normals) + g
             eqs = [(p.facets[f][0], -p.facets[f][1]) for f in active]
             eqs += [(gen, Fraction(0)) for gen in gens]
             others = [(p.facets[f][0], -p.facets[f][1], stable)

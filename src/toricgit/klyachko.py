@@ -5,13 +5,15 @@ one increasing filtration per facet, stored sparsely by its jumps: a list
 (i, V) with strictly increasing integers i and strictly nested subspaces V,
 the last of which is QQ^r.  Below the first jump the filtration is 0.
 
-Subspaces are canonicalized by reduced row echelon bases so that equality,
-intersection and sum are deterministic.  Containment, sum and meet are
-decided by one exact rank, s = rank[W; E] = dim(W + E): E <= W iff
-s = dim W, and the meet has dimension dim W + dim E - s.  A meet that is
-neither zero nor one of the two is read off one reduced row echelon form
-of [W | W; E | 0] (Zassenhaus): its rows (w + e, w) with vanishing left
-half have w in W n E, and their right halves are the canonical basis.
+Subspaces store the reduced row echelon basis times the least D > 0 that
+makes it integral (``linalg.rref``), so equal subspaces have equal rows and
+every elimination runs on the stored rows as they are; ``Subspace.basis``
+divides by D.  Containment, sum and meet are decided by one exact rank,
+s = rank[W; E] = dim(W + E): E <= W iff s = dim W, and the meet has
+dimension dim W + dim E - s.  A meet that is neither zero nor one of the
+two is read off one reduced form of [W | W; E | 0] (Zassenhaus): its rows
+(w + e, w) with vanishing left half have w in W n E, and their right
+halves divided by their gcd are the canonical rows.
 
 The ground field is QQ; witnesses defined only over an extension field are
 out of reach and verdicts record that restriction.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg, serialize
@@ -32,19 +35,18 @@ QVec = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of QQ^ambient with a reduced-row-echelon basis."""
+    """Linear subspace of QQ^ambient with its canonical integer rows."""
 
     ambient: int
-    rows: tuple[QVec, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def span(ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [linalg.frac_vec(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient:
-                raise DimensionMismatch("vector length != ambient dimension")
+        vecs = list(vectors)
+        if any(len(v) != ambient for v in vecs):
+            raise DimensionMismatch("vector length != ambient dimension")
         reduced, _ = linalg.rref(vecs)
-        return Subspace(ambient, tuple(tuple(r) for r in reduced))
+        return Subspace(ambient, tuple(map(tuple, reduced)))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -65,13 +67,15 @@ class Subspace:
         return len(self.rows) == self.ambient
 
     def pivots(self) -> list[int]:
-        out = []
-        for row in self.rows:
-            out.append(next(j for j, x in enumerate(row) if x != 0))
-        return out
+        return [next(j for j, x in enumerate(row) if x) for row in self.rows]
+
+    def basis(self) -> tuple[QVec, ...]:
+        """The reduced row echelon basis: the rows divided by their pivot D."""
+        d = next(x for x in self.rows[0] if x) if self.rows else 1
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.rows)
 
     def contains_vector(self, v: Sequence) -> bool:
-        return linalg.rank([*self.rows, v]) == self.dim
+        return linalg.int_rank([*self.rows, *linalg.int_rows([v])]) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
@@ -80,22 +84,22 @@ class Subspace:
             return False
         if self.is_full() or other.is_zero():
             return True
-        return linalg.rank([*self.rows, *other.rows]) == self.dim
+        return linalg.int_rank(self.rows + other.rows) == self.dim
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces of different ambient spaces")
-        s = linalg.rank([*self.rows, *other.rows])
+        s = linalg.int_rank(self.rows + other.rows)
         if s == other.dim:
             return other
         if s == self.dim:
             return self
-        return Subspace.span(self.ambient, [*self.rows, *other.rows])
+        return Subspace.span(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces of different ambient spaces")
-        d = self.dim + other.dim - linalg.rank([*self.rows, *other.rows])
+        d = self.dim + other.dim - linalg.int_rank(self.rows + other.rows)
         if d == 0:
             return Subspace.zero(self.ambient)
         if d == self.dim:
@@ -105,7 +109,9 @@ class Subspace:
         n = self.ambient
         reduced, pivots = linalg.rref([*(w + w for w in self.rows),
                                        *(e + (0,) * n for e in other.rows)])
-        return Subspace(n, tuple(tuple(row[n:]) for row, p in zip(reduced, pivots) if p >= n))
+        meet = [row[n:] for row, p in zip(reduced, pivots) if p >= n]
+        g = gcd(*(x for row in meet for x in row))
+        return Subspace(n, tuple(tuple(x // g for x in row) for row in meet))
 
     def perp(self) -> "Subspace":
         """The annihilator {x : x . w = 0 for w in W}, in the dual space
@@ -129,7 +135,7 @@ class Subspace:
         return Subspace.span(big.dim, rows)
 
     def to_json(self) -> list:
-        return [[serialize.frac_to_str(x) for x in row] for row in self.rows]
+        return [[serialize.frac_to_str(x) for x in row] for row in self.basis()]
 
 
 Filtration = tuple[tuple[int, Subspace], ...]
@@ -331,13 +337,8 @@ def direct_sum(s1: FiltrationSheaf, s2: FiltrationSheaf) -> FiltrationSheaf:
     r1, r2 = s1.rank, s2.rank
     rank = r1 + r2
 
-    def embed(v: Subspace, offset: int) -> list[QVec]:
-        rows = []
-        for row in v.rows:
-            padded = [Fraction(0)] * rank
-            padded[offset:offset + len(row)] = list(row)
-            rows.append(tuple(padded))
-        return rows
+    def embed(v: Subspace, offset: int) -> list[tuple[int, ...]]:
+        return [(0,) * offset + row + (0,) * (rank - offset - v.ambient) for row in v.rows]
 
     filts = []
     for f in range(s1.num_facets):
@@ -394,5 +395,5 @@ def inclusion_morphism(sheaf: FiltrationSheaf, w: Subspace) -> SheafMorphism:
     """The canonical inclusion subsheaf(S, W) -> S; its matrix maps the W
     coordinates back through the RREF basis of W."""
     sub = subsheaf(sheaf, w)
-    matrix = linalg.transpose(w.rows)  # rank x dim(W)
+    matrix = linalg.transpose(w.basis())  # rank x dim(W)
     return SheafMorphism(sub, sheaf, matrix)

@@ -5,8 +5,9 @@ machine-word arithmetic.  Floats are not accepted: ``dot`` and ``vec_add``
 work unboxed (ints give ints) and would pass floats on.  Three layers:
 
 * one fraction-free elimination, ``echelon`` (Bareiss), on rows scaled to
-  integers: it gives the exact rank, the reduced row echelon form (divided
-  once at the end), nullspaces and solutions of linear systems,
+  integers: it gives the exact rank, the reduced row echelon form in its
+  canonical integer multiple (``rref``), nullspaces and solutions of
+  linear systems (divided into Fractions only there),
 * integer lattice normal forms (row-style Hermite form, Smith form with
   transforms, kernels, right inverses),
 * Fourier-Motzkin feasibility for mixed strict/non-strict rational systems,
@@ -58,9 +59,8 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple[Scalar,
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def identity_mat(n: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def identity_mat(n: int) -> tuple[IntVec, ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(m: Sequence[Sequence]) -> Mat:
@@ -115,10 +115,14 @@ def int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form times D, the least positive integer that
+    makes every entry an integer; returns (nonzero rows, pivot columns).
+    Every pivot equals D, so equal row spaces give equal rows: the
+    Gauss-Jordan rows of ``echelon`` (pivots d) divided by +-gcd(d, entries)."""
     reduced, pivots, d = echelon(int_rows(rows))
-    return [[Fraction(x, d) for x in row] for row in reduced], pivots
+    g = gcd(d, *(x for row in reduced for x in row)) * (1 if d > 0 else -1)
+    return [[x // g for x in row] for row in reduced], pivots
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -126,21 +130,16 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(echelon(rows, reduce=False)[1])
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank of a matrix with int or Fraction entries."""
-    return int_rank(int_rows(rows))
-
-
-def _kernel(reduced: list[list[Fraction]], pivots: list[int], n: int) -> list[Vec]:
-    """Basis of the solutions in QQ^n of the homogeneous system in reduced
-    row echelon form: one vector per free column."""
+def _kernel(reduced: list[list[int]], pivots: list[int], n: int) -> list[Vec]:
+    """Basis of the solutions in QQ^n of the homogeneous system in ``rref``
+    form: one vector per free column."""
     basis = []
     for f in range(n):
         if f not in pivots:
             v = [Fraction(0)] * n
             v[f] = Fraction(1)
             for row, p in zip(reduced, pivots):
-                v[p] = -row[f]
+                v[p] = Fraction(-row[f], row[p])
             basis.append(tuple(v))
     return basis
 
@@ -160,7 +159,7 @@ def affine_solution_space(
         return None
     point = [Fraction(0)] * n
     for row, p in zip(reduced, pivots):
-        point[p] = row[n]
+        point[p] = Fraction(row[n], row[p])
     return tuple(point), _kernel(reduced, pivots, n)
 
 
@@ -317,7 +316,6 @@ def smith_normal_form(
                 # fold d_{i+1} into position (i, i) via one extra cycle
                 add_col(i, i + 1, -1)
                 # re-clear column/row i
-                q = a[i + 1][i] // a[i][i] if a[i][i] else 0
                 while a[i + 1][i]:
                     q = a[i + 1][i] // a[i][i]
                     add_row(i + 1, i, q)
@@ -349,8 +347,7 @@ def integer_right_inverse(mat: Sequence[Sequence[int]]) -> Optional[list[list[in
     # mat = u^-1 d v^-1, so S = v * d^+ * u satisfies mat*S = I.
     dplus = [[(1 if (i == j and diag[i] == 1) else (-1 if i == j else 0))
               for j in range(k)] for i in range(n)]
-    s = mat_mul(frac_mat(v), mat_mul(frac_mat(dplus), frac_mat(u)))
-    return [[int(x) for x in row] for row in s]
+    return [list(row) for row in mat_mul(v, mat_mul(dplus, u))]
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def solve_minkowski(
         raise InputError("normals and volumes differ in length")
     if any(t <= 0 for t in targets):
         raise InputError("facet volume targets must be positive")
-    if linalg.rank([list(u) for u in norm_t]) != n:
+    if linalg.int_rank(norm_t) != n:
         raise InfeasibleTargets("normals do not span the ambient space")
     balance = [sum(t * u[j] for t, u in zip(targets, norm_t)) for j in range(n)]
     exact_targets = all(isinstance(v, (int, Fraction)) or isinstance(v, str)

@@ -211,12 +211,6 @@ def hsystem_volume_data(
     return vol, latvols, verts, hess
 
 
-def _affine_rank(pts: Sequence[QVec]) -> int:
-    """Dimension of the affine hull of the points (the rank of the
-    homogenized points (p, 1), minus 1); -1 for no points."""
-    return linalg.rank([(*p, 1) for p in pts]) - 1
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -299,21 +293,27 @@ class HPolytope:
     def _validate(self) -> None:
         """Read validity off the exact vertex table of the system: it is
         unbounded iff its normals do not positively span, else empty iff it
-        has no vertex, has empty interior iff its vertices span less than n
-        dimensions, and inequality i defines no facet iff its tight vertices
-        span less than n - 1."""
+        has no vertex, has empty interior iff its dimension (``_face_dim``)
+        is below n, and inequality i defines no facet iff no vertex is tight
+        on it or the face it cuts out has dimension below n - 1."""
         if not self._table[1]:
             raise Unbounded("facet normals do not positively span; polytope unbounded")
-        verts = self.vertices
-        if not verts:
+        active = self._vertex_active
+        if not active:
             raise EmptyPolytope("inconsistent supports: empty polytope")
-        if _affine_rank(verts) < self.n:
+        if self._face_dim(frozenset.intersection(*active)) < self.n:
             raise NotFullDimensional("polytope has empty interior")
         for i, (u, _) in enumerate(self.facets):
-            tight = [v for v, act in zip(verts, self._vertex_active) if i in act]
-            if _affine_rank(tight) < self.n - 1:
+            tight = [act for act in active if i in act]
+            if not tight or self._face_dim(frozenset.intersection(*tight)) < self.n - 1:
                 raise RedundantInequality(
                     f"inequality {i} (normal {u}) does not define a facet")
+
+    def _face_dim(self, common: frozenset[int]) -> int:
+        """Dimension of a nonempty face from the inequalities tight on all of
+        its vertices, its implicit equalities: they cut out its affine hull
+        (Schrijver 1986, sec. 8), so it is n minus the rank of their normals."""
+        return self.n - linalg.int_rank([self.facets[f][0] for f in common])
 
     # -- basic geometry ---------------------------------------------------
 
@@ -364,12 +364,11 @@ class HPolytope:
         itself), computed as the intersection closure of the facets' vertex
         sets.
         """
-        verts = self.vertices
         active = self._vertex_active
         facet_sets = []
         for i in range(len(self.facets)):
             facet_sets.append(frozenset(k for k, av in enumerate(active) if i in av))
-        all_verts = frozenset(range(len(verts)))
+        all_verts = frozenset(range(len(active)))
         found: set[frozenset[int]] = {all_verts, *facet_sets}
         frontier = set(found)
         while frontier:
@@ -384,10 +383,8 @@ class HPolytope:
         faces = []
         for vset in found:
             ids = tuple(sorted(vset))
-            pts = [verts[i] for i in ids]
             common = frozenset.intersection(*[active[i] for i in ids])
-            dim = _affine_rank(pts)
-            faces.append(Face(common, dim, ids))
+            faces.append(Face(common, self._face_dim(common), ids))
         faces.sort(key=lambda f: (f.dim, f.key()))
         return tuple(faces)
 

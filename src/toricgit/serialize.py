@@ -9,27 +9,35 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputError
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def frac_to_str(x) -> str:
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past the int-to-str digit limit, which Decimal lacks
+        return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def frac_from_obj(obj) -> Fraction:
-    if isinstance(obj, bool):
+    """A JSON integer, or an integer or "p/q" string, matched before any
+    number is built (a string like "1e5000" would build 10^5000)."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise InputError(f"expected rational, got {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        try:
+    try:
+        if isinstance(obj, int) or _RATIONAL.fullmatch(obj):
             return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational string {obj!r}") from exc
-    raise InputError(f"expected rational, got {obj!r}")
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InputError(f"bad rational string {obj!r}")
 
 
 def int_from_obj(obj) -> int:

@@ -138,12 +138,11 @@ def _verify_witness(
 
 def _slope_scorer(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]):
     """mu(subsheaf(S, W)) from dim(W n E) = dim W + dim E - rank[W; E] alone,
-    for W spanned by linearly independent integer rows."""
+    for W given by its integer rows."""
     r = sheaf.rank
-    jumps = [[(i, v.dim, linalg.int_rows(v.rows)) for i, v in filt]
-             for filt in sheaf.filtrations]
+    jumps = [[(i, v.dim, v.rows) for i, v in filt] for filt in sheaf.filtrations]
 
-    def score(w_rows: list[list[int]]) -> Fraction:
+    def score(w_rows: tuple[tuple[int, ...], ...]) -> Fraction:
         dim_w = len(w_rows)
         total = Fraction(0)
         for deg, facet_jumps in zip(degrees, jumps):
@@ -187,7 +186,7 @@ def _generic_vector_avoiding(c: Subspace, avoid: list[Subspace]) -> tuple:
     bound = len(avoid) * max(len(basis) - 1, 0) + 1
     for t in range(bound + 1):
         v = tuple(
-            sum(Fraction(t) ** k * basis[k][j] for k in range(len(basis)))
+            sum(t ** k * basis[k][j] for k in range(len(basis)))
             for j in range(c.ambient))
         if any(v) and all(not d.contains_vector(v) for d in avoid):
             return v
@@ -256,13 +255,13 @@ def max_hyperplane_slope(
     return best, hyper, fixpoint
 
 
-def _random_rows(rng: Random, r: int) -> list[list[int]]:
-    """Integer rows spanning a random proper subspace of random dimension."""
+def _random_subspace(rng: Random, r: int) -> Subspace:
+    """A random proper subspace of random dimension."""
     dim = rng.randint(1, r - 1)
     while True:
-        rows = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(dim)]
-        if linalg.int_rank(rows) == dim:
-            return rows
+        w = Subspace.span(r, [[rng.randint(-5, 5) for _ in range(r)] for _ in range(dim)])
+        if w.dim == dim:
+            return w
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +328,12 @@ def check_stability(
             notes="rank 1: no proper subsheaves")
 
     score = _slope_scorer(sheaf, degrees)
-    # (slope, dim W, W as a Subspace or as independent integer rows)
-    evaluations: list[tuple[Fraction, int, object]] = []
+    evaluations: list[tuple[Fraction, int, Subspace]] = []  # (slope, dim W, W)
     capped = []
     if r >= 4:
         family = candidate_subspaces(sheaf, cap)
         for w in family.subspaces:
-            evaluations.append((score(linalg.int_rows(w.rows)), w.dim, w))
+            evaluations.append((score(w.rows), w.dim, w))
         if not family.reached_fixpoint:
             capped.append("candidates")
 
@@ -359,17 +357,16 @@ def check_stability(
     if not complete:
         rng = Random(seed)
         for _ in range(random_trials):
-            rows = _random_rows(rng, r)
-            evaluations.append((score(rows), len(rows), rows))
+            w = _random_subspace(rng, r)
+            evaluations.append((score(w.rows), w.dim, w))
         searched = "exact strata incomplete" if r <= 3 else "middle strata heuristic"
         notes.append(f"{searched}; falsified against {random_trials} random subspaces")
 
-    best_val, _, best_w = max(evaluations, key=lambda e: e[0])
+    best_val, _, witness = max(evaluations, key=lambda e: e[0])
     table = tuple(sorted(((d, v) for v, d, _ in evaluations), key=lambda t: -t[1]))[:100]
     common = dict(slope=mu, slope_table=table, seed=seed, cap_exceeded=cap_exceeded)
 
     if best_val >= mu:
-        witness = best_w if isinstance(best_w, Subspace) else Subspace.span(r, best_w)
         _verify_witness(sheaf, degrees, witness, best_val, "final")
         return StabilityVerdict(
             status=UNSTABLE if best_val > mu else SEMISTABLE, certainty=certainty,

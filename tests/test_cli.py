@@ -1,11 +1,15 @@
 import json
 import time
+from decimal import Decimal
+from fractions import Fraction
 from random import Random
+
+import pytest
 
 from toricgit import cli, minkowski
 from toricgit.cli import main
-from toricgit.errors import InternalError
-from toricgit.serialize import canonical_dumps, sha256_of
+from toricgit.errors import InputError, InternalError
+from toricgit.serialize import canonical_dumps, frac_from_obj, frac_to_str, sha256_of
 
 from util import count_calls
 
@@ -389,6 +393,40 @@ def test_solver_overflow_exits_two(tmp_path, capsys):
         code, _ = run_job(tmp_path, {"command": "solve-minkowski", "inputs": inputs})
         assert code == 2
         assert capsys.readouterr().err.startswith("failed: NoConvergence: ")
+
+
+def test_huge_numbers_exit_cleanly(tmp_path, capsys):
+    # numbers past the interpreter's 4300-digit int/str limit: an exact
+    # slope of about 4400 digits is printed, an exponent string or an
+    # over-long JSON integer literal is malformed input, never a traceback
+    big = 10 ** 2200 + 7  # 2201 digits
+    one = [["1/1"]]
+    simplex = {"n": 3, "facets": [
+        {"normal": [1, 0, 0], "support": "0"}, {"normal": [0, 1, 0], "support": "0"},
+        {"normal": [0, 0, 1], "support": "0"}, {"normal": [-1, -1, -1], "support": str(big)}]}
+    sheaf = {"rank": 1, "filtrations": {"0": [{"i": -1, "basis": one}],
+                                        **{f: [{"i": 0, "basis": one}] for f in "123"}}}
+    code, report = run_job(tmp_path, {"command": "slope",
+                                      "inputs": {"polytope": simplex, "sheaf": sheaf}})
+    # the slope is the degree of facet 0, the lattice area big^2 / 2
+    assert code == 0 and report["result"]["slope"] == f"{Decimal(big * big)}/2"
+    p2 = json.loads(json.dumps(P2_SETUP))
+    p2["polytope"]["facets"][0]["support"] = "1e5000"
+    code, _ = run_job(tmp_path, {"command": "classify", "inputs": {"setup": p2}})
+    assert code == 1 and capsys.readouterr().err.startswith("error: bad rational string")
+    src = tmp_path / "literal.json"
+    src.write_text('{"command": "slope", "inputs": {"polytope": ' + "9" * 5000 + "}}")
+    assert main(["--input", str(src)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_rational_strings_are_integers_or_p_over_q():
+    for text, want in (("7", Fraction(7)), ("-3/4", Fraction(-3, 4)), ("+6/4", Fraction(3, 2))):
+        assert frac_from_obj(text) == want
+    for text in ("1e5000", "0.5", " 1/2", "1/0", "1_000", "inf", "1/-2", "", "٣"):
+        with pytest.raises(InputError, match="bad rational string"):
+            frac_from_obj(text)
+    assert frac_to_str(Fraction(-(10 ** 5000), 3)) == f"-1{'0' * 5000}/3"
 
 
 SQUARE = {"n": 2, "facets": [

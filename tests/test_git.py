@@ -402,7 +402,7 @@ def fourier_motzkin_classification(setup):
             continue
         interior = linalg.feasible_point(p.n, eqs, [(u, c, True) for u, c, _ in loose])
         normals = [p.facets[f][0] for f in active]
-        transversal = linalg.rank(normals + list(gens)) == linalg.rank(normals) + len(gens)
+        transversal = linalg.int_rank(normals + list(gens)) == linalg.int_rank(normals) + len(gens)
         if interior is not None and transversal:
             out.append((face.active_facets, STABLE, interior))
         else:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -54,10 +55,10 @@ def test_subspace_meet_join():
 
 
 def residual_oracle(w, v):
-    """The former containment test: v reduced against W's echelon rows,
-    None when v lies in W."""
+    """The former containment test: v reduced against W's reduced row
+    echelon basis, None when v lies in W."""
     vv = [Fraction(x) for x in v]
-    for row in w.rows:
+    for row in w.basis():
         p = next(j for j, x in enumerate(row) if x != 0)
         c = vv[p]
         if c:
@@ -65,15 +66,15 @@ def residual_oracle(w, v):
     return None if not any(vv) else vv
 
 
-def span_oracle(n, vectors):
-    """Subspace.span with the basis canonicalized by the plain oracle."""
-    return Subspace(n, tuple(tuple(row) for row in rref_oracle(vectors)[0]))
+def span_oracle(vectors):
+    """The reduced row echelon basis of the span, by the plain oracle."""
+    return tuple(tuple(row) for row in rref_oracle(vectors)[0])
 
 
 def meet_oracle(w, e):
     """The former meet: x = y*A = z*B from the nullspace of [A^T | -B^T]."""
     if w.is_zero() or e.is_zero():
-        return Subspace.zero(w.ambient)
+        return ()
     a, b = w.rows, e.rows
     system = [tuple(list(col_a) + [-x for x in col_b])
               for col_a, col_b in zip(zip(*a), zip(*b))]
@@ -86,8 +87,20 @@ def meet_oracle(w, e):
                 if p < len(a):
                     y[p] = -row[f]
             ys.append(y)
-    return span_oracle(w.ambient, [[sum(y[i] * a[i][j] for i in range(len(a)))
-                                    for j in range(w.ambient)] for y in ys])
+    return span_oracle([[sum(y[i] * a[i][j] for i in range(len(a)))
+                         for j in range(w.ambient)] for y in ys])
+
+
+def assert_matches_oracle(w, basis):
+    """W's rows are the oracle's basis times its least integral multiple:
+    integer entries, every pivot the same positive D, entries coprime."""
+    assert w.basis() == basis
+    assert w.to_json() == [[f"{x.numerator}/{x.denominator}" for x in row] for row in basis]
+    assert all(type(x) is int for row in w.rows for x in row)
+    if w.rows:
+        big_d = w.rows[0][w.pivots()[0]]
+        assert big_d > 0 and all(row[p] == big_d for row, p in zip(w.rows, w.pivots()))
+        assert math.gcd(*(x for row in w.rows for x in row)) == 1
 
 
 def rational_rows(rng, n, k):
@@ -133,13 +146,13 @@ def test_subspace_relations_match_elimination_oracles():
         seen["equal"] += w == e
         seen["nested"] += 0 < min(w.dim, e.dim) < max(w.dim, e.dim) == w.dim + e.dim - meet_dim
         seen["crossing"] += meet_dim not in (0, w.dim, e.dim)
-        seen["rational"] += any(x.denominator > 1 for row in (*w.rows, *e.rows) for x in row)
+        seen["rational"] += any(x.denominator > 1 for row in (*w.basis(), *e.basis())
+                                for x in row)
         for x, y in ((w, e), (e, w)):
+            assert_matches_oracle(x, span_oracle(x.rows))
             assert x.contains(y) == all(residual_oracle(x, r) is None for r in y.rows)
-            join, want_join = x.add(y), span_oracle(n, [*x.rows, *y.rows])
-            assert join == want_join and join.to_json() == want_join.to_json()
-            meet, want_meet = x.intersect(y), meet_oracle(x, y)
-            assert meet == want_meet and meet.to_json() == want_meet.to_json()
+            assert_matches_oracle(x.add(y), span_oracle([*x.rows, *y.rows]))
+            assert_matches_oracle(x.intersect(y), meet_oracle(x, y))
             vectors = [*y.rows, *combinations_of(rng, x, 1),
                        [rng.randint(-2, 2) for _ in range(n)]]
             for v in vectors:

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -69,13 +70,15 @@ def test_rank_matches_rational_elimination():
                 for _ in range(rng.randint(0, n))]
         rows = [[sum((rng.randint(-2, 2) * g[j] for g in gens), Fraction(0))
                  for j in range(n)] for _ in range(rng.randint(0, 5))]
-        assert linalg.rank(rows) == len(rref_oracle(rows)[1])
+        assert linalg.int_rank(linalg.int_rows(rows)) == len(rref_oracle(rows)[1])
 
 
 def test_rref_matches_the_gauss_jordan_oracle():
-    # the Bareiss Gauss-Jordan, divided once by its last pivot d, gives the
-    # oracle's Fractions bit for bit: empty and zero-column matrices, zero
-    # and rank-deficient rows, negative d, int and Fraction entries
+    # the Bareiss Gauss-Jordan, divided by +-gcd(d, entries), is the
+    # oracle's reduced form times its least integral multiple D: integer
+    # entries, every pivot D > 0, entries coprime.  Cases: empty and
+    # zero-column matrices, zero and rank-deficient rows, negative d, int
+    # and Fraction entries
     rng = Random(63)
     cases = [[], [[]], [[], []], [[0, 0], [0, 0]], [[-2, 4]], [[0, -3], [2, 1], [2, -2]]]
     for _ in range(400):
@@ -89,8 +92,15 @@ def test_rref_matches_the_gauss_jordan_oracle():
     negative = 0
     for rows in cases:
         reduced, pivots = linalg.rref(rows)
-        assert (reduced, pivots) == rref_oracle(rows)
-        assert all(type(x) is Fraction for row in reduced for x in row)
+        want, want_pivots = rref_oracle(rows)
+        assert pivots == want_pivots
+        assert all(type(x) is int for row in reduced for x in row)
+        if reduced:
+            big_d = reduced[0][pivots[0]]
+            assert big_d == math.lcm(*(x.denominator for row in want for x in row))
+            assert all(row[p] == big_d for row, p in zip(reduced, pivots))
+            assert math.gcd(*(x for row in reduced for x in row)) == 1
+            assert [[Fraction(x, big_d) for x in row] for row in reduced] == want
         full, full_pivots, d = linalg.echelon(linalg.int_rows(rows))
         assert full_pivots == pivots and all(row[p] == d for row, p in zip(full, pivots))
         assert linalg.echelon(linalg.int_rows(rows), reduce=False)[1] == pivots

@@ -17,7 +17,6 @@ from toricgit.lattice import primitive_content
 from toricgit.polytope import (
     DivisorClass,
     HPolytope,
-    _affine_rank,
     _vertex_table,
     hsystem_vertices,
     hsystem_volume_data,
@@ -25,6 +24,7 @@ from toricgit.polytope import (
 )
 
 from util import (
+    affine_rank,
     brute_force_system_vertices,
     brute_force_vertices,
     count_calls,
@@ -101,7 +101,7 @@ def test_system_vertices_match_subset_oracle():
             seen["systems"] += 1
             if not got:
                 seen["no vertex"] += 1
-            elif _affine_rank(got) < n:
+            elif affine_rank(got) < n:
                 seen["flat"] += 1
     assert seen["systems"] >= 300
     for kind in ("random", "through", "tangent", "duplicate", "scaled duplicate",
@@ -175,7 +175,7 @@ def test_unbounded_matches_fourier_motzkin():
             spanning = True
         assert spanning == fourier_motzkin_spanning(n, sorted(normals)), (n, facets)
         seen[n, spanning] += 1
-        seen["rank-deficient", spanning] += linalg.rank(sorted(normals) or [[0] * n]) < n
+        seen["rank-deficient", spanning] += linalg.int_rank(sorted(normals)) < n
         seen["empty", spanning] += linalg.feasible_point(
             n, [], [(u, -a, False) for u, a in facets]) is None
     for n in (1, 2, 3, 4):
@@ -259,6 +259,56 @@ def test_vertex_table_validity_matches_fourier_motzkin():
             assert got == fourier_motzkin_validity(n, facets), facets
             outcomes[got and got[0]] += 1
     assert set(outcomes) == {None, EmptyPolytope, NotFullDimensional, RedundantInequality}
+
+
+def affine_validity(n, cons):
+    """Oracle: the error class construction must raise, or None, read off
+    the subset-oracle vertices and the affine ranks of vertex sets."""
+    if not fourier_motzkin_spanning(n, [u for u, _ in cons]):
+        return Unbounded
+    verts = brute_force_system_vertices(n, cons)
+    if not verts:
+        return EmptyPolytope
+    if affine_rank(verts) < n:
+        return NotFullDimensional
+    for u, a in cons:
+        if affine_rank([v for v in verts if linalg.dot(v, u) == -a]) < n - 1:
+            return RedundantInequality
+    return None
+
+
+def test_face_dimensions_match_the_affine_rank_oracle():
+    # a face's dimension is n minus the rank of the normals tight on all of
+    # its vertices; the oracle is the affine rank of those vertices, on
+    # seeded polytopes and on the seeded raw systems (normals made
+    # primitive, the first constraint per normal kept), which must construct
+    # or fail as the oracle predicts
+    rng = Random(71)
+    for _ in range(60):
+        poly = random_polytope(rng, rng.randint(1, 4))
+        for face in poly.face_lattice:
+            assert face.dim == affine_rank([poly.vertices[i] for i in face.vertex_ids])
+    outcomes = Counter()
+    for n, reps in ((1, 40), (2, 200), (3, 80), (4, 20)):
+        for _ in range(reps):
+            first: dict = {}
+            for u, a in raw_system(rng, n)[0]:
+                prim, g = primitive_content(u)
+                first.setdefault(prim, a / g)
+            cons = list(first.items())
+            try:
+                poly = HPolytope(n, cons)
+                got = None
+            except InfeasibleError as exc:
+                got = type(exc)
+            assert got is affine_validity(n, cons), (n, cons)
+            outcomes[got] += 1
+            if got is None:
+                for face in poly.face_lattice:
+                    pts = [poly.vertices[i] for i in face.vertex_ids]
+                    assert face.dim == affine_rank(pts)
+    assert all(outcomes[k] >= 10 for k in (None, NotFullDimensional, RedundantInequality)), \
+        outcomes
 
 
 def test_nonprimitive_and_duplicate_normals_rejected():
@@ -442,7 +492,7 @@ def test_raw_systems_match_the_irredundant_polytope():
             expected += [expected[i], expected[i], Fraction(0)]
             while n > 1:  # a supporting hyperplane parallel to no facet
                 w = tuple(rng.randint(-3, 3) for _ in range(n))
-                if all(linalg.rank([w, v]) == 2 for v, _ in poly.facets):
+                if all(linalg.int_rank([w, v]) == 2 for v, _ in poly.facets):
                     cons.append((w, -min(linalg.dot(v, w) for v in poly.vertices)))
                     expected.append(Fraction(0))
                     break

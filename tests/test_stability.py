@@ -290,16 +290,18 @@ def test_rank3_generic_flags_certified_from_exact_strata(monkeypatch):
 
 def test_elimination_work_counts_are_pinned(monkeypatch):
     # exact elimination counts of one Certified rank-3 job: containment, sum
-    # and meet each cost one rank, a proper meet one rref more, and every
-    # rank and rref is one echelon, so a second elimination routine creeping
-    # back in shows as a changed count
+    # and meet each cost one integer rank of the stored rows, a proper meet
+    # one rref more, and every rank and rref is one echelon, so a second
+    # elimination routine or a rational rank creeping back in shows as a
+    # changed count
     s = generic_full_flag_sheaf(Random(55), 3, 4)
     counts = {name: count_calls(monkeypatch, linalg, name)
-              for name in ("echelon", "rank", "rref", "nullspace")}
+              for name in ("echelon", "int_rank", "rref", "nullspace")}
     verdict = check_stability(s, F1)
     assert verdict.certainty == "Certified"
     assert {name: c[name] for name, c in counts.items()} == \
-        {"echelon": 626, "rank": 555, "rref": 71, "nullspace": 9}
+        {"echelon": 626, "int_rank": 555, "rref": 71, "nullspace": 9}
+    assert not hasattr(linalg, "rank")
 
 
 def test_strata_cap_hit_sets_cap_exceeded():
@@ -321,7 +323,7 @@ def test_dimension_count_slope_matches_subsheaf():
         score = stability._slope_scorer(s, degrees)
         for _ in range(5):
             w = random_subspace(rng, r, rng.randint(1, r - 1))
-            assert score(linalg.int_rows(w.rows)) == slope(subsheaf(s, w), degrees)
+            assert score(w.rows) == slope(subsheaf(s, w), degrees)
 
 
 def test_semistable_witness_reverified_through_subsheaf(monkeypatch):

@@ -41,6 +41,13 @@ def rref_oracle(rows):
     return m[:r], pivots
 
 
+def affine_rank(pts):
+    """Dimension of the affine hull of the points (the rank of the
+    homogenized points (p, 1), minus 1); -1 for no points.  Read off the
+    plain oracle, independent of the package's face dimensions."""
+    return len(rref_oracle([(*p, 1) for p in pts])[1]) - 1
+
+
 def solve_square(a, b):
     """Solve a*x = b for square a; None when a is singular."""
     n = len(a)
@@ -84,9 +91,8 @@ def random_subspace(rng: Random, ambient: int, dim: int) -> Subspace:
 def random_flag(rng: Random, ambient: int, dims: list[int]) -> list[Subspace]:
     """Nested subspaces of the given (strictly increasing) dimensions."""
     while True:
-        mat = [[Fraction(rng.randint(-4, 4)) for _ in range(ambient)]
-               for _ in range(ambient)]
-        if linalg.rank(mat) == ambient:
+        mat = [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(ambient)]
+        if linalg.int_rank(mat) == ambient:
             break
     return [Subspace.span(ambient, mat[:d]) for d in dims]
 
