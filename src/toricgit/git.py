@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Mapping, Optional
 
 from . import linalg, serialize
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .klyachko import FiltrationSheaf, SheafMorphism, Subspace, _compress
 from .lattice import Lattice, QuotientLattice, Sublattice, primitive_content, quotient
-from .polytope import Face, HPolytope, _vertex_table
+from .polytope import Face, HPolytope, vertex_table
 
 STABLE = "Stable"
 STRICTLY_SEMISTABLE = "StrictlySemistable"
@@ -105,7 +106,7 @@ class GitSetup:
         gens = self.sublattice.generators
         g = len(gens)
         cut = [(self.quotient_lattice.project(u), a) for u, a in p.facets]
-        slice_active = [act for _, act in _vertex_table(p.n - g, cut)[0]]
+        slice_active = [act for _, act in vertex_table(p.n - g, cut)[0]]
         out = []
         for face in p.face_lattice:
             over = [s for s in slice_active if face.active_facets <= s]
@@ -407,15 +408,5 @@ def translation_classes(
         lo = math.ceil(-max(vals))
         hi = math.floor(-min(vals))
         ranges.append(range(lo, hi + 1))
-
-    def rec(i: int, acc: list[int]):
-        if i == len(ranges):
-            s = tuple(acc)
-            t = tuple(sum(rinv[row][j] * s[j] for j in range(len(s)))
-                      for row in range(len(rinv)))
-            yield s, scaled.translate(t)
-            return
-        for v in ranges[i]:
-            yield from rec(i + 1, acc + [v])
-
-    yield from rec(0, [])
+    for s in product(*ranges):
+        yield s, scaled.translate([sum(r * x for r, x in zip(row, s)) for row in rinv])

@@ -115,8 +115,10 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """The annihilator {x : x . w = 0 for w in W}, in the dual space
-        identified with QQ^ambient by the standard pairing."""
-        return Subspace.span(self.ambient, linalg.nullspace(self.rows, self.ambient))
+        identified with QQ^ambient by the standard pairing: the kernel read
+        off the stored rows, which are already in reduced form."""
+        return Subspace.span(self.ambient,
+                             linalg.kernel(self.rows, self.pivots(), self.ambient))
 
     def image_under(self, matrix: Sequence[Sequence]) -> "Subspace":
         """Image of this subspace under the linear map given row-wise by a

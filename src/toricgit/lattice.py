@@ -62,11 +62,9 @@ class Sublattice:
         return len(self.generators)
 
     def contains(self, v: Sequence[int]) -> bool:
+        """v is in the lattice iff adding it keeps the (canonical) Hermite basis."""
         vec = self.ambient.check_vector(v)
-        if not self.generators:
-            return not any(vec)
-        coeffs = linalg.solve_general(linalg.transpose(self.generators), vec)
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+        return linalg.hnf_rows(self.generators + (vec,)) == self.generators
 
     @cached_property
     def _quotient(self) -> "QuotientLattice":
@@ -74,8 +72,7 @@ class Sublattice:
         n, gens = self.ambient.rank, self.generators
         if saturate(self).generators != gens:
             raise NotSaturated("quotient by a non-saturated sublattice")
-        proj = linalg.integer_kernel(gens, n) if gens else \
-            linalg.hnf_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        proj = linalg.integer_kernel(gens, n)
         section = linalg.integer_right_inverse(proj)
         if section is None:
             raise NotSaturated("projection is not surjective; kernel not saturated")
@@ -95,12 +92,8 @@ def saturate(s: Sublattice) -> Sublattice:
     a basis of s-perp, which is saturated by construction.
     """
     n = s.ambient.rank
-    if not s.generators:
-        return s
     perp = linalg.integer_kernel(s.generators, n)
-    sat = linalg.integer_kernel(perp, n) if perp else linalg.hnf_rows(
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    return Sublattice(s.ambient, sat)
+    return Sublattice(s.ambient, linalg.integer_kernel(perp, n))
 
 
 def saturation_index(s: Sublattice) -> int:

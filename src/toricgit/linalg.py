@@ -6,10 +6,10 @@ work unboxed (ints give ints) and would pass floats on.  Three layers:
 
 * one fraction-free elimination, ``echelon`` (Bareiss), on rows scaled to
   integers: it gives the exact rank, the reduced row echelon form in its
-  canonical integer multiple (``rref``), nullspaces and solutions of
-  linear systems (divided into Fractions only there),
-* integer lattice normal forms (row-style Hermite form, Smith form with
-  transforms, kernels, right inverses),
+  canonical integer multiple (``rref``), and from that form the kernel and
+  the solutions of linear systems (divided into Fractions only there),
+* integer lattice normal forms (row-style Hermite form, kernels, a
+  diagonal form with its transforms for right inverses),
 * Fourier-Motzkin feasibility for mixed strict/non-strict rational systems,
   with witness-point extraction.
 """
@@ -48,6 +48,11 @@ def vec_add(a: Sequence, b: Sequence) -> tuple[Scalar, ...]:
 def vec_scale(c, a: Sequence) -> Vec:
     c = Fraction(c)
     return tuple(c * Fraction(x) for x in a)
+
+
+def barycenter(points: Sequence[Sequence]) -> tuple[Fraction, ...]:
+    """The mean of a nonempty list of points."""
+    return tuple(Fraction(sum(col), len(points)) for col in zip(*points))
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple[Scalar, ...]:
@@ -130,9 +135,9 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(echelon(rows, reduce=False)[1])
 
 
-def _kernel(reduced: list[list[int]], pivots: list[int], n: int) -> list[Vec]:
+def kernel(reduced: Sequence[Sequence[int]], pivots: Sequence[int], n: int) -> list[Vec]:
     """Basis of the solutions in QQ^n of the homogeneous system in ``rref``
-    form: one vector per free column."""
+    form (every pivot the same D): one vector per free column."""
     basis = []
     for f in range(n):
         if f not in pivots:
@@ -142,11 +147,6 @@ def _kernel(reduced: list[list[int]], pivots: list[int], n: int) -> list[Vec]:
                 v[p] = Fraction(-row[f], row[p])
             basis.append(tuple(v))
     return basis
-
-
-def nullspace(a: Sequence[Sequence], n: int) -> list[Vec]:
-    """Basis of {x in QQ^n : a*x = 0}."""
-    return _kernel(*rref(a), n)
 
 
 def affine_solution_space(
@@ -160,13 +160,7 @@ def affine_solution_space(
     point = [Fraction(0)] * n
     for row, p in zip(reduced, pivots):
         point[p] = Fraction(row[n], row[p])
-    return tuple(point), _kernel(reduced, pivots, n)
-
-
-def solve_general(a: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
-    """One rational solution of a*x = b, or None when inconsistent."""
-    sol = affine_solution_space(list(zip(a, b)), len(a[0]) if a else 0)
-    return None if sol is None else sol[0]
+    return tuple(point), kernel(reduced, pivots, n)
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +230,11 @@ def integer_kernel(mat: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
     return hnf_rows(kernel) if kernel else ()
 
 
-def smith_normal_form(
+def diagonal_form(
     mat: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith form: returns (d, u, v) with d = u * mat * v diagonal,
-    d[i][i] | d[i+1][i+1], and u, v unimodular."""
+    """(d, u, v) with d = u * mat * v diagonal, entries >= 0, and u, v
+    unimodular.  The diagonal need not be the Smith divisibility chain."""
     a = [list(map(int, r)) for r in mat]
     m = len(a)
     n = len(a[0]) if a else 0
@@ -256,20 +250,6 @@ def smith_normal_form(
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(m, n):
@@ -290,64 +270,38 @@ def smith_normal_form(
             done = True
             for i in range(t + 1, m):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, q)
+                    q = a[i][t] // a[t][t]  # row_i -= q * row_t
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     if a[i][t]:
                         swap_rows(t, i)
                         done = False
             for j in range(t + 1, n):
                 if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, q)
+                    q = a[t][j] // a[t][t]  # col_j -= q * col_t
+                    for row in a:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
                     if a[t][j]:
                         swap_cols(t, j)
                         done = False
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
-    # enforce divisibility chain
-    t = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % max(di, 1) != 0 and di != 0:
-                # fold d_{i+1} into position (i, i) via one extra cycle
-                add_col(i, i + 1, -1)
-                # re-clear column/row i
-                while a[i + 1][i]:
-                    q = a[i + 1][i] // a[i][i]
-                    add_row(i + 1, i, q)
-                    if a[i + 1][i] == 0:
-                        break
-                    swap_rows(i, i + 1)
-                while a[i][i + 1]:
-                    q = a[i][i + 1] // a[i][i]
-                    add_col(i + 1, i, q)
-                    if a[i][i + 1] == 0:
-                        break
-                    swap_cols(i, i + 1)
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
     return a, u, v
 
 
 def integer_right_inverse(mat: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
-    """Integer S with mat * S = I; exists iff mat is surjective onto ZZ^k."""
+    """Integer S with mat * S = I; exists iff mat is surjective onto ZZ^k,
+    iff its diagonal form u * mat * v has every diagonal entry 1.  Then
+    mat = u^-1 [I | 0] v^-1, so S = v[:, :k] * u."""
     k = len(mat)
-    n = len(mat[0]) if mat else 0
-    d, u, v = smith_normal_form(mat)
-    diag = [d[i][i] for i in range(min(k, n))]
-    if len(diag) < k or any(x not in (1, -1) for x in diag[:k]):
+    d, u, v = diagonal_form(mat)
+    if any(i >= len(d[0]) or d[i][i] != 1 for i in range(k)):
         return None
-    # mat = u^-1 d v^-1, so S = v * d^+ * u satisfies mat*S = I.
-    dplus = [[(1 if (i == j and diag[i] == 1) else (-1 if i == j else 0))
-              for j in range(k)] for i in range(n)]
-    return [list(row) for row in mat_mul(v, mat_mul(dplus, u))]
+    return [list(row) for row in mat_mul([row[:k] for row in v], u)]
 
 
 # ---------------------------------------------------------------------------

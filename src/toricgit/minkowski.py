@@ -286,8 +286,7 @@ def solve_minkowski(
         a, it, res = cand, c_it, c_res
 
     # fix the translation gauge at the snapped iterate's vertex barycenter
-    verts = it.vertices
-    bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
+    bary = linalg.barycenter(it.vertices)
     a = [float(_snap(ai) + linalg.dot(bary, u)) for ai, u in zip(a, norm_t)]
     _, lat_final, _ = hsystem_volume_data(n, [(u, _snap(ai)) for u, ai in zip(norm_t, a)])
     residual = _residual(_floats(lat_final), f)
@@ -322,7 +321,7 @@ def _planar_solution(normals: tuple[IntVec, ...], targets: list[Fraction]) -> Mi
         (a, b), t = normals[i], targets[i]
         start[i] = p
         p = (p[0] + t * b, p[1] - t * a)
-    bary = [sum(v[j] for v in start.values()) / len(start) for j in range(2)]
+    bary = linalg.barycenter(list(start.values()))
     supports = [linalg.dot([c - x for c, x in zip(bary, start[i])], u)
                 for i, u in enumerate(normals)]
     _, latvols, _ = hsystem_volume_data(2, list(zip(normals, supports)))
@@ -506,8 +505,7 @@ def converse_falsifier(setup: GitSetup) -> Optional[ConverseCounterexample]:
         raise InternalError("nonzero defect but constant ratio table")
     f1, f2 = pair
     d1, d2 = degrees[f2], degrees[f1]
-    scale = math.lcm(d1.denominator, d2.denominator)
-    d1i, d2i = int(d1 * scale), int(d2 * scale)
+    d1i, d2i = linalg.int_rows([(d1, d2)])[0]
     sheaf = direct_sum(
         line_bundle(py.num_facets, {fmap[f1]: d1i}),
         line_bundle(py.num_facets, {fmap[f2]: d2i}),
@@ -597,9 +595,7 @@ def compatible_subgroups(
             if all(x == 0 for x in u_d):
                 zero_direction += 1
                 continue
-            denom = math.lcm(*[x.denominator for x in u_d])
-            int_dir = tuple(int(x * denom) for x in u_d)
-            prim, _ = primitive_content(int_dir)
+            prim, _ = primitive_content(linalg.int_rows([u_d])[0])
             n0 = saturate(Sublattice(ambient, (prim,)))
             if n0.generators in found:
                 continue

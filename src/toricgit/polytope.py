@@ -33,6 +33,7 @@ from .lattice import primitive_content
 IntVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
 Constraint = tuple[IntVec, Fraction]  # <m, u> >= -a stored as (u, a)
+VertexTable = list[tuple[QVec, frozenset[int]]]  # (vertex, constraints tight on it)
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +59,7 @@ def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[tu
     """
     lin = [[int(i == j) for j in range(d)] for i in range(d)]
     rays: list[tuple[list[int], int]] = []  # (ray, mask of its tight rows)
-    for k, row in enumerate(rows):
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        a = [int(x * den) for x in row]
+    for k, a in enumerate(linalg.int_rows(rows)):
         bit = 1 << k
         on_lin = [sum(x * y for x, y in zip(a, v)) for v in lin]
         vals = [sum(x * y for x, y in zip(a, r)) for r, _ in rays]
@@ -97,24 +95,18 @@ def _along(c: int, v: list[int], e: int, w: list[int]) -> list[int]:
     return [x // g for x in out]
 
 
-def hsystem_vertices(n: int, cons: Sequence[Constraint]) -> list[QVec]:
-    """Vertices of {m : <m,u> >= -a}, sorted: the extreme rays (m, t) with
-    t > 0 of the homogenized cone {<m,u> + a t >= 0, t >= 0}, read as m/t.
+def vertex_table(n: int, cons: Sequence[Constraint]) -> tuple[VertexTable, bool]:
+    """(vertices of {m : <m,u> >= -a}, sorted, each with the constraints
+    tight on it, whether the normals positively span RR^n).
 
-    Redundant inequalities are harmless and boundedness is not needed.  An
-    empty system, and one that contains a line (then its cone has a nonzero
-    lineality space), has no vertices.
-    """
-    return [v for v, _ in _vertex_table(n, cons)[0]]
-
-
-def _vertex_table(
-    n: int, cons: Sequence[Constraint]
-) -> tuple[list[tuple[QVec, frozenset[int]]], bool]:
-    """(hsystem_vertices, each with the constraints tight on it (DD masks),
-    whether the normals positively span RR^n).  They do iff the recession
-    cone {d : <d, u> >= 0}, the cone's slice at t = 0, is {0}: iff the cone
-    has no lineality and no ray with t = 0."""
+    The vertices are the extreme rays (m, t) with t > 0 of the homogenized
+    cone {<m,u> + a t >= 0, t >= 0}, read as m/t, and the tight sets are
+    their double-description masks.  Redundant inequalities are harmless and
+    boundedness is not needed.  An empty system, and one that contains a
+    line (then its cone has a nonzero lineality space), has no vertices.
+    The normals positively span iff the recession cone {d : <d, u> >= 0},
+    the cone's slice at t = 0, is {0}: iff the cone has no lineality and no
+    ray with t = 0."""
     rows = [(0,) * n + (1,)] + [(*u, a) for u, a in cons]
     lin, rays = _cone_dd(rows, n + 1)
     if lin:
@@ -125,20 +117,21 @@ def _vertex_table(
 
 
 def hsystem_volume_data(
-    n: int, cons: Sequence[Constraint], verts: Optional[Sequence[QVec]] = None,
+    n: int, cons: Sequence[Constraint], table: Optional[VertexTable] = None,
     rates: bool = False,
 ):
     """(volume, per-constraint facet volumes, vertices) of a bounded
-    halfspace system, without validity requirements.  ``verts``, when
-    given, must be the system's vertices in sorted order.  With ``rates``
-    a fourth entry is appended: the matrix H[F][G] = d latvol(F) / d a_G.
+    halfspace system, without validity requirements.  ``table``, when
+    given, must be the system's ``vertex_table``; the tight sets of the
+    constraints are read off its masks.  With ``rates`` a fourth entry is
+    appended: the matrix H[F][G] = d latvol(F) / d a_G.
 
     Cones from a vertex over the facets, recursively:
         vol_k(F) = (1/k) * sum_G gap(v0, G) * vol_{k-1}(G)
     over the distinct faces G = F & tight(j) that miss the first vertex v0
     of F.  A face is a set of vertex ids measured at a level k, the rank of
     the lattice it is measured in.  Each level carries an integer basis of
-    that lattice in global coordinates, so a gap is a vertex's slack divided
+    that lattice in global coordinates, so a gap is the apex's slack divided
     by the content of the constraint on the basis.  Volumes are memoized
     under (level, vertex ids), so each face is visited once.  The level is
     part of the key: a redundant constraint can touch a lower-dimensional
@@ -156,12 +149,13 @@ def hsystem_volume_data(
     not simple.
     """
     cons = [(tuple(int(x) for x in u), Fraction(a)) for u, a in cons]
-    verts = hsystem_vertices(n, cons) if verts is None else list(verts)
+    if table is None:
+        table = vertex_table(n, cons)[0]
+    verts = [v for v, _ in table]
     if not verts:
         out = Fraction(0), [Fraction(0)] * len(cons), verts
         return (*out, [[Fraction(0)] * len(cons) for _ in cons]) if rates else out
-    slack = [[linalg.dot(v, u) + a for u, a in cons] for v in verts]
-    tight = [frozenset(i for i, s in enumerate(slack) if s[j] == 0)
+    tight = [frozenset(i for i, (_, act) in enumerate(table) if j in act)
              for j in range(len(cons))]
     memo: dict[tuple[int, frozenset[int]], Fraction] = {}
 
@@ -169,7 +163,7 @@ def hsystem_volume_data(
         """(k-volume of the face ids, (k-1)-volume of ids & tight(j) per j)."""
         v0 = min(ids)
         total, latvols, seen = Fraction(0), [], set()
-        for j, (u, _) in enumerate(cons):
+        for j, (u, a) in enumerate(cons):
             sub = ids & tight[j]
             w = [sum(x * y for x, y in zip(b, u)) for b in basis] if len(sub) >= k else ()
             if not any(w):  # too few vertices, or constant on the face
@@ -188,7 +182,7 @@ def hsystem_volume_data(
             latvols.append(vol)
             if v0 not in sub and sub not in seen:
                 seen.add(sub)
-                total += slack[v0][j] / g * vol
+                total += (linalg.dot(verts[v0], u) + a) / g * vol
         return total / k, latvols
 
     identity = [[int(i == t) for t in range(n)] for i in range(n)]
@@ -243,13 +237,6 @@ class DivisorClass:
 
     def to_json_dict(self) -> dict:
         return {str(k): serialize.frac_to_str(v) for k, v in self.coefficients}
-
-    @staticmethod
-    def from_json_dict(obj) -> "DivisorClass":
-        if not isinstance(obj, dict):
-            raise InputError("divisor class must be a JSON object")
-        return DivisorClass.from_dict(
-            {int(k): serialize.frac_from_obj(v) for k, v in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -341,15 +328,11 @@ class HPolytope:
         return tuple(act for _, act in self._table[0])
 
     @cached_property
-    def _table(self) -> tuple[list[tuple[QVec, frozenset[int]]], bool]:
-        return _vertex_table(self.n, self.facets)
+    def _table(self) -> tuple[VertexTable, bool]:
+        return vertex_table(self.n, self.facets)
 
     def support_vector(self) -> QVec:
         return tuple(a for _, a in self.facets)
-
-    def contains(self, m: Sequence) -> bool:
-        mv = linalg.frac_vec(m)
-        return all(linalg.dot(mv, u) >= -a for u, a in self.facets)
 
     def active_set(self, m: Sequence) -> frozenset[int]:
         mv = linalg.frac_vec(m)
@@ -392,7 +375,8 @@ class HPolytope:
 
     @cached_property
     def _volume_data(self) -> tuple[Fraction, list[Fraction]]:
-        vol, latvols, _ = hsystem_volume_data(self.n, self.facets, self.vertices)
+        table = list(zip(self.vertices, self._vertex_active))
+        vol, latvols, _ = hsystem_volume_data(self.n, self.facets, table)
         return vol, latvols
 
     def volume(self) -> Fraction:
@@ -449,10 +433,6 @@ class HPolytope:
         if "face_lattice" in vars(self):
             out.face_lattice = self.face_lattice
         return out
-
-    def vertex_barycenter(self) -> QVec:
-        verts = self.vertices
-        return tuple(sum(v[j] for v in verts) / len(verts) for j in range(self.n))
 
     # -- serialization ------------------------------------------------------
 

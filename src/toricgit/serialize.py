@@ -17,6 +17,7 @@ from .errors import InputError
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def frac_to_str(x) -> str:
@@ -47,11 +48,11 @@ def int_from_obj(obj) -> int:
 
 
 def facet_id(key) -> int:
-    """A facet id written as a JSON object key."""
-    try:
-        return int(key)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"facet ids must be integers, got {key!r}") from exc
+    """A facet id written as a JSON object key: ASCII digits only (int
+    would also read " 1", "1_0" and non-ASCII digits)."""
+    if not isinstance(key, str) or not _DIGITS.fullmatch(key):
+        raise InputError(f"facet ids must be integers, got {key!r}")
+    return int(key)
 
 
 def int_vector(obj, length=None) -> tuple[int, ...]:

@@ -309,6 +309,7 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
         {"command": "stability", "inputs": stab, "options": {"seed": True}},
         {"command": "stability", "inputs": stab, "options": {"cap": -1}},
         {"command": "stability", "inputs": stab, "options": {"random_trials": 10_001}},
+        {"command": "stability", "inputs": stab, "options": {"cap": 10_001}},
         {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
          "options": {"k_max": 13}},
         {"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
@@ -370,6 +371,7 @@ def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):
             ({"command": "solve-minkowski", "inputs": SQUARE_TARGETS},
              ("--tol", repr(minkowski.TOL_FLOOR))),
             ({"command": "stability", "inputs": stab, "options": {"random_trials": 10_000}}, ()),
+            ({"command": "stability", "inputs": stab, "options": {"cap": 10_000}}, ()),
             ({"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]},
               "options": {"k_max": 12}}, ()),
             ({"command": "compatible-subgroups", "inputs": {"polytope": P2_SETUP["polytope"]}},
@@ -418,6 +420,32 @@ def test_huge_numbers_exit_cleanly(tmp_path, capsys):
     src.write_text('{"command": "slope", "inputs": {"polytope": ' + "9" * 5000 + "}}")
     assert main(["--input", str(src)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+SEGMENT_O = {"rank": 1, "filtrations": {f: [{"i": 0, "basis": [["1"]]}] for f in "01"}}
+
+
+def test_facet_ids_are_ascii_digits(tmp_path, capsys):
+    # int() reads each of these keys as facet 2; a facet id is [0-9]+.
+    # SEGMENT_O lives on P2_SETUP's quotient, a segment
+    def jobs(key):
+        filts = dict(TANGENT_SHEAF["filtrations"])
+        filts[key] = filts.pop("2")
+        sheaf = {"rank": 2, "filtrations": filts}
+        return (
+            {"command": "slope", "inputs": {"polytope": P2_SETUP["polytope"], "sheaf": sheaf}},
+            {"command": "pullback", "inputs": {"setup": P2_SETUP, "sheaf": SEGMENT_O,
+                                               "indices": {key: 0}}},
+            {"command": "bundle", "inputs": {"base": SQUARE, "summands": [{"0": 1}, {key: 1}]}},
+        )
+
+    for job in jobs("2"):
+        assert run_job(tmp_path, job)[0] == 0, job
+    for key in (" 2", "2 ", "+2", "\u0662", "0_2"):
+        for job in jobs(key):
+            code, _ = run_job(tmp_path, job)
+            assert code == 1, job
+            assert capsys.readouterr().err.startswith("error: facet ids must be integers"), job
 
 
 def test_rational_strings_are_integers_or_p_over_q():

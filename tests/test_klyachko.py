@@ -160,6 +160,46 @@ def test_subspace_relations_match_elimination_oracles():
     assert all(count >= 40 for count in seen.values()), seen
 
 
+def nullspace_oracle(rows, n):
+    """Basis of {x : r . x = 0 for every row r}, one vector per free column
+    of the oracle's reduced form, as a reduced basis."""
+    reduced, pivots = rref_oracle(rows)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            x = [Fraction(int(j == f)) for j in range(n)]
+            for row, p in zip(reduced, pivots):
+                x[p] = -row[f]
+            basis.append(x)
+    return span_oracle(basis)
+
+
+def test_perp_matches_the_nullspace_oracle():
+    # the annihilator read off the stored rows against the oracle's
+    # nullspace: dimensions add to n and perp o perp = id, on zero, full,
+    # integer and rational subspaces
+    rng = Random(64)
+    seen = dict.fromkeys(("zero", "full", "proper", "rational"), 0)
+    cases = [Subspace.zero(n) for n in range(1, 6)] + [Subspace.full(n) for n in range(1, 6)]
+    for t in range(300):
+        n = rng.randint(1, 6)
+        if t % 2:
+            cases.append(random_subspace(rng, n, rng.randint(0, n)))
+        else:
+            cases.append(Subspace.span(n, rational_rows(rng, n, rng.randint(0, n + 1))))
+    for w in cases:
+        n = w.ambient
+        p = w.perp()
+        assert_matches_oracle(p, nullspace_oracle(w.basis(), n))
+        assert p.dim + w.dim == n
+        assert p.perp() == w
+        seen["zero"] += w.is_zero()
+        seen["full"] += w.is_full()
+        seen["proper"] += 0 < w.dim < n
+        seen["rational"] += any(x.denominator > 1 for row in w.basis() for x in row)
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def test_invalid_filtrations_rejected():
     with pytest.raises(InputError):
         FiltrationSheaf(2, (((0, L1),),))  # never reaches the full space

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -13,7 +14,7 @@ from toricgit.lattice import (
     saturation_index,
 )
 
-from util import snf_saturation_oracle
+from util import diagonal_saturation_oracle, rref_oracle
 
 L2 = Lattice(2)
 L3 = Lattice(3)
@@ -31,7 +32,7 @@ def test_saturate_already_saturated():
 
 def test_saturate_rank_two_in_z3_matches_snf_oracle():
     gens = ((2, 0, 0), (0, 3, 0))
-    expected = snf_saturation_oracle(gens, 3)
+    expected = diagonal_saturation_oracle(gens, 3)
     assert expected == ((1, 0, 0), (0, 1, 0))
     assert saturate(Sublattice(L3, gens)).generators == expected
 
@@ -45,7 +46,7 @@ def test_saturate_random_against_snf_oracle(trial):
     if not any(any(g) for g in gens):
         return
     s = Sublattice(Lattice(n), gens)
-    assert saturate(s).generators == snf_saturation_oracle(s.generators, n)
+    assert saturate(s).generators == diagonal_saturation_oracle(s.generators, n)
 
 
 def test_saturate_idempotent_and_contains():
@@ -69,16 +70,53 @@ def test_saturation_index_snf_diagonal_product():
     assert saturation_index(Sublattice(L2, ((1, 0),))) == 1
     assert saturation_index(Sublattice(L2, ((2, 2),))) == 2
     assert saturation_index(Sublattice(L3, ())) == 1
-    # against the Smith diagonal of the raw generators, rank-deficient ones too
+    # against the diagonal form of the raw generators, rank-deficient ones
+    # too: the product of its nonzero entries is that of the Smith form
     rng = Random(61)
     for _ in range(600):
         n = rng.randint(1, 5)
         gens = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
-        d, _, _ = linalg.smith_normal_form(gens)
+        d, _, _ = linalg.diagonal_form(gens)
         want = 1
         for i in range(min(len(gens), n)):
             want *= d[i][i] or 1
         assert saturation_index(Sublattice(Lattice(n), gens)) == want, gens
+
+
+def member_oracle(gens, v):
+    """v in the ZZ-span of independent rows: solve sum c_i g_i = v over QQ
+    by the Fraction Gauss-Jordan oracle, then check that every c_i is an
+    integer."""
+    k = len(gens)
+    if not k:
+        return not any(v)
+    reduced, pivots = rref_oracle([[*col, x] for col, x in zip(zip(*gens), v)])
+    return k not in pivots and all(row[k].denominator == 1 for row in reduced)
+
+
+def test_contains_matches_a_rational_solve_on_non_saturated_lattices():
+    rng = Random(65)
+    seen = dict.fromkeys(("member", "rational", "outside"), 0)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        gens[0] = [3 * x for x in gens[0]]  # usually of index > 1 in its saturation
+        s = Sublattice(Lattice(n), gens)
+        if not s.generators or saturation_index(s) == 1:
+            continue
+        g = s.generators
+        vectors = [tuple(rng.randint(-6, 6) for _ in range(n)), *saturate(s).generators]
+        for den in (1, 1, 2, 3):  # integer and fractional combinations
+            coeffs = [Fraction(rng.randint(-5, 5), den) for _ in g]
+            w = [sum(c * row[j] for c, row in zip(coeffs, g)) for j in range(n)]
+            if all(x.denominator == 1 for x in w):
+                vectors.append(tuple(int(x) for x in w))
+        for v in vectors:
+            want = member_oracle(g, v)
+            assert s.contains(v) == want, (g, v)
+            in_span = len(rref_oracle([*g, v])[1]) == len(g)
+            seen["member" if want else "rational" if in_span else "outside"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
 
 
 def test_quotient_by_diagonal():

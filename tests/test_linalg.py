@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from toricgit import linalg
@@ -32,13 +33,16 @@ def test_hnf_pivot_normalization():
         assert lead > 0
 
 
-def test_smith_normal_form_properties():
+def test_diagonal_form_properties():
+    # u * a * v = d, d diagonal with entries >= 0, and the product of the
+    # nonzero entries is the gcd of the rank-sized minors (the product of
+    # the Smith invariant factors), which no transform changes
     rng = Random(4)
     for _ in range(120):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(m)]
-        d, u, v = linalg.smith_normal_form(a)
+        d, u, v = linalg.diagonal_form(a)
         prod = linalg.mat_mul(linalg.frac_mat(u),
                               linalg.mat_mul(linalg.frac_mat(a), linalg.frac_mat(v)))
         assert [[int(x) for x in row] for row in prod] == d
@@ -47,11 +51,11 @@ def test_smith_normal_form_properties():
                 if i != j:
                     assert d[i][j] == 0
         diag = [d[i][i] for i in range(min(m, n))]
-        for x, y in zip(diag, diag[1:]):
-            if x:
-                assert y % x == 0
-            else:
-                assert y == 0
+        assert all(x >= 0 for x in diag)
+        r = sum(1 for x in diag if x)
+        assert r == len(rref_oracle(a)[1])
+        if r:
+            assert math.prod(x for x in diag if x) == minors_gcd(a, r)
         # transforms unimodular
         for t in (u, v):
             inv = invert_unimodular(t)
@@ -128,6 +132,52 @@ def test_integer_right_inverse():
     prod = linalg.mat_mul(linalg.frac_mat(a), linalg.frac_mat(s))
     assert prod == linalg.identity_mat(2)
     assert linalg.integer_right_inverse([[2, 0], [0, 1]]) is None
+
+
+def det_oracle(mat):
+    """Determinant of a square matrix by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return int(det)
+
+
+def minors_gcd(mat, k):
+    """gcd of the k x k minors (0 when there are none)."""
+    return math.gcd(*(det_oracle([[row[j] for j in cols] for row in rows])
+                      for rows in combinations(mat, k)
+                      for cols in combinations(range(len(mat[0])), k)))
+
+
+def test_integer_right_inverse_matches_the_minors_oracle():
+    # a k x n integer matrix maps onto ZZ^k iff the gcd of its k x k minors
+    # is 1; then the right inverse is an exact integer section
+    rng = Random(71)
+    found = Counter()
+    for _ in range(2000):
+        k, n = rng.randint(1, 4), rng.randint(1, 5)
+        lim = rng.choice((1, 2, 5))
+        a = [[rng.randint(-lim, lim) for _ in range(n)] for _ in range(k)]
+        s = linalg.integer_right_inverse(a)
+        surjective = minors_gcd(a, k) == 1
+        assert (s is not None) == surjective, a
+        if s is not None:
+            assert len(s) == n and all(len(row) == k for row in s)
+            assert all(type(x) is int for row in s for x in row)
+            assert linalg.mat_mul(a, s) == linalg.identity_mat(k)
+        found[surjective, k <= n] += 1
+    # not onto although wide enough: a minor gcd above 1, or a rank drop
+    assert found[True, True] >= 400 and found[False, True] >= 400, found
 
 
 def test_feasible_point_strict_vs_nonstrict():

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from toricgit import lattice, minkowski
+from toricgit import lattice, linalg, minkowski
 from toricgit.build import BundleSpec, hirzebruch, product, projective_space, projectivized_bundle
 from toricgit.errors import (
     CurveQuotient,
@@ -146,7 +146,7 @@ def test_solver_cuts_in_a_facet_absent_at_the_start(monkeypatch):
     sol = solve_minkowski(normals, targets, tol=1e-9, seed=4)
     assert first[0][6] == 0 and all(first[0][:6])
     assert sol.residual <= 1e-9 and sol.iterations <= 10
-    bary = poly.vertex_barycenter()
+    bary = linalg.barycenter(poly.vertices)
     gauged = [float(a + sum(b * c for b, c in zip(bary, u))) for u, a in poly.facets]
     assert max(abs(x - y) for x, y in zip(sol.supports, gauged)) < 1e-8
 
@@ -235,7 +235,7 @@ def test_planar_solver_is_exact_and_agrees_with_newton():
         assert (sol.residual, sol.iterations) == (0.0, 0)
         poly = solved_polytope(sol)
         assert poly.latvols() == tuple(targets)
-        assert poly.vertex_barycenter() == (0, 0)
+        assert linalg.barycenter(poly.vertices) == (0, 0)
         # the same targets as floats take Newton, at the default tol
         newton = solve_minkowski(normals, [float(t) for t in targets],
                                  seed=k if k % 2 else None)
@@ -253,7 +253,7 @@ def test_exact_planar_solution_keeps_the_exact_supports():
     sol = solve_minkowski(normals, targets)
     exact = HPolytope(2, zip(normals, sol.exact))
     assert exact.latvols() == tuple(targets)
-    assert exact.vertex_barycenter() == (0, 0)
+    assert linalg.barycenter(exact.vertices) == (0, 0)
     snapped = HPolytope(2, [(u, Fraction(a).limit_denominator(10 ** 6))
                             for u, a in zip(normals, sol.supports)])
     assert snapped.latvols() != tuple(targets)
@@ -293,7 +293,7 @@ def test_solver_round_trip_reconstructs_known_polytopes():
         normals = [u for u, _ in poly.facets]
         sol = solve_minkowski(normals, list(poly.latvols()), tol=1e-7,
                               seed=rng.randint(0, 10 ** 6))
-        bary = poly.vertex_barycenter()
+        bary = linalg.barycenter(poly.vertices)
         gauged = [float(a + sum(Fraction(b) * c for b, c in zip(bary, u)))
                   for u, a in poly.facets]
         assert max(abs(x - y) for x, y in zip(sol.supports, gauged)) < 1e-5

@@ -14,7 +14,7 @@ from toricgit.errors import InfeasibleError, InputError
 from toricgit.git import GitSetup, translation_classes
 from toricgit.klyachko import FiltrationSheaf, Subspace
 from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
-from toricgit.polytope import HPolytope, hsystem_vertices
+from toricgit.polytope import HPolytope, vertex_table
 
 
 def rref_oracle(rows):
@@ -70,10 +70,11 @@ def invert_unimodular(mat):
     return [[int(x) for x in row] for row in inv]
 
 
-def snf_saturation_oracle(gens, n):
-    """Saturation via the Smith transform: rows i of V^-1 with nonzero
-    diagonal span the saturation (independent of the double-perp route)."""
-    d, u, v = linalg.smith_normal_form([list(g) for g in gens])
+def diagonal_saturation_oracle(gens, n):
+    """Saturation via the diagonal form u * gens * v = d: rows i of v^-1
+    with nonzero diagonal span the saturation (independent of the
+    double-perp route)."""
+    d, u, v = linalg.diagonal_form([list(g) for g in gens])
     vinv = invert_unimodular(v)
     rows = [vinv[i] for i in range(min(len(d), n)) if i < len(d[0] if d else []) and d[i][i]]
     return linalg.hnf_rows(rows)
@@ -178,7 +179,7 @@ def normalized_supports(normals, supports) -> list[float]:
     scale/translation-free comparison against a solver result."""
     n = len(normals[0])
     cons = [(u, Fraction(a)) for u, a in zip(normals, supports)]
-    verts = hsystem_vertices(n, cons)
+    verts = [v for v, _ in vertex_table(n, cons)[0]]
     if not verts:
         raise InputError("class defines an empty polytope")
     bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
