@@ -89,7 +89,7 @@ class BundleSpec:
         for d in self.summands:
             entry = {}
             for k, v in d.items():
-                k, v = int(k), int(v)
+                k, v = int_from_obj(k), int_from_obj(v)
                 if not 0 <= k < self.base.num_facets:
                     raise InputError(f"summand coefficient on unknown base facet {k}")
                 if v:

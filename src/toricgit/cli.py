@@ -35,7 +35,8 @@ from typing import Optional
 from . import minkowski, serialize, stability
 from .build import BundleSpec, alpha_surface_formula, projectivized_bundle
 from .errors import InfeasibleError, InputError, InternalError, ToricGitError
-from .git import GitSetup, UnstableIndexVector, descends, pullback_functor, pushforward
+from .git import (GitSetup, UnstableIndexVector, descends, descent_violations,
+                  pullback_functor, pushforward)
 from .klyachko import FiltrationSheaf
 from .polytope import HPolytope
 
@@ -151,15 +152,10 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
     if command == "descend":
         setup = _setup(payload)
         sheaf = _sheaf(payload)
-        ok = descends(setup, sheaf)
-        b = setup.b_values()
-        violations = []
-        for f in setup.stable_facets:
-            for j, _ in sheaf.filtrations[f]:
-                if j % b[f] != 0:
-                    violations.append({"facet": f, "jump": j, "b": b[f]})
-        return {"descends": ok, "b": {str(k): v for k, v in b.items()},
-                "violations": violations}
+        return {"descends": descends(setup, sheaf),
+                "b": {str(k): v for k, v in setup.b_values().items()},
+                "violations": [{"facet": f, "jump": j, "b": bf}
+                               for f, j, bf in descent_violations(setup, sheaf)]}
     if command == "pullback":
         setup = _setup(payload)
         sheaf = _sheaf(payload)

@@ -14,8 +14,9 @@ The classification is eager: it is built with the setup, from the exact
 vertex table of the slice P n U and the facets tight on each slice vertex.
 A face Q meets U iff some slice vertex is tight on all facets through Q,
 and ri Q meets U iff exactly those facets are tight on every such vertex.
-Fourier-Motzkin only produces the witness point of a face that meets U, on
-the first read of that witness, so only the classification report pays.
+The witness point of a face that meets U comes from the same double
+description (``linalg.feasible_point``) on the first read of that witness,
+so only the classification report pays.
 
 The quotient side is lazy: the quotient lattice is built once per
 Sublattice object, the quotient polytope on first use.  Setups with
@@ -44,7 +45,8 @@ from .errors import (
 )
 from .klyachko import FiltrationSheaf, SheafMorphism, Subspace, _compress
 from .lattice import Lattice, QuotientLattice, Sublattice, primitive_content, quotient
-from .polytope import Face, HPolytope, vertex_table
+from .linalg import vertex_table
+from .polytope import Face, HPolytope
 
 STABLE = "Stable"
 STRICTLY_SEMISTABLE = "StrictlySemistable"
@@ -53,9 +55,9 @@ UNSTABLE = "Unstable"
 
 @dataclass(frozen=True)
 class FaceStatus:
-    """A face, its status, and the Fourier-Motzkin system whose solution is
-    the witness (None for an unstable face).  The witness is computed on
-    first read only."""
+    """A face, its status, and the bounded system whose
+    ``linalg.feasible_point`` is the witness (None for an unstable face).
+    The witness is computed on first read only."""
 
     face: Face
     status: str
@@ -70,7 +72,7 @@ class FaceStatus:
         if point is None:
             raise InternalError(
                 f"face {sorted(self.face.active_facets)} meets U by the slice "
-                "vertices, but Fourier-Motzkin finds no witness")
+                "vertices, but the witness search finds no point")
         return point
 
 
@@ -101,7 +103,9 @@ class GitSetup:
         which active(Q) is tight; when exactly active(Q) is tight on all of
         its vertices, their barycenter lies in ri Q (Rockafellar, Convex
         Analysis, Thms 6.5-6.6).  No witness is searched here: each
-        FaceStatus keeps its Fourier-Motzkin system for the first read."""
+        FaceStatus keeps its system for the first read, bounded because P
+        is: Q's affine hull and U cut by P's other facets, strictly for a
+        stable face."""
         p = self.polytope
         gens = self.sublattice.generators
         g = len(gens)
@@ -234,7 +238,8 @@ class UnstableIndexVector:
 
     @staticmethod
     def from_dict(d: Mapping[int, int]) -> "UnstableIndexVector":
-        return UnstableIndexVector(tuple(sorted((int(k), int(v)) for k, v in d.items())))
+        return UnstableIndexVector(tuple(sorted(
+            (serialize.int_from_obj(k), serialize.int_from_obj(v)) for k, v in d.items())))
 
     @staticmethod
     def zero(setup: GitSetup) -> "UnstableIndexVector":
@@ -306,19 +311,21 @@ def pullback(setup: GitSetup, quotient_sheaf: FiltrationSheaf) -> FiltrationShea
     return FiltrationSheaf(quotient_sheaf.rank, tuple(filts))
 
 
-def descends(setup: GitSetup, sheaf: FiltrationSheaf) -> bool:
-    """Divisibility criterion for descent: every jump index on every stable
-    facet is divisible by b_F."""
+def descent_violations(setup: GitSetup, sheaf: FiltrationSheaf) -> list[tuple[int, int, int]]:
+    """(facet, jump, b_F) for every jump index on a stable facet F that b_F
+    does not divide, by facet and then by jump."""
     setup.require_generic()
     if sheaf.num_facets != setup.polytope.num_facets:
         raise FacetMismatch("sheaf does not live on the setup's polytope")
     b = setup.b_values()
-    for f in setup.stable_facets:
-        bf = b[f]
-        for j, _ in sheaf.filtrations[f]:
-            if j % bf != 0:
-                return False
-    return True
+    return [(f, j, b[f]) for f in setup.stable_facets
+            for j, _ in sheaf.filtrations[f] if j % b[f]]
+
+
+def descends(setup: GitSetup, sheaf: FiltrationSheaf) -> bool:
+    """Divisibility criterion for descent: every jump index on every stable
+    facet is divisible by b_F."""
+    return not descent_violations(setup, sheaf)
 
 
 def pullback_functor(

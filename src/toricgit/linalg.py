@@ -10,8 +10,9 @@ work unboxed (ints give ints) and would pass floats on.  Three layers:
   the solutions of linear systems (divided into Fractions only there),
 * integer lattice normal forms (row-style Hermite form, kernels, a
   diagonal form with its transforms for right inverses),
-* Fourier-Motzkin feasibility for mixed strict/non-strict rational systems,
-  with witness-point extraction.
+* one double description of rational half-space systems (``vertex_table``:
+  the vertices, the constraints tight on each, boundedness), and from it
+  witness points of bounded mixed strict/non-strict systems.
 """
 
 from __future__ import annotations
@@ -305,106 +306,85 @@ def integer_right_inverse(mat: Sequence[Sequence[int]]) -> Optional[list[list[in
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin feasibility
+# vertices of rational half-space systems, and witness points
 
-# A constraint is (coefs, rhs, strict) and reads  coefs . x  >=  rhs
-# (strictly when strict=True).
-Constraint = tuple[Vec, Fraction, bool]
-
-
-def _normalize_constraint(coefs: Vec, rhs: Fraction, strict: bool) -> Constraint:
-    lead = next((c for c in coefs if c != 0), None)
-    if lead is None:
-        return coefs, rhs, strict
-    scale = abs(lead)
-    return tuple(c / scale for c in coefs), rhs / scale, strict
+Constraint = tuple[IntVec, Fraction]  # <m, u> >= -a stored as (u, a)
+VertexTable = list[tuple[Vec, frozenset[int]]]  # (vertex, constraints tight on it)
 
 
-def _prune(cons: list[Constraint]) -> list[Constraint]:
-    best: dict[Vec, tuple[Fraction, bool]] = {}
-    order: list[Vec] = []
-    for coefs, rhs, strict in cons:
-        coefs, rhs, strict = _normalize_constraint(coefs, rhs, strict)
-        if coefs not in best:
-            best[coefs] = (rhs, strict)
-            order.append(coefs)
-        else:
-            orhs, ostrict = best[coefs]
-            if rhs > orhs or (rhs == orhs and strict and not ostrict):
-                best[coefs] = (rhs, strict)
-    return [(c, best[c][0], best[c][1]) for c in order]
+def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[tuple]]:
+    """(lineality basis, extreme rays) of the cone {z in QQ^d : <a, z> >= 0
+    for every row a}, as primitive integer vectors, by the double
+    description method (Motzkin et al. 1953; Fukuda-Prodon 1996).  Each
+    ray comes with the bit mask of the rows it is tight on (bit k, row k).
+
+    Rows are scaled to integers and added one at a time.  A row that does
+    not vanish on the lineality space L turns one lineality vector l0
+    into a ray and projects L and the rays along l0 into its hyperplane.
+    Otherwise the rays on its negative side are dropped, and each pair of
+    adjacent rays on opposite sides gives one new ray in the hyperplane.
+    Two rays are adjacent iff no third ray is tight on every row on which
+    both are (the combinatorial test).  The masks are exact: a new ray is
+    a positive combination of two rays on which every earlier row is >= 0,
+    and moving along a lineality vector changes no earlier row.
+    """
+    lin = [[int(i == j) for j in range(d)] for i in range(d)]
+    rays: list[tuple[list[int], int]] = []  # (ray, mask of its tight rows)
+    for k, a in enumerate(int_rows(rows)):
+        bit = 1 << k
+        on_lin = [sum(x * y for x, y in zip(a, v)) for v in lin]
+        vals = [sum(x * y for x, y in zip(a, r)) for r, _ in rays]
+        piv = next((i for i, v in enumerate(on_lin) if v), None)
+        if piv is not None:
+            l0, v0 = lin.pop(piv), on_lin.pop(piv)
+            if v0 < 0:
+                l0, v0 = [-x for x in l0], -v0
+            lin = [_along(v0, l, -v, l0) for l, v in zip(lin, on_lin)]
+            rays = [(_along(v0, r, -v, l0), z | bit) for (r, z), v in zip(rays, vals)]
+            rays.append((l0, bit - 1))
+            continue
+        new = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        need = d - len(lin) - 2  # a 2-face of the cone is tight on this many rows
+        for i in pos:
+            for j in neg:
+                common = rays[i][1] & rays[j][1]
+                if common.bit_count() >= need and not any(
+                        z & common == common for t, (_, z) in enumerate(rays)
+                        if t != i and t != j):
+                    new.append((_along(vals[i], rays[j][0], -vals[j], rays[i][0]),
+                                common | bit))
+        rays = new
+    return lin, rays
 
 
-def _eliminate_var(cons: list[Constraint], j: int) -> Optional[list[Constraint]]:
-    """FM-eliminate variable j; None signals detected infeasibility."""
-    lower, upper, rest = [], [], []
-    for coefs, rhs, strict in cons:
-        cj = coefs[j]
-        if cj > 0:
-            lower.append((coefs, rhs, strict))
-        elif cj < 0:
-            upper.append((coefs, rhs, strict))
-        else:
-            rest.append((coefs, rhs, strict))
-    out = list(rest)
-    for lc, lr, ls in lower:
-        for uc, ur, us in upper:
-            # (lr - sum lc_k x_k)/lc_j <= x_j <= (ur - sum uc)/uc_j combine:
-            a = tuple(lc[k] * (-uc[j]) + uc[k] * lc[j] for k in range(len(lc)))
-            rhs = lr * (-uc[j]) + ur * lc[j]
-            strict = ls or us
-            if not any(a):
-                if rhs > 0 or (rhs == 0 and strict):
-                    return None
-                continue
-            out.append((a, rhs, strict))
-    return _prune(out)
+def _along(c: int, v: list[int], e: int, w: list[int]) -> list[int]:
+    """The primitive vector along c*v + e*w."""
+    out = [c * x + e * y for x, y in zip(v, w)]
+    g = vec_content(out)
+    return [x // g for x in out]
 
 
-def _feasible_reduced(cons: list[Constraint], nvars: int) -> Optional[Vec]:
-    """Feasibility of a pure-inequality system; returns a witness point."""
-    cons = _prune(cons)
-    # constant-only sanity
-    for coefs, rhs, strict in cons:
-        if not any(coefs):
-            if rhs > 0 or (rhs == 0 and strict):
-                return None
-    levels = [cons]
-    for j in range(nvars - 1, -1, -1):
-        nxt = _eliminate_var(levels[-1], j)
-        if nxt is None:
-            return None
-        levels.append(nxt)
-    # back substitution, assigning x_0, x_1, ... in turn
-    values: list[Fraction] = []
-    for j in range(nvars):
-        sys_j = levels[nvars - 1 - j]  # constraints on x_0..x_j
-        lo: Optional[tuple[Fraction, bool]] = None
-        hi: Optional[tuple[Fraction, bool]] = None
-        for coefs, rhs, strict in sys_j:
-            cj = coefs[j]
-            if cj == 0:
-                continue
-            resid = rhs - sum(coefs[k] * values[k] for k in range(j))
-            bound = resid / cj
-            if cj > 0:
-                if lo is None or bound > lo[0] or (bound == lo[0] and strict):
-                    lo = (bound, strict)
-            else:
-                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
-                    hi = (bound, strict)
-        if lo is None and hi is None:
-            values.append(Fraction(0))
-        elif lo is None:
-            values.append(hi[0] - 1 if hi[1] else hi[0])
-        elif hi is None:
-            values.append(lo[0] + 1 if lo[1] else lo[0])
-        else:
-            if lo[0] == hi[0]:
-                values.append(lo[0])
-            else:
-                values.append((lo[0] + hi[0]) / 2)
-    return tuple(values)
+def vertex_table(n: int, cons: Sequence[Constraint]) -> tuple[VertexTable, bool]:
+    """(vertices of {m : <m,u> >= -a}, sorted, each with the constraints
+    tight on it, whether the normals positively span RR^n).
+
+    The vertices are the extreme rays (m, t) with t > 0 of the homogenized
+    cone {<m,u> + a t >= 0, t >= 0}, read as m/t, and the tight sets are
+    their double-description masks.  Normals may be rational.  Redundant
+    inequalities are harmless and boundedness is not needed.  An empty
+    system, and one that contains a line (then its cone has a nonzero
+    lineality space), has no vertices.  The normals positively span iff the
+    recession cone {d : <d, u> >= 0}, the cone's slice at t = 0, is {0}:
+    iff the cone has no lineality and no ray with t = 0."""
+    rows = [(0,) * n + (1,)] + [(*u, a) for u, a in cons]
+    lin, rays = _cone_dd(rows, n + 1)
+    if lin:
+        return [], False
+    return sorted((tuple(Fraction(x, r[n]) for x in r[:n]),
+                   frozenset(i for i in range(len(cons)) if z >> (i + 1) & 1))
+                  for r, z in rays if r[n] > 0), all(r[n] for r, _ in rays)
 
 
 def feasible_point(
@@ -413,32 +393,33 @@ def feasible_point(
     inequalities: Sequence[tuple[Sequence, object, bool]] = (),
 ) -> Optional[Vec]:
     """Witness of {x in QQ^n : a.x = c for equalities, a.x >= c (or >) for
-    inequalities}, or None if the system is infeasible.
+    inequalities}, or None if the system is infeasible.  The system must be
+    bounded: ValueError when the equalities are consistent but the
+    inequality normals do not positively span their solutions.
 
-    Equalities are eliminated by substitution first, then Fourier-Motzkin
-    runs on the reduced strict/non-strict system.
-    """
-    eqs = [(frac_vec(a), Fraction(c)) for a, c in equalities]
-    sol = affine_solution_space(eqs, n)
+    On those solutions, point + sum t_j b_j, each t_j in turn is the
+    midpoint of its exact range with t_0..t_{j-1} fixed, or that range's
+    one value: the least and greatest first coordinates of the vertices of
+    the loose slice in (t_j..t_{k-1}).  A nonempty strict system is dense
+    in the loose one, and each midpoint lies inside its open range, so the
+    point is in the system iff the system is nonempty; it is the point of
+    Fourier-Motzkin back substitution (t_0 first)."""
+    sol = affine_solution_space([(a, Fraction(c)) for a, c in equalities], n)
     if sol is None:
         return None
     point, basis = sol
-    k = len(basis)
-    cons: list[Constraint] = []
-    for a, c, strict in inequalities:
-        av = frac_vec(a)
-        c = Fraction(c)
-        coefs = tuple(dot(av, b) for b in basis)
-        rhs = c - dot(av, point)
-        if not any(coefs):
-            if rhs > 0 or (rhs == 0 and strict):
-                return None
-            continue
-        cons.append((coefs, rhs, strict))
-    t = _feasible_reduced(cons, k)
-    if t is None:
+    rows = [(tuple(dot(a, b) for b in basis), dot(a, point) - Fraction(c), strict)
+            for a, c, strict in inequalities]
+    t: list[Fraction] = []
+    for j in range(len(basis)):
+        table, bounded = vertex_table(
+            len(basis) - j, [(u[j:], s + dot(u[:j], t)) for u, s, _ in rows])
+        if not bounded:  # only at j = 0: slices of a bounded set are bounded
+            raise ValueError("feasible_point needs a bounded system")
+        if not table:
+            return None
+        lo, hi = table[0][0][0], table[-1][0][0]
+        t.append(lo if lo == hi else (lo + hi) / 2)
+    if any(dot(u, t) + s <= 0 if strict else dot(u, t) + s < 0 for u, s, strict in rows):
         return None
-    x = list(point)
-    for tj, b in zip(t, basis):
-        x = [xi + tj * bi for xi, bi in zip(x, b)]
-    return tuple(x)
+    return tuple(x + sum(tj * b[i] for tj, b in zip(t, basis)) for i, x in enumerate(point))

@@ -29,91 +29,14 @@ from .errors import (
     Unbounded,
 )
 from .lattice import primitive_content
+from .linalg import Constraint, IntVec, VertexTable, vertex_table
 
-IntVec = tuple[int, ...]
 QVec = tuple[Fraction, ...]
-Constraint = tuple[IntVec, Fraction]  # <m, u> >= -a stored as (u, a)
-VertexTable = list[tuple[QVec, frozenset[int]]]  # (vertex, constraints tight on it)
 
 
 # ---------------------------------------------------------------------------
-# raw halfspace-system helpers (shared with the Minkowski solver, which must
+# raw halfspace-system volumes (shared with the Minkowski solver, which must
 # evaluate volumes of systems that are not yet valid polytopes)
-
-
-def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[tuple]]:
-    """(lineality basis, extreme rays) of the cone {z in QQ^d : <a, z> >= 0
-    for every row a}, as primitive integer vectors, by the double
-    description method (Motzkin et al. 1953; Fukuda-Prodon 1996).  Each
-    ray comes with the bit mask of the rows it is tight on (bit k, row k).
-
-    Rows are scaled to integers and added one at a time.  A row that does
-    not vanish on the lineality space L turns one lineality vector l0
-    into a ray and projects L and the rays along l0 into its hyperplane.
-    Otherwise the rays on its negative side are dropped, and each pair of
-    adjacent rays on opposite sides gives one new ray in the hyperplane.
-    Two rays are adjacent iff no third ray is tight on every row on which
-    both are (the combinatorial test).  The masks are exact: a new ray is
-    a positive combination of two rays on which every earlier row is >= 0,
-    and moving along a lineality vector changes no earlier row.
-    """
-    lin = [[int(i == j) for j in range(d)] for i in range(d)]
-    rays: list[tuple[list[int], int]] = []  # (ray, mask of its tight rows)
-    for k, a in enumerate(linalg.int_rows(rows)):
-        bit = 1 << k
-        on_lin = [sum(x * y for x, y in zip(a, v)) for v in lin]
-        vals = [sum(x * y for x, y in zip(a, r)) for r, _ in rays]
-        piv = next((i for i, v in enumerate(on_lin) if v), None)
-        if piv is not None:
-            l0, v0 = lin.pop(piv), on_lin.pop(piv)
-            if v0 < 0:
-                l0, v0 = [-x for x in l0], -v0
-            lin = [_along(v0, l, -v, l0) for l, v in zip(lin, on_lin)]
-            rays = [(_along(v0, r, -v, l0), z | bit) for (r, z), v in zip(rays, vals)]
-            rays.append((l0, bit - 1))
-            continue
-        new = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [j for j, v in enumerate(vals) if v < 0]
-        need = d - len(lin) - 2  # a 2-face of the cone is tight on this many rows
-        for i in pos:
-            for j in neg:
-                common = rays[i][1] & rays[j][1]
-                if common.bit_count() >= need and not any(
-                        z & common == common for t, (_, z) in enumerate(rays)
-                        if t != i and t != j):
-                    new.append((_along(vals[i], rays[j][0], -vals[j], rays[i][0]),
-                                common | bit))
-        rays = new
-    return lin, rays
-
-
-def _along(c: int, v: list[int], e: int, w: list[int]) -> list[int]:
-    """The primitive vector along c*v + e*w."""
-    out = [c * x + e * y for x, y in zip(v, w)]
-    g = linalg.vec_content(out)
-    return [x // g for x in out]
-
-
-def vertex_table(n: int, cons: Sequence[Constraint]) -> tuple[VertexTable, bool]:
-    """(vertices of {m : <m,u> >= -a}, sorted, each with the constraints
-    tight on it, whether the normals positively span RR^n).
-
-    The vertices are the extreme rays (m, t) with t > 0 of the homogenized
-    cone {<m,u> + a t >= 0, t >= 0}, read as m/t, and the tight sets are
-    their double-description masks.  Redundant inequalities are harmless and
-    boundedness is not needed.  An empty system, and one that contains a
-    line (then its cone has a nonzero lineality space), has no vertices.
-    The normals positively span iff the recession cone {d : <d, u> >= 0},
-    the cone's slice at t = 0, is {0}: iff the cone has no lineality and no
-    ray with t = 0."""
-    rows = [(0,) * n + (1,)] + [(*u, a) for u, a in cons]
-    lin, rays = _cone_dd(rows, n + 1)
-    if lin:
-        return [], False
-    return sorted((tuple(Fraction(x, r[n]) for x in r[:n]),
-                   frozenset(i for i in range(len(cons)) if z >> (i + 1) & 1))
-                  for r, z in rays if r[n] > 0), all(r[n] for r, _ in rays)
 
 
 def hsystem_volume_data(
@@ -258,7 +181,7 @@ class HPolytope:
     def __init__(self, n: int, facets: Iterable[tuple[Sequence[int], object]]):
         facs: list[Constraint] = []
         for u, a in facets:
-            uv = tuple(int(x) for x in u)
+            uv = tuple(serialize.int_from_obj(x) for x in u)
             if len(uv) != n:
                 raise DimensionMismatch(f"normal {uv} in dimension {n}")
             if not any(uv):

@@ -17,7 +17,7 @@ from .errors import InputError
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_DIGITS = re.compile(r"[0-9]+")
+_FACET_ID = re.compile(r"0|[1-9][0-9]*")
 
 
 def frac_to_str(x) -> str:
@@ -48,9 +48,10 @@ def int_from_obj(obj) -> int:
 
 
 def facet_id(key) -> int:
-    """A facet id written as a JSON object key: ASCII digits only (int
-    would also read " 1", "1_0" and non-ASCII digits)."""
-    if not isinstance(key, str) or not _DIGITS.fullmatch(key):
+    """A facet id written as a JSON object key, in its one canonical form:
+    ASCII digits without a leading zero (int would also read " 1", "1_0",
+    non-ASCII digits, and "02" as the same facet as "2")."""
+    if not isinstance(key, str) or not _FACET_ID.fullmatch(key):
         raise InputError(f"facet ids must be integers, got {key!r}")
     return int(key)
 

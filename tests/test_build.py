@@ -143,6 +143,14 @@ def test_alpha_surface_formula_values():
         alpha_surface_formula(BundleSpec(projective_space(1, 1), ({},)))
 
 
+def test_bundle_summands_reject_non_integers():
+    base = projective_space(2, 1)
+    for summand in ({0: 1.7}, {0: Fraction(2)}, {0.0: 1}, {"0": 1}, {0: True}):
+        with pytest.raises(InputError, match="expected integer"):
+            BundleSpec(base, (summand,))
+    assert BundleSpec(base, ({0: 2, 1: 0},)).summands == ({0: 2},)
+
+
 def test_bundle_json_round_trip():
     base = product(projective_space(1, 2), projective_space(1, 2))
     spec = BundleSpec(base, ({0: 1}, {2: 1}))

@@ -426,7 +426,8 @@ SEGMENT_O = {"rank": 1, "filtrations": {f: [{"i": 0, "basis": [["1"]]}] for f in
 
 
 def test_facet_ids_are_ascii_digits(tmp_path, capsys):
-    # int() reads each of these keys as facet 2; a facet id is [0-9]+.
+    # int() reads each of these keys as facet 2; a facet id is written in
+    # its one canonical form, 0|[1-9][0-9]*, so no two keys name one facet.
     # SEGMENT_O lives on P2_SETUP's quotient, a segment
     def jobs(key):
         filts = dict(TANGENT_SHEAF["filtrations"])
@@ -441,11 +442,16 @@ def test_facet_ids_are_ascii_digits(tmp_path, capsys):
 
     for job in jobs("2"):
         assert run_job(tmp_path, job)[0] == 0, job
-    for key in (" 2", "2 ", "+2", "\u0662", "0_2"):
+    for key in (" 2", "2 ", "+2", "\u0662", "0_2", "02", "002"):
         for job in jobs(key):
             code, _ = run_job(tmp_path, job)
             assert code == 1, job
             assert capsys.readouterr().err.startswith("error: facet ids must be integers"), job
+    # "2" and "02" were one key, and the last one won
+    job = {"command": "pullback", "inputs": {"setup": P2_SETUP, "sheaf": SEGMENT_O,
+                                             "indices": {"2": 0, "02": 5}}}
+    assert run_job(tmp_path, job)[0] == 1
+    assert capsys.readouterr().err.startswith("error: facet ids must be integers")
 
 
 def test_rational_strings_are_integers_or_p_over_q():

@@ -7,7 +7,7 @@ import pytest
 
 from toricgit import linalg
 from toricgit.cli import main
-from toricgit.errors import InternalError, NotGeneric, NotSaturated
+from toricgit.errors import InputError, InternalError, NotGeneric, NotSaturated
 from toricgit.git import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -39,6 +39,7 @@ from toricgit.polytope import HPolytope
 
 from util import (
     count_calls,
+    fourier_motzkin_point,
     random_generic_setup,
     random_polytope,
     random_quotient_sheaf,
@@ -236,6 +237,13 @@ def test_pullback_functor_round_trip_and_membership():
             assert not in_image(setup, wrong, lifted)
 
 
+def test_index_vector_rejects_non_integers():
+    for d in ({2.9: 0.5}, {2: 0.5}, {2.0: 1}, {"2": 1}, {2: Fraction(1)}, {True: 0}):
+        with pytest.raises(InputError, match="expected integer"):
+            UnstableIndexVector.from_dict(d)
+    assert UnstableIndexVector.from_dict({3: -1, 2: 0}).entries == ((2, 0), (3, -1))
+
+
 def test_in_image_rejects_multi_jump_unstable_facets():
     rng = Random(64)
     setup = SETUP
@@ -396,11 +404,11 @@ def fourier_motzkin_classification(setup):
         eqs += [(gen, Fraction(0)) for gen in gens]
         loose = [(p.facets[f][0], -p.facets[f][1], False)
                  for f in range(p.num_facets) if f not in face.active_facets]
-        meet = linalg.feasible_point(p.n, eqs, loose)
+        meet = fourier_motzkin_point(p.n, eqs, loose)
         if meet is None:
             out.append((face.active_facets, UNSTABLE, None))
             continue
-        interior = linalg.feasible_point(p.n, eqs, [(u, c, True) for u, c, _ in loose])
+        interior = fourier_motzkin_point(p.n, eqs, [(u, c, True) for u, c, _ in loose])
         normals = [p.facets[f][0] for f in active]
         transversal = linalg.int_rank(normals + list(gens)) == linalg.int_rank(normals) + len(gens)
         if interior is not None and transversal:
@@ -437,6 +445,30 @@ def test_slice_vertex_classification_matches_fourier_motzkin():
             assert statuses[n, status] > 0, (n, status)
 
 
+def test_witness_search_matches_fourier_motzkin_on_face_systems():
+    # every face of seeded setups, each with its affine hull and U cut by
+    # the other facets, loose and strict: the same point or both None
+    rng = Random(73)
+    seen = Counter()
+    for n, reps in ((2, 60), (3, 14), (4, 3)):
+        for rank in range(n + 1):
+            for _ in range(reps):
+                setup = random_setup(rng, n, rank)
+                p, gens = setup.polytope, setup.sublattice.generators
+                for face in p.face_lattice:
+                    eqs = [(p.facets[f][0], -p.facets[f][1]) for f in sorted(face.active_facets)]
+                    eqs += [(gen, Fraction(0)) for gen in gens]
+                    for strict in (False, True):
+                        others = [(u, -a, strict) for f, (u, a) in enumerate(p.facets)
+                                  if f not in face.active_facets]
+                        want = fourier_motzkin_point(p.n, eqs, others)
+                        assert linalg.feasible_point(p.n, eqs, others) == want
+                        seen[n, want is None] += 1
+    assert sum(seen.values()) >= 5000, seen
+    for n in (2, 3, 4):
+        assert seen[n, True] >= 100 and seen[n, False] >= 100, seen
+
+
 def test_classification_calls_fourier_motzkin_once_per_face_meeting_u(monkeypatch):
     rng = Random(72)
     calls = count_calls(monkeypatch, linalg, "feasible_point")
@@ -462,7 +494,7 @@ def test_classification_raises_when_witness_search_disagrees(monkeypatch, tmp_pa
     setup = GitSetup(P2_TRANSLATED, N0_DIAG)
     assert setup.is_generic() and setup.stable_facets == (0, 1)
     meets_u = [fs for fs in setup.classification if fs.status != UNSTABLE]
-    with pytest.raises(InternalError, match="Fourier-Motzkin finds no witness"):
+    with pytest.raises(InternalError, match="the witness search finds no point"):
         meets_u[0].witness
     with pytest.raises(InternalError):
         setup.classification_report()

@@ -6,7 +6,9 @@ from random import Random
 
 from toricgit import linalg
 
-from util import invert_unimodular, rref_oracle
+import pytest
+
+from util import fourier_motzkin_point, invert_unimodular, rref_oracle
 
 
 def test_hnf_canonical_for_equal_row_lattices():
@@ -192,10 +194,17 @@ def test_feasible_point_strict_vs_nonstrict():
 
 
 def test_feasible_point_with_equalities():
-    p = linalg.feasible_point(
-        3, [((1, 1, 1), 6), ((1, -1, 0), 0)], [((0, 0, 1), 1, False)])
+    # unbounded (x = y -> -oo): the oracle finds a point, the witness
+    # search refuses the system; capped at z <= 4, both give one point
+    eqs = [((1, 1, 1), 6), ((1, -1, 0), 0)]
+    p = fourier_motzkin_point(3, eqs, [((0, 0, 1), 1, False)])
     assert p is not None
     assert sum(p) == 6 and p[0] == p[1] and p[2] >= 1
+    with pytest.raises(ValueError):
+        linalg.feasible_point(3, eqs, [((0, 0, 1), 1, False)])
+    capped = [((0, 0, 1), 1, False), ((0, 0, -1), -4, False)]
+    assert linalg.feasible_point(3, eqs, capped) == fourier_motzkin_point(3, eqs, capped) \
+        == (Fraction(7, 4), Fraction(7, 4), Fraction(5, 2))
 
 
 def test_feasible_point_inconsistent_equalities():
@@ -214,7 +223,7 @@ def test_feasible_point_witness_satisfies_system():
         for _ in range(rng.randint(1, 6)):
             ineqs.append((tuple(rng.randint(-3, 3) for _ in range(n)),
                           Fraction(rng.randint(-4, 4)), rng.random() < 0.5))
-        p = linalg.feasible_point(n, eqs, ineqs)
+        p = fourier_motzkin_point(n, eqs, ineqs)
         if p is None:
             continue
         for a, c in eqs:
@@ -222,6 +231,82 @@ def test_feasible_point_witness_satisfies_system():
         for a, c, strict in ineqs:
             val = linalg.dot(a, p)
             assert val > c if strict else val >= c
+
+
+def random_system(rng: Random, n: int, bounded: bool):
+    """A seeded system in QQ^n: up to two equalities and up to six random
+    strict or loose inequalities (many empty), plus, when ``bounded``, the
+    inequalities of a box or a simplex around a random center."""
+    def vec():
+        return tuple(rng.randint(-3, 3) for _ in range(n))
+
+    eqs = [(vec(), Fraction(rng.randint(-3, 3))) for _ in range(rng.choice((0, 0, 1, 2)))]
+    ineqs = [(vec(), Fraction(rng.randint(-4, 4), rng.choice((1, 2))), rng.random() < 0.5)
+             for _ in range(rng.randint(0, 6))]
+    if bounded:
+        c = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+        r = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            normals = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+        else:
+            normals = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+        ineqs += [(u, linalg.dot(u, c) - r, rng.random() < 0.3) for u in normals]
+    rng.shuffle(ineqs)
+    return eqs, ineqs
+
+
+def recedes(n, eqs, ineqs):
+    """Oracle: the system has a nonzero recession direction d (a.d = 0 on the
+    equalities, a.d >= 0 on the inequalities) iff one with d_i = +-1 does
+    (2n Fourier-Motzkin calls)."""
+    homogeneous = [(a, 0, False) for a, _, _ in ineqs]
+    for i in range(n):
+        for sign in (1, -1):
+            pin = (tuple(sign * int(j == i) for j in range(n)), 1)
+            if fourier_motzkin_point(n, [(a, 0) for a, _ in eqs] + [pin], homogeneous):
+                return True
+    return False
+
+
+def test_feasible_point_matches_fourier_motzkin_on_bounded_systems():
+    # the midpoint read off the vertices of each slice is the point of
+    # Fourier-Motzkin back substitution, exactly; empty systems give None
+    rng = Random(23)
+    seen = Counter()
+    for trial in range(2000):
+        n = 1 + trial % 4
+        eqs, ineqs = random_system(rng, n, bounded=True)
+        want = fourier_motzkin_point(n, eqs, ineqs)
+        assert linalg.feasible_point(n, eqs, ineqs) == want, (n, eqs, ineqs)
+        seen["empty" if want is None else "point"] += 1
+        seen["strict"] += any(strict for _, _, strict in ineqs)
+        seen["equalities"] += bool(eqs)
+    assert seen["empty"] >= 800 and seen["point"] >= 800, seen
+    assert seen["strict"] >= 1500 and seen["equalities"] >= 800, seen
+
+
+def test_feasible_point_rejects_unbounded_systems():
+    # with consistent equalities, ValueError exactly when the system
+    # recedes, empty or not; otherwise the oracle's point
+    rng = Random(24)
+    seen = Counter()
+    for trial in range(600):
+        n = 1 + trial % 3
+        eqs, ineqs = random_system(rng, n, bounded=rng.random() < 0.3)
+        if fourier_motzkin_point(n, eqs, []) is None:
+            assert linalg.feasible_point(n, eqs, ineqs) is None
+            seen["inconsistent"] += 1
+        elif recedes(n, eqs, ineqs):
+            with pytest.raises(ValueError):
+                linalg.feasible_point(n, eqs, ineqs)
+            seen["unbounded", fourier_motzkin_point(n, eqs, ineqs) is None] += 1
+        else:
+            assert linalg.feasible_point(n, eqs, ineqs) == fourier_motzkin_point(n, eqs, ineqs)
+            seen["bounded"] += 1
+    assert seen["unbounded", False] >= 100 and seen["unbounded", True] >= 10, seen
+    assert seen["bounded"] >= 100 and seen["inconsistent"] >= 10, seen
+    with pytest.raises(ValueError):
+        linalg.feasible_point(2, [], [])
 
 
 def test_vector_helpers_match_the_fraction_boxed_oracle():

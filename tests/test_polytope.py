@@ -13,13 +13,13 @@ from toricgit.errors import (
     Unbounded,
 )
 from toricgit import linalg
+from toricgit.linalg import vertex_table
 from toricgit.lattice import primitive_content
 from toricgit.polytope import (
     DivisorClass,
     HPolytope,
     hsystem_volume_data,
     same_normal_fan,
-    vertex_table,
 )
 
 from util import (
@@ -27,6 +27,7 @@ from util import (
     brute_force_system_vertices,
     brute_force_vertices,
     count_calls,
+    fourier_motzkin_point,
     invert_unimodular,
     random_polytope,
 )
@@ -145,7 +146,7 @@ def fourier_motzkin_spanning(n, normals):
     for i in range(n):
         for sign in (1, -1):
             eq = tuple(sign if j == i else 0 for j in range(n))
-            if linalg.feasible_point(n, [(eq, Fraction(1))], ineqs) is not None:
+            if fourier_motzkin_point(n, [(eq, Fraction(1))], ineqs) is not None:
                 return False
     return True
 
@@ -174,7 +175,7 @@ def test_unbounded_matches_fourier_motzkin():
         assert spanning == fourier_motzkin_spanning(n, sorted(normals)), (n, facets)
         seen[n, spanning] += 1
         seen["rank-deficient", spanning] += linalg.int_rank(sorted(normals)) < n
-        seen["empty", spanning] += linalg.feasible_point(
+        seen["empty", spanning] += fourier_motzkin_point(
             n, [], [(u, -a, False) for u, a in facets]) is None
     for n in (1, 2, 3, 4):
         assert seen[n, True] and seen[n, False], n
@@ -225,13 +226,13 @@ def fourier_motzkin_validity(n, facets):
     the facets, or None for a valid polytope."""
     if not fourier_motzkin_spanning(n, [u for u, _ in facets]):
         return Unbounded, "facet normals do not positively span; polytope unbounded"
-    if linalg.feasible_point(n, [], [(u, -a, True) for u, a in facets]) is None:
-        if linalg.feasible_point(n, [], [(u, -a, False) for u, a in facets]) is None:
+    if fourier_motzkin_point(n, [], [(u, -a, True) for u, a in facets]) is None:
+        if fourier_motzkin_point(n, [], [(u, -a, False) for u, a in facets]) is None:
             return EmptyPolytope, "inconsistent supports: empty polytope"
         return NotFullDimensional, "polytope has empty interior"
     for i, (u, a) in enumerate(facets):
         others = [(w, -c, True) for j, (w, c) in enumerate(facets) if j != i]
-        if linalg.feasible_point(n, [(u, -a)], others) is None:
+        if fourier_motzkin_point(n, [(u, -a)], others) is None:
             return RedundantInequality, f"inequality {i} (normal {u}) does not define a facet"
     return None
 
@@ -315,6 +316,14 @@ def test_nonprimitive_and_duplicate_normals_rejected():
     with pytest.raises(InputError):
         HPolytope(2, [((1, 0), 1), ((1, 0), 2), ((-1, 0), 1), ((0, 1), 1),
                       ((0, -1), 1)])
+
+
+def test_non_integer_normal_entries_rejected_not_truncated():
+    box = [((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]
+    for bad in (1.5, Fraction(3, 2), Fraction(1), "1", True):
+        with pytest.raises(InputError, match="expected integer"):
+            HPolytope(2, [((bad, 0), 0)] + box)
+    assert HPolytope(2, [((1, 0), 0)] + box).facets[0][0] == (1, 0)
 
 
 def test_face_lattice_counts():

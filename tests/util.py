@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from typing import Optional, Sequence
 
 from toricgit import linalg
 from toricgit.build import hirzebruch, product, projective_space
@@ -14,7 +15,8 @@ from toricgit.errors import InfeasibleError, InputError
 from toricgit.git import GitSetup, translation_classes
 from toricgit.klyachko import FiltrationSheaf, Subspace
 from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
-from toricgit.polytope import HPolytope, vertex_table
+from toricgit.linalg import Vec, vertex_table
+from toricgit.polytope import HPolytope
 
 
 def rref_oracle(rows):
@@ -238,3 +240,144 @@ def random_saturated_sublattice(rng: Random, n: int, rank: int) -> Sublattice:
         sub = saturate(Sublattice(Lattice(n), gens))
         if sub.rank == rank:
             return sub
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin feasibility, the witness-point oracle
+
+# A constraint is (coefs, rhs, strict) and reads  coefs . x  >=  rhs
+# (strictly when strict=True).
+Constraint = tuple[Vec, Fraction, bool]
+
+
+def _normalize_constraint(coefs: Vec, rhs: Fraction, strict: bool) -> Constraint:
+    lead = next((c for c in coefs if c != 0), None)
+    if lead is None:
+        return coefs, rhs, strict
+    scale = abs(lead)
+    return tuple(c / scale for c in coefs), rhs / scale, strict
+
+
+def _prune(cons: list[Constraint]) -> list[Constraint]:
+    best: dict[Vec, tuple[Fraction, bool]] = {}
+    order: list[Vec] = []
+    for coefs, rhs, strict in cons:
+        coefs, rhs, strict = _normalize_constraint(coefs, rhs, strict)
+        if coefs not in best:
+            best[coefs] = (rhs, strict)
+            order.append(coefs)
+        else:
+            orhs, ostrict = best[coefs]
+            if rhs > orhs or (rhs == orhs and strict and not ostrict):
+                best[coefs] = (rhs, strict)
+    return [(c, best[c][0], best[c][1]) for c in order]
+
+
+def _eliminate_var(cons: list[Constraint], j: int) -> Optional[list[Constraint]]:
+    """FM-eliminate variable j; None signals detected infeasibility."""
+    lower, upper, rest = [], [], []
+    for coefs, rhs, strict in cons:
+        cj = coefs[j]
+        if cj > 0:
+            lower.append((coefs, rhs, strict))
+        elif cj < 0:
+            upper.append((coefs, rhs, strict))
+        else:
+            rest.append((coefs, rhs, strict))
+    out = list(rest)
+    for lc, lr, ls in lower:
+        for uc, ur, us in upper:
+            # (lr - sum lc_k x_k)/lc_j <= x_j <= (ur - sum uc)/uc_j combine:
+            a = tuple(lc[k] * (-uc[j]) + uc[k] * lc[j] for k in range(len(lc)))
+            rhs = lr * (-uc[j]) + ur * lc[j]
+            strict = ls or us
+            if not any(a):
+                if rhs > 0 or (rhs == 0 and strict):
+                    return None
+                continue
+            out.append((a, rhs, strict))
+    return _prune(out)
+
+
+def _feasible_reduced(cons: list[Constraint], nvars: int) -> Optional[Vec]:
+    """Feasibility of a pure-inequality system; returns a witness point."""
+    cons = _prune(cons)
+    # constant-only sanity
+    for coefs, rhs, strict in cons:
+        if not any(coefs):
+            if rhs > 0 or (rhs == 0 and strict):
+                return None
+    levels = [cons]
+    for j in range(nvars - 1, -1, -1):
+        nxt = _eliminate_var(levels[-1], j)
+        if nxt is None:
+            return None
+        levels.append(nxt)
+    # back substitution, assigning x_0, x_1, ... in turn
+    values: list[Fraction] = []
+    for j in range(nvars):
+        sys_j = levels[nvars - 1 - j]  # constraints on x_0..x_j
+        lo: Optional[tuple[Fraction, bool]] = None
+        hi: Optional[tuple[Fraction, bool]] = None
+        for coefs, rhs, strict in sys_j:
+            cj = coefs[j]
+            if cj == 0:
+                continue
+            resid = rhs - sum(coefs[k] * values[k] for k in range(j))
+            bound = resid / cj
+            if cj > 0:
+                if lo is None or bound > lo[0] or (bound == lo[0] and strict):
+                    lo = (bound, strict)
+            else:
+                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
+                    hi = (bound, strict)
+        if lo is None and hi is None:
+            values.append(Fraction(0))
+        elif lo is None:
+            values.append(hi[0] - 1 if hi[1] else hi[0])
+        elif hi is None:
+            values.append(lo[0] + 1 if lo[1] else lo[0])
+        else:
+            if lo[0] == hi[0]:
+                values.append(lo[0])
+            else:
+                values.append((lo[0] + hi[0]) / 2)
+    return tuple(values)
+
+
+def fourier_motzkin_point(
+    n: int,
+    equalities: Sequence[tuple[Sequence, object]] = (),
+    inequalities: Sequence[tuple[Sequence, object, bool]] = (),
+) -> Optional[Vec]:
+    """Oracle for ``linalg.feasible_point``: a witness of {x in QQ^n : a.x = c
+    for equalities, a.x >= c (or >) for inequalities}, or None if the system
+    is infeasible; bounded or not.
+
+    Equalities are eliminated by substitution first, then Fourier-Motzkin
+    runs on the reduced strict/non-strict system.
+    """
+    eqs = [(linalg.frac_vec(a), Fraction(c)) for a, c in equalities]
+    sol = linalg.affine_solution_space(eqs, n)
+    if sol is None:
+        return None
+    point, basis = sol
+    k = len(basis)
+    cons: list[Constraint] = []
+    for a, c, strict in inequalities:
+        av = linalg.frac_vec(a)
+        c = Fraction(c)
+        coefs = tuple(linalg.dot(av, b) for b in basis)
+        rhs = c - linalg.dot(av, point)
+        if not any(coefs):
+            if rhs > 0 or (rhs == 0 and strict):
+                return None
+            continue
+        cons.append((coefs, rhs, strict))
+    t = _feasible_reduced(cons, k)
+    if t is None:
+        return None
+    x = list(point)
+    for tj, b in zip(t, basis):
+        x = [xi + tj * bi for xi, bi in zip(x, b)]
+    return tuple(x)
