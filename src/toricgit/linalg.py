@@ -231,6 +231,38 @@ def integer_kernel(mat: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
     return hnf_rows(kernel) if kernel else ()
 
 
+def primitive_kernel(p: Sequence[int]) -> list[list[int]]:
+    """A basis of {x in ZZ^k : <p, x> = 0} for primitive p (not canonical).
+
+    Extended-gcd column operations of determinant 1 turn the row p into
+    e_1: each folds p's next entry into the first, so the matrix u of
+    columns they build is unimodular with p * u = e_1.  Its other columns
+    are then a basis of the kernel."""
+    k = len(p)
+    u = [[int(i == j) for j in range(k)] for i in range(k)]  # u[j]: column j
+    a = p[0]
+    for j in range(1, k):
+        b = p[j]
+        if not b:
+            continue
+        g, x, y = _xgcd(a, b)
+        c0, cj = u[0], u[j]
+        u[0] = [x * s + y * t for s, t in zip(c0, cj)]
+        u[j] = [(a // g) * t - (b // g) * s for s, t in zip(c0, cj)]
+        a = g
+    return u[1:]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b > 0, for b != 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
 def diagonal_form(
     mat: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

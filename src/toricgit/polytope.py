@@ -8,7 +8,12 @@ construction rather than dropped.
 Volumes are lattice-normalized: the measure on a facet is induced by the
 rank-(n-1) lattice of integer vectors in the facet direction, which makes
 facet volume equal to the degree of the corresponding divisor against the
-polytope's ample class.
+polytope's ample class.  They are computed in integers: the system is
+scaled by the common denominator T of its vertices to a lattice polytope,
+whose faces have integer normalized volumes N_k = k! * vol_k, and the
+coning recursion N_k(F) = sum_G h_G * N_{k-1}(G) over integer lattice
+distances h_G gives them all; only the results are divided, by k! * T^k
+(Bueler, Enge and Fukuda 2000).
 """
 
 from __future__ import annotations
@@ -49,18 +54,25 @@ def hsystem_volume_data(
     constraints are read off its masks.  With ``rates`` a fourth entry is
     appended: the matrix H[F][G] = d latvol(F) / d a_G.
 
-    Cones from a vertex over the facets, recursively:
-        vol_k(F) = (1/k) * sum_G gap(v0, G) * vol_{k-1}(G)
+    The system is scaled by T, the least common denominator of its vertex
+    coordinates, so that T*P is a lattice polytope.  Then N_k(F) =
+    k! * vol_k(F) is an integer for every face F measured at level k, and
+    cones from a vertex over the facets give, recursively,
+        N_k(F) = sum_G h_G * N_{k-1}(G)
     over the distinct faces G = F & tight(j) that miss the first vertex v0
-    of F.  A face is a set of vertex ids measured at a level k, the rank of
-    the lattice it is measured in.  Each level carries an integer basis of
-    that lattice in global coordinates, so a gap is the apex's slack divided
-    by the content of the constraint on the basis.  Volumes are memoized
-    under (level, vertex ids), so each face is visited once.  The level is
-    part of the key: a redundant constraint can touch a lower-dimensional
-    face, whose volume is 0 at that level but not one level down.
-    Redundant, duplicate and tangent constraints thus get zero-volume faces,
-    and a lower-dimensional system has volume 0.
+    of F (N_0 = 1).  A face is a set of vertex ids measured at a level k,
+    the rank of the lattice it is measured in.  Each level carries an
+    integer basis of that lattice in global coordinates.  h_G is the
+    lattice distance of v0 from G: <v0 - v, u_G> / g for any vertex v of G,
+    g the content of u_G on the basis.  Both vertices are lattice points of
+    T*P in the face's saturated lattice, so the division is exact and the
+    recursion runs in integers.  N is memoized under (level, vertex ids),
+    so each face is visited once.  The level is part of the key: a
+    redundant constraint can touch a lower-dimensional face, whose volume
+    is 0 at that level but not one level down.  Redundant, duplicate and
+    tangent constraints thus get zero-volume faces, and a lower-dimensional
+    system has volume 0.  Only the outputs are divided, once each:
+    vol = N_n / (n! T^n) and latvol(F) = N_{n-1}(F) / ((n-1)! T^(n-1)).
 
     The rates come from the memo.  For G != F, moving a_G moves the ridge
     F & G inside F's lattice at speed 1/g, where g is the content of u_G
@@ -71,60 +83,65 @@ def hsystem_volume_data(
     of absent facets are 0, and the rates are one-sided where the system is
     not simple.
     """
-    cons = [(tuple(int(x) for x in u), Fraction(a)) for u, a in cons]
+    normals = [tuple(int(x) for x in u) for u, _ in cons]
     if table is None:
-        table = vertex_table(n, cons)[0]
+        table = vertex_table(n, [(u, Fraction(a)) for u, (_, a) in zip(normals, cons)])[0]
     verts = [v for v, _ in table]
     if not verts:
-        out = Fraction(0), [Fraction(0)] * len(cons), verts
-        return (*out, [[Fraction(0)] * len(cons) for _ in cons]) if rates else out
+        out = Fraction(0), [Fraction(0)] * len(normals), verts
+        return (*out, [[Fraction(0)] * len(normals) for _ in normals]) if rates else out
+    scale = math.lcm(*(x.denominator for v in verts for x in v))
+    points = [[x.numerator * (scale // x.denominator) for x in v] for v in verts]
     tight = [frozenset(i for i, (_, act) in enumerate(table) if j in act)
-             for j in range(len(cons))]
-    memo: dict[tuple[int, frozenset[int]], Fraction] = {}
+             for j in range(len(normals))]
+    memo: dict[tuple[int, frozenset[int]], int] = {}
 
-    def cone(k: int, ids: frozenset[int], basis) -> tuple[Fraction, list[Fraction]]:
-        """(k-volume of the face ids, (k-1)-volume of ids & tight(j) per j)."""
+    def cone(k: int, ids: frozenset[int], basis) -> tuple[int, list[int]]:
+        """(N_k of the face ids, N_{k-1} of ids & tight(j) per j)."""
         v0 = min(ids)
-        total, latvols, seen = Fraction(0), [], set()
-        for j, (u, a) in enumerate(cons):
+        total, subvols, seen = 0, [], set()
+        for j, u in enumerate(normals):
             sub = ids & tight[j]
-            w = [sum(x * y for x, y in zip(b, u)) for b in basis] if len(sub) >= k else ()
-            if not any(w):  # too few vertices, or constant on the face
-                latvols.append(Fraction(0))
+            w = [linalg.dot(b, u) for b in basis] if len(sub) >= k else ()
+            g = math.gcd(*w)
+            if not g:  # too few vertices, or constant on the face
+                subvols.append(0)
                 continue
-            prim, g = primitive_content(w)
             if k == 1:
-                vol = Fraction(1)
+                vol = 1
             elif (k - 1, sub) in memo:
                 vol = memo[k - 1, sub]
             else:
-                kernel = linalg.integer_kernel([prim], k)
                 sub_basis = [[sum(c * b[t] for c, b in zip(row, basis)) for t in range(n)]
-                             for row in kernel]
+                             for row in linalg.primitive_kernel([x // g for x in w])]
                 vol = memo[k - 1, sub] = cone(k - 1, sub, sub_basis)[0]
-            latvols.append(vol)
+            subvols.append(vol)
             if v0 not in sub and sub not in seen:
                 seen.add(sub)
-                total += (linalg.dot(verts[v0], u) + a) / g * vol
-        return total / k, latvols
+                total += (linalg.dot(points[v0], u) - linalg.dot(points[min(sub)], u)) // g * vol
+        return total, subvols
 
     identity = [[int(i == t) for t in range(n)] for i in range(n)]
-    vol, latvols = cone(n, frozenset(range(len(verts))), identity)
+    top, subvols = cone(n, frozenset(range(len(verts))), identity)
+    vol = Fraction(top, math.factorial(n) * scale ** n)
+    unit = math.factorial(n - 1) * scale ** (n - 1)
+    latvols = [Fraction(x, unit) for x in subvols]
     if not rates:
         return vol, latvols, verts
-    hess = [[Fraction(0)] * len(cons) for _ in cons]
+    hess = [[Fraction(0)] * len(normals) for _ in normals]
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    for f, (u, _) in enumerate(cons):
+    ridge_unit = math.factorial(n - 2) * scale ** (n - 2) if n > 1 else 1
+    for f, u in enumerate(normals):
         if not latvols[f]:
             continue
         row, w = hess[f], primitive_content(u)[0]
-        for j, (v, _) in enumerate(cons):
+        for j, v in enumerate(normals):
             g = math.gcd(*(w[p] * v[q] - w[q] * v[p] for p, q in pairs))
             sub = tight[f] & tight[j]
             if g and len(sub) >= n - 1:  # the tests of cone
-                row[j] = (memo[n - 2, sub] if n > 2 else Fraction(1)) / g
+                row[j] = Fraction(memo[n - 2, sub] if n > 2 else 1, ridge_unit * g)
         i = next(i for i, x in enumerate(u) if x)
-        row[f] = -sum(h * v[i] for h, (v, _) in zip(row, cons)) / u[i]
+        row[f] = -sum(h * v[i] for h, v in zip(row, normals)) / u[i]
     return vol, latvols, verts, hess
 
 
@@ -334,27 +351,33 @@ class HPolytope:
         if len(tv) != self.n:
             raise DimensionMismatch("translation vector of wrong length")
         return self._moved([(u, a - linalg.dot(tv, u)) for u, a in self.facets],
-                           lambda p: linalg.vec_add(p, tv))
+                           lambda p: linalg.vec_add(p, tv), 1)
 
     def dilate(self, k) -> "HPolytope":
         k = Fraction(k)
         if k <= 0:
             raise InputError("dilation factor must be positive")
         return self._moved([(u, k * a) for u, a in self.facets],
-                           lambda p: linalg.vec_scale(k, p))
+                           lambda p: linalg.vec_scale(k, p), k)
 
-    def _moved(self, facets: list[Constraint], move: Callable[[QVec], QVec]) -> "HPolytope":
-        """The image under a translation or a positive dilation, built
-        without validation: such a map keeps validity, normals and faces.
-        Both maps keep the lexicographic order of points, so vertex ids
-        carry over; so does the face lattice, which holds no coordinates,
-        when already computed."""
+    def _moved(self, facets: list[Constraint], move: Callable[[QVec], QVec],
+               k) -> "HPolytope":
+        """The image under a translation (k = 1) or a dilation by k > 0,
+        built without validation: such a map keeps validity, normals and
+        faces.  Both maps keep the lexicographic order of points, so vertex
+        ids carry over; so does the face lattice, which holds no
+        coordinates, when already computed.  Volumes, when already
+        computed, are homogeneous: of degree n, and n - 1 for facets."""
         out = object.__new__(HPolytope)
         out.n, out.facets = self.n, tuple(facets)
         out.vertices = tuple(move(v) for v in self.vertices)
         out._vertex_active = self._vertex_active
         if "face_lattice" in vars(self):
             out.face_lattice = self.face_lattice
+        if "_volume_data" in vars(self):
+            vol, latvols = self._volume_data
+            out._volume_data = self._volume_data if k == 1 else (
+                vol * k ** self.n, [x * k ** (self.n - 1) for x in latvols])
         return out
 
     # -- serialization ------------------------------------------------------

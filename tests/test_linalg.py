@@ -128,6 +128,22 @@ def test_integer_kernel_is_saturated_and_annihilates():
         assert linalg.hnf_rows(k) == k
 
 
+def test_primitive_kernel_spans_the_integer_kernel():
+    # same lattice as the general kernel: the Hermite bases agree
+    rng = Random(10)
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        bound = rng.choice((1, 3, 10 ** 6))
+        p = [0]
+        while not any(p):
+            p = [rng.randint(-bound, bound) * (rng.random() < 0.8) for _ in range(k)]
+        p = [x // linalg.vec_content(p) for x in p]
+        rows = linalg.primitive_kernel(p)
+        assert len(rows) == k - 1
+        assert all(linalg.dot(row, p) == 0 for row in rows)
+        assert linalg.hnf_rows(rows) == linalg.integer_kernel([p], k)
+
+
 def test_integer_right_inverse():
     a = [[1, 1, 0], [0, 1, 1]]
     s = linalg.integer_right_inverse(a)

@@ -1,3 +1,5 @@
+import fractions
+import sys
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -28,6 +30,7 @@ from util import (
     brute_force_vertices,
     count_calls,
     fourier_motzkin_point,
+    fraction_volume_oracle,
     invert_unimodular,
     random_polytope,
 )
@@ -528,19 +531,92 @@ def test_flat_systems_have_zero_volume_and_their_own_facet_volume():
 
 def test_volume_engine_visits_each_face_once(monkeypatch):
     # one lattice kernel per face of dimension 1..n-1 of the n-cube
-    calls = Counter()
-    kernel = linalg.integer_kernel
-
-    def counting(mat, n):
-        calls[n] += 1
-        return kernel(mat, n)
-
-    monkeypatch.setattr(linalg, "integer_kernel", counting)
+    calls = count_calls(monkeypatch, linalg, "primitive_kernel")
     for n, faces in ((3, 18), (4, 64), (5, 210)):
         calls.clear()
         vol, latvols, _ = hsystem_volume_data(n, unit_cube_system(n))
         assert vol == 1 and latvols == [1] * (2 * n)
-        assert sum(calls.values()) == faces
+        assert calls["primitive_kernel"] == faces
+
+
+def fraction_calls_in_cone(volume_data, *args) -> Counter:
+    """Calls into fractions.py made while ``volume_data(*args)`` runs, split
+    by whether a frame of its coning recursion (``cone``) is on the stack."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            caller = frame.f_back
+            while caller is not None and caller.f_code.co_name != "cone":
+                caller = caller.f_back
+            calls["inside" if caller else "outside"] += 1
+
+    sys.setprofile(profile)
+    try:
+        volume_data(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_volume_recursion_makes_no_fraction():
+    # the Fractions are the input supports and the outputs only; the
+    # Fraction oracle shows that the probe sees arithmetic inside ``cone``
+    facets = unit_cube_system(4) + [((1, 1, 1, 1), Fraction(7, 3))]
+    table = vertex_table(4, facets)[0]
+    for rates in (False, True):
+        assert fraction_calls_in_cone(hsystem_volume_data, 4, facets, table, rates)["inside"] == 0
+        assert fraction_calls_in_cone(fraction_volume_oracle, 4, facets, table, rates)["inside"]
+
+
+def oracle_system(rng: Random, n: int, kind: str):
+    """A seeded bounded system in dimension n: the simplex's or the cube's
+    normals and up to three random cuts (some not primitive), with rational
+    supports, then modified by ``kind``."""
+    simplex = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    cube = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    normals = list(rng.choice((simplex, cube)))
+    for _ in range(rng.randint(0, 3)):
+        w = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(w):
+            normals.append(w)
+    cons = [(u, Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 7)))) for u in normals]
+    if kind == "snapped":  # Newton iterates: float supports at denominators <= 10**12
+        cons = [(u, Fraction(float(a) + rng.random() / 3).limit_denominator(10 ** 12))
+                for u, a in cons]
+    u, a = rng.choice(cons)
+    if kind == "redundant":  # duplicate, scaled duplicate and loose copies
+        cons += [(u, a), (tuple(2 * x for x in u), 2 * a), (u, a + 1)]
+    elif kind == "tangent":  # a supporting hyperplane through the lowest vertex
+        verts = vertex_table(n, cons)[0]
+        w = tuple(rng.randint(-3, 3) for _ in range(n))
+        if verts and any(w):
+            cons.append((w, -min(linalg.dot(v, w) for v, _ in verts)))
+    elif kind == "flat":  # <m, u> = -a
+        cons.append((tuple(-x for x in u), -a))
+    elif kind == "empty":
+        cons.append((tuple(-x for x in u), -a - 1))
+    rng.shuffle(cons)
+    return cons
+
+
+def test_integer_engine_matches_the_fraction_oracle():
+    # bit-identical volumes, facet volumes, vertices and rates on 600 seeded
+    # systems of dimensions 1-5, valid or not
+    rng = Random(37)
+    kinds = ("plain", "snapped", "redundant", "tangent", "flat", "empty")
+    seen = Counter()
+    for _ in range(600):
+        n, kind = rng.choice((1, 2, 2, 3, 3, 3, 4, 4, 5)), rng.choice(kinds)
+        cons = oracle_system(rng, n, kind)
+        got = hsystem_volume_data(n, cons, rates=True)
+        want = fraction_volume_oracle(n, cons, rates=True)
+        assert got == want
+        vol, latvols, _, rates = got
+        assert all(type(x) is Fraction for x in (vol, *latvols, *sum(rates, [])))
+        seen[n, kind, vol > 0] += 1
+    assert all(seen[n, kind, True] for n in range(1, 6) for kind in kinds[:4])
+    assert all(seen[n, kind, False] for n in (2, 3, 4) for kind in kinds[4:])
 
 
 def simple_polytope(rng: Random, n: int) -> HPolytope:
@@ -612,16 +688,23 @@ def assert_same_polytope(moved, fresh):
 
 
 def test_translate_and_dilate_match_fresh_polytopes():
+    # the face lattice and the volumes are carried over by the moves when
+    # already computed, and computed afresh otherwise
     rng = Random(31)
+    carried = Counter()
     for n in (1, 2, 3, 4):
         for _ in range(6):
             poly = random_polytope(rng, n)
             if rng.random() < 0.5:
-                poly.face_lattice  # carried over by the moves when computed
+                poly.face_lattice
+            if rng.random() < 0.5:
+                poly.volume()
             t = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n)]
             k = Fraction(rng.randint(1, 7), rng.choice((1, 2, 3)))
             for moved in (poly.translate(t), poly.dilate(k), poly.dilate(k).translate(t)):
+                carried["_volume_data" in vars(moved)] += 1
                 assert_same_polytope(moved, HPolytope(n, moved.facets))
+    assert carried[True] >= 20 and carried[False] >= 20
 
 
 def test_moves_run_no_fourier_motzkin(monkeypatch):

@@ -243,6 +243,99 @@ def random_saturated_sublattice(rng: Random, n: int, rank: int) -> Sublattice:
 
 
 # ---------------------------------------------------------------------------
+# the Fraction cone recursion, the volume oracle
+
+
+def fraction_volume_oracle(
+    n: int, cons: Sequence[linalg.Constraint], table: Optional[linalg.VertexTable] = None,
+    rates: bool = False,
+):
+    """Oracle for ``polytope.hsystem_volume_data``: the same cone
+    recursion run in Fractions on the unscaled system, as the package
+    computed it before its recursion moved to integers.  Returns (volume,
+    per-constraint facet volumes, vertices), and with ``rates`` the matrix
+    H[F][G] = d latvol(F) / d a_G.
+
+    Cones from a vertex over the facets, recursively:
+        vol_k(F) = (1/k) * sum_G gap(v0, G) * vol_{k-1}(G)
+    over the distinct faces G = F & tight(j) that miss the first vertex v0
+    of F.  A face is a set of vertex ids measured at a level k, the rank of
+    the lattice it is measured in.  Each level carries an integer basis of
+    that lattice in global coordinates, so a gap is the apex's slack divided
+    by the content of the constraint on the basis.  Volumes are memoized
+    under (level, vertex ids), so each face is visited once.  The level is
+    part of the key: a redundant constraint can touch a lower-dimensional
+    face, whose volume is 0 at that level but not one level down.
+    Redundant, duplicate and tangent constraints thus get zero-volume faces,
+    and a lower-dimensional system has volume 0.
+
+    The rates come from the memo.  For G != F, moving a_G moves the ridge
+    F & G inside F's lattice at speed 1/g, where g is the content of u_G
+    on that lattice, so H[F][G] = latvol(F & G) / g (a point ridge, n = 2,
+    counts 1).  For primitive u_F, g is the index of the image of ZZ^n
+    under (u_F, u_G), the gcd of their 2x2 minors.  Translations keep every
+    facet volume, so sum_G H[F][G] u_G = 0, which gives the diagonal.  Rows
+    of absent facets are 0, and the rates are one-sided where the system is
+    not simple.
+    """
+    cons = [(tuple(int(x) for x in u), Fraction(a)) for u, a in cons]
+    if table is None:
+        table = vertex_table(n, cons)[0]
+    verts = [v for v, _ in table]
+    if not verts:
+        out = Fraction(0), [Fraction(0)] * len(cons), verts
+        return (*out, [[Fraction(0)] * len(cons) for _ in cons]) if rates else out
+    tight = [frozenset(i for i, (_, act) in enumerate(table) if j in act)
+             for j in range(len(cons))]
+    memo: dict[tuple[int, frozenset[int]], Fraction] = {}
+
+    def cone(k: int, ids: frozenset[int], basis) -> tuple[Fraction, list[Fraction]]:
+        """(k-volume of the face ids, (k-1)-volume of ids & tight(j) per j)."""
+        v0 = min(ids)
+        total, latvols, seen = Fraction(0), [], set()
+        for j, (u, a) in enumerate(cons):
+            sub = ids & tight[j]
+            w = [sum(x * y for x, y in zip(b, u)) for b in basis] if len(sub) >= k else ()
+            if not any(w):  # too few vertices, or constant on the face
+                latvols.append(Fraction(0))
+                continue
+            prim, g = primitive_content(w)
+            if k == 1:
+                vol = Fraction(1)
+            elif (k - 1, sub) in memo:
+                vol = memo[k - 1, sub]
+            else:
+                kernel = linalg.integer_kernel([prim], k)
+                sub_basis = [[sum(c * b[t] for c, b in zip(row, basis)) for t in range(n)]
+                             for row in kernel]
+                vol = memo[k - 1, sub] = cone(k - 1, sub, sub_basis)[0]
+            latvols.append(vol)
+            if v0 not in sub and sub not in seen:
+                seen.add(sub)
+                total += (linalg.dot(verts[v0], u) + a) / g * vol
+        return total / k, latvols
+
+    identity = [[int(i == t) for t in range(n)] for i in range(n)]
+    vol, latvols = cone(n, frozenset(range(len(verts))), identity)
+    if not rates:
+        return vol, latvols, verts
+    hess = [[Fraction(0)] * len(cons) for _ in cons]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for f, (u, _) in enumerate(cons):
+        if not latvols[f]:
+            continue
+        row, w = hess[f], primitive_content(u)[0]
+        for j, (v, _) in enumerate(cons):
+            g = math.gcd(*(w[p] * v[q] - w[q] * v[p] for p, q in pairs))
+            sub = tight[f] & tight[j]
+            if g and len(sub) >= n - 1:  # the tests of cone
+                row[j] = (memo[n - 2, sub] if n > 2 else Fraction(1)) / g
+        i = next(i for i, x in enumerate(u) if x)
+        row[f] = -sum(h * v[i] for h, (v, _) in zip(row, cons)) / u[i]
+    return vol, latvols, verts, hess
+
+
+# ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility, the witness-point oracle
 
 # A constraint is (coefs, rhs, strict) and reads  coefs . x  >=  rhs
