@@ -235,22 +235,20 @@ def _render_text(command: str, result: dict) -> str:
     return "\n".join(lines)
 
 
+PARSER = argparse.ArgumentParser(
+    prog="toricgit",
+    description="Exact toric GIT quotients, filtration sheaves, slope "
+                "stability, and quotient-class reconstruction.")
+PARSER.add_argument("--input", required=True, help="JSON job file")
+PARSER.add_argument("--command", choices=COMMANDS, help="command (overrides the job file)")
+for key in ("tol", "seed", "max_iter", "cap", "k_max"):
+    PARSER.add_argument("--" + key.replace("_", "-"), type=OPTIONS[key][0], dest=key)
+PARSER.add_argument("--output", help="write the report here instead of stdout")
+PARSER.add_argument("--format", choices=("json", "text"), default="json")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="toricgit",
-        description="Exact toric GIT quotients, filtration sheaves, slope "
-                    "stability, and quotient-class reconstruction.")
-    parser.add_argument("--input", required=True, help="JSON job file")
-    parser.add_argument("--command", choices=COMMANDS,
-                        help="command (overrides the job file)")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-iter", type=int, dest="max_iter")
-    parser.add_argument("--cap", type=int)
-    parser.add_argument("--k-max", type=int, dest="k_max")
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -271,11 +269,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         options = raw.get("options", {})
         if not isinstance(options, dict):
             raise InputError('"options" must be a JSON object')
-        options = dict(options)
-        for key in OPTIONS:
-            val = getattr(args, key, None)
-            if val is not None:
-                options[key] = val
+        options = {**options, **{key: val for key, val in vars(args).items()
+                                 if key in OPTIONS and val is not None}}
         result = run_command(command, payload, options)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,12 +11,13 @@ subspace U = annihilator of the sublattice:
 * strictly semistable -- the rest.
 
 The classification is eager: it is built with the setup, from the exact
-vertex table of the slice P n U and the facets tight on each slice vertex.
-A face Q meets U iff some slice vertex is tight on all facets through Q,
-and ri Q meets U iff exactly those facets are tight on every such vertex.
-The witness point of a face that meets U comes from the same double
-description (``linalg.feasible_point``) on the first read of that witness,
-so only the classification report pays.
+vertex table of the (n - g)-dimensional slice P n U and the facets tight on
+each slice vertex.  A face Q meets U iff some slice vertex is tight on all
+facets through Q, and ri Q meets U iff exactly those facets are tight on
+every such vertex.  Such a Q is stable iff its normals project
+independently, which a slice vertex tight on exactly n - g facets proves
+(tight normals at a vertex have full rank); only otherwise is a rank
+computed.  Witnesses come from the same double description on first read.
 
 The quotient side is lazy: the quotient lattice is built once per
 Sublattice object, the quotient polytope on first use.  Setups with
@@ -102,10 +103,13 @@ class GitSetup:
         reads <y, proj(u_F)> >= -a_F.  Q n U is the face of the slice on
         which active(Q) is tight; when exactly active(Q) is tight on all of
         its vertices, their barycenter lies in ri Q (Rockafellar, Convex
-        Analysis, Thms 6.5-6.6).  No witness is searched here: each
-        FaceStatus keeps its system for the first read, bounded because P
-        is: Q's affine hull and U cut by P's other facets, strictly for a
-        stable face."""
+        Analysis, Thms 6.5-6.6).  Then Q is stable iff dir(Q) + U spans, iff
+        the proj(u_F) of active(Q) are independent: true when a slice
+        vertex is tight on exactly n - g facets, as its tight projected
+        normals have rank n - g; else an integer rank test, with
+        rank(normals) = n - dim Q.  Each FaceStatus keeps its witness
+        system, bounded because P is: Q's affine hull and U cut by P's
+        other facets, strictly for a stable face."""
         p = self.polytope
         gens = self.sublattice.generators
         g = len(gens)
@@ -119,34 +123,28 @@ class GitSetup:
                 continue
             active = sorted(face.active_facets)
             stable = frozenset.intersection(*over) == face.active_facets
-            if stable:  # ri Q meets U; stable iff dir(Q) + U also spans,
-                # i.e. iff the active normals meet the sublattice span only
-                # in 0, an exact rank additivity test
+            if stable and all(len(s) != p.n - g for s in over):
                 normals = [p.facets[f][0] for f in active]
-                stable = linalg.int_rank(normals + list(gens)) == linalg.int_rank(normals) + g
+                stable = linalg.int_rank(normals + list(gens)) == p.n - face.dim + g
             eqs = [(p.facets[f][0], -p.facets[f][1]) for f in active]
-            eqs += [(gen, Fraction(0)) for gen in gens]
+            eqs += [(gen, 0) for gen in gens]
             others = [(p.facets[f][0], -p.facets[f][1], stable)
                       for f in range(p.num_facets) if f not in face.active_facets]
             out.append(FaceStatus(face, STABLE if stable else STRICTLY_SEMISTABLE,
                                   (p.n, tuple(eqs), tuple(others))))
         return tuple(out)
 
+    def _facets(self, status: str) -> tuple[int, ...]:
+        return tuple(sorted(min(fs.face.active_facets) for fs in self.classification
+                            if fs.face.dim == self.polytope.n - 1 and fs.status == status))
+
     @cached_property
     def stable_facets(self) -> tuple[int, ...]:
-        out = []
-        for fs in self.classification:
-            if fs.face.dim == self.polytope.n - 1 and fs.status == STABLE:
-                out.append(min(fs.face.active_facets))
-        return tuple(sorted(out))
+        return self._facets(STABLE)
 
     @cached_property
     def unstable_facets(self) -> tuple[int, ...]:
-        out = []
-        for fs in self.classification:
-            if fs.face.dim == self.polytope.n - 1 and fs.status == UNSTABLE:
-                out.append(min(fs.face.active_facets))
-        return tuple(sorted(out))
+        return self._facets(UNSTABLE)
 
     def is_generic(self) -> bool:
         """Stable = semistable and nonempty, with a positive-dimensional
@@ -154,9 +152,8 @@ class GitSetup:
         no polarized quotient)."""
         if self.sublattice.rank >= self.polytope.n:
             return False
-        has_stable = any(fs.status == STABLE for fs in self.classification)
-        has_sss = any(fs.status == STRICTLY_SEMISTABLE for fs in self.classification)
-        return has_stable and not has_sss
+        statuses = {fs.status for fs in self.classification}
+        return STABLE in statuses and STRICTLY_SEMISTABLE not in statuses
 
     def require_generic(self) -> None:
         if not self.is_generic():
@@ -170,19 +167,13 @@ class GitSetup:
         """(quotient polytope over N_Y, stable facet -> quotient facet index,
         stable facet -> b_F)."""
         self.require_generic()
-        q = self.quotient_lattice
-        facets = []
-        fmap: dict[int, int] = {}
-        b: dict[int, int] = {}
-        for pos, f in enumerate(self.stable_facets):
+        facets, b = [], {}
+        for f in self.stable_facets:
             u, a = self.polytope.facets[f]
-            proj = q.project(u)
-            prim, content = primitive_content(proj)
-            facets.append((prim, Fraction(a) / content))
-            fmap[f] = pos
-            b[f] = content
-        py = HPolytope(q.rank, facets)
-        return py, fmap, b
+            prim, b[f] = primitive_content(self.quotient_lattice.project(u))
+            facets.append((prim, Fraction(a) / b[f]))
+        fmap = {f: pos for pos, f in enumerate(self.stable_facets)}
+        return HPolytope(self.quotient_lattice.rank, facets), fmap, b
 
     def quotient_polytope(self) -> tuple[HPolytope, dict[int, int], dict[int, int]]:
         """Quotient polytope in the coordinates dual to the projection, the

@@ -6,8 +6,8 @@ work unboxed (ints give ints) and would pass floats on.  Three layers:
 
 * one fraction-free elimination, ``echelon`` (Bareiss), on rows scaled to
   integers: it gives the exact rank, the reduced row echelon form in its
-  canonical integer multiple (``rref``), and from that form the kernel and
-  the solutions of linear systems (divided into Fractions only there),
+  canonical integer multiple (``rref``), and from that form integer bases
+  of kernels and of the solutions of linear systems,
 * integer lattice normal forms (row-style Hermite form, kernels, a
   diagonal form with its transforms for right inverses),
 * one double description of rational half-space systems (``vertex_table``:
@@ -136,32 +136,35 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(echelon(rows, reduce=False)[1])
 
 
-def kernel(reduced: Sequence[Sequence[int]], pivots: Sequence[int], n: int) -> list[Vec]:
-    """Basis of the solutions in QQ^n of the homogeneous system in ``rref``
-    form (every pivot the same D): one vector per free column."""
+def kernel(reduced: Sequence[Sequence[int]], pivots: Sequence[int], n: int) -> list[IntVec]:
+    """Integer basis of the solutions in QQ^n of the homogeneous system in
+    ``rref`` form (every pivot the same D): per free column f, D times the
+    solution with 1 at f, i.e. D at f and -row[f] at each pivot."""
+    d = reduced[0][pivots[0]] if pivots else 1
     basis = []
     for f in range(n):
         if f not in pivots:
-            v = [Fraction(0)] * n
-            v[f] = Fraction(1)
+            v = [0] * n
+            v[f] = d
             for row, p in zip(reduced, pivots):
-                v[p] = Fraction(-row[f], row[p])
+                v[p] = -row[f]
             basis.append(tuple(v))
     return basis
 
 
 def affine_solution_space(
-    eqs: Sequence[tuple[Sequence, Fraction]], n: int
-) -> Optional[tuple[Vec, list[Vec]]]:
-    """Solutions of the system {a.x = c}: (particular point, direction basis),
-    or None when inconsistent; both read off one reduced form of [a | c]."""
+    eqs: Sequence[tuple[Sequence, Scalar]], n: int
+) -> Optional[tuple[IntVec, int, list[IntVec]]]:
+    """Solutions of the system {a.x = c}, (num + sum t_j w_j) / D: (num, D,
+    the w_j of ``kernel``), or None when inconsistent; all read off one
+    reduced form of [a | c], whose pivots are D."""
     reduced, pivots = rref([[*a, c] for a, c in eqs])
     if n in pivots:
         return None
-    point = [Fraction(0)] * n
+    num = [0] * n
     for row, p in zip(reduced, pivots):
-        point[p] = Fraction(row[n], row[p])
-    return tuple(point), kernel(reduced, pivots, n)
+        num[p] = row[n]
+    return tuple(num), reduced[0][pivots[0]] if pivots else 1, kernel(reduced, pivots, n)
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +424,35 @@ def vertex_table(n: int, cons: Sequence[Constraint]) -> tuple[VertexTable, bool]
 
 def feasible_point(
     n: int,
-    equalities: Sequence[tuple[Sequence, object]] = (),
-    inequalities: Sequence[tuple[Sequence, object, bool]] = (),
+    equalities: Sequence[tuple[Sequence, Scalar]] = (),
+    inequalities: Sequence[tuple[Sequence, Scalar, bool]] = (),
 ) -> Optional[Vec]:
     """Witness of {x in QQ^n : a.x = c for equalities, a.x >= c (or >) for
     inequalities}, or None if the system is infeasible.  The system must be
     bounded: ValueError when the equalities are consistent but the
     inequality normals do not positively span their solutions.
 
-    On those solutions, point + sum t_j b_j, each t_j in turn is the
-    midpoint of its exact range with t_0..t_{j-1} fixed, or that range's
-    one value: the least and greatest first coordinates of the vertices of
-    the loose slice in (t_j..t_{k-1}).  A nonempty strict system is dense
-    in the loose one, and each midpoint lies inside its open range, so the
-    point is in the system iff the system is nonempty; it is the point of
-    Fourier-Motzkin back substitution (t_0 first)."""
-    sol = affine_solution_space([(a, Fraction(c)) for a, c in equalities], n)
+    On those solutions, (num + sum t_j w_j) / D in the integers of
+    ``affine_solution_space``, each t_j in turn is the midpoint of its exact
+    range with t_0..t_{j-1} fixed, or that range's one value: the least and
+    greatest first coordinates of the vertices of the loose slice in
+    (t_j..t_{k-1}).  Row a.x >= c reads <a, w_j> . t >= D c - <a, num>, so
+    integer normals give integer slice normals.  A nonempty strict system
+    is dense in the loose one, and each midpoint lies inside its open range,
+    so the point is in the system iff the system is nonempty; it is the
+    point of Fourier-Motzkin back substitution (t_0 first), which does not
+    depend on the directions' scale: a positive factor on w_j divides t_j's
+    range and midpoint alike."""
+    sol = affine_solution_space(equalities, n)
     if sol is None:
         return None
-    point, basis = sol
-    rows = [(tuple(dot(a, b) for b in basis), dot(a, point) - Fraction(c), strict)
+    num, d, dirs = sol
+    rows = [(tuple(dot(a, w) for w in dirs), dot(a, num) - d * c, strict)
             for a, c, strict in inequalities]
     t: list[Fraction] = []
-    for j in range(len(basis)):
+    for j in range(len(dirs)):
         table, bounded = vertex_table(
-            len(basis) - j, [(u[j:], s + dot(u[:j], t)) for u, s, _ in rows])
+            len(dirs) - j, [(u[j:], s + dot(u[:j], t)) for u, s, _ in rows])
         if not bounded:  # only at j = 0: slices of a bounded set are bounded
             raise ValueError("feasible_point needs a bounded system")
         if not table:
@@ -454,4 +461,5 @@ def feasible_point(
         t.append(lo if lo == hi else (lo + hi) / 2)
     if any(dot(u, t) + s <= 0 if strict else dot(u, t) + s < 0 for u, s, strict in rows):
         return None
-    return tuple(x + sum(tj * b[i] for tj, b in zip(t, basis)) for i, x in enumerate(point))
+    return tuple(Fraction(x + sum(tj * w[i] for tj, w in zip(t, dirs)), d)
+                 for i, x in enumerate(num))

@@ -228,18 +228,25 @@ class HPolytope:
         active = self._vertex_active
         if not active:
             raise EmptyPolytope("inconsistent supports: empty polytope")
-        if self._face_dim(frozenset.intersection(*active)) < self.n:
+        if self._face_dim(active) < self.n:
             raise NotFullDimensional("polytope has empty interior")
         for i, (u, _) in enumerate(self.facets):
             tight = [act for act in active if i in act]
-            if not tight or self._face_dim(frozenset.intersection(*tight)) < self.n - 1:
+            if not tight or self._face_dim(tight) < self.n - 1:
                 raise RedundantInequality(
                     f"inequality {i} (normal {u}) does not define a facet")
 
-    def _face_dim(self, common: frozenset[int]) -> int:
-        """Dimension of a nonempty face from the inequalities tight on all of
-        its vertices, its implicit equalities: they cut out its affine hull
-        (Schrijver 1986, sec. 8), so it is n minus the rank of their normals."""
+    def _face_dim(self, tights: Sequence[frozenset[int]]) -> int:
+        """Dimension of a nonempty face from the tight sets of its vertices.
+        The inequalities tight on all of them, its implicit equalities, cut
+        out its affine hull (Schrijver 1986, sec. 8), so it is n minus the
+        rank of their normals.  The normals tight at a vertex have rank n
+        (an extreme ray of the homogenized cone), so when a vertex is tight
+        on exactly n of them they are independent, and so is the common
+        subset: then the rank is its size, with no elimination."""
+        common = frozenset.intersection(*tights)
+        if any(len(t) == self.n for t in tights):
+            return self.n - len(common)
         return self.n - linalg.int_rank([self.facets[f][0] for f in common])
 
     # -- basic geometry ---------------------------------------------------
@@ -288,9 +295,8 @@ class HPolytope:
         sets.
         """
         active = self._vertex_active
-        facet_sets = []
-        for i in range(len(self.facets)):
-            facet_sets.append(frozenset(k for k, av in enumerate(active) if i in av))
+        facet_sets = [frozenset(k for k, av in enumerate(active) if i in av)
+                      for i in range(len(self.facets))]
         all_verts = frozenset(range(len(active)))
         found: set[frozenset[int]] = {all_verts, *facet_sets}
         frontier = set(found)
@@ -306,8 +312,8 @@ class HPolytope:
         faces = []
         for vset in found:
             ids = tuple(sorted(vset))
-            common = frozenset.intersection(*[active[i] for i in ids])
-            faces.append(Face(common, self._face_dim(common), ids))
+            tights = [active[i] for i in ids]
+            faces.append(Face(frozenset.intersection(*tights), self._face_dim(tights), ids))
         faces.sort(key=lambda f: (f.dim, f.key()))
         return tuple(faces)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 from decimal import Decimal
@@ -293,6 +294,64 @@ def test_command_flag_overrides_file(tmp_path):
     assert code == 0
     assert report["command"] == "quotient"
     assert "quotient_polytope" in report["result"]
+
+
+def test_command_flag_does_not_carry_over(tmp_path):
+    # the parser is built once at import; each call parses into a fresh
+    # namespace, so a flag given to one call is gone in the next
+    job = {"command": "classify", "inputs": {"setup": P2_SETUP}}
+    assert run_job(tmp_path, job, "--command", "quotient")[1]["command"] == "quotient"
+    code, report = run_job(tmp_path, job)
+    assert code == 0 and report["command"] == "classify"
+    assert report["options"] == {}
+    code, report = run_job(tmp_path, {"command": "stability", "inputs": {
+        "polytope": P2_SETUP["polytope"], "sheaf": TANGENT_SHEAF}}, "--cap", "7")
+    assert code == 0 and report["options"] == {"cap": 7}
+    code, report = run_job(tmp_path, {"command": "stability", "inputs": {
+        "polytope": P2_SETUP["polytope"], "sheaf": TANGENT_SHEAF}})
+    assert code == 0 and report["options"] == {}
+
+
+def reference_parser():
+    """The parser as ``main`` built it on every call before it moved to
+    module level: nine arguments, in this order."""
+    parser = argparse.ArgumentParser(
+        prog="toricgit",
+        description="Exact toric GIT quotients, filtration sheaves, slope "
+                    "stability, and quotient-class reconstruction.")
+    parser.add_argument("--input", required=True, help="JSON job file")
+    parser.add_argument("--command", choices=cli.COMMANDS,
+                        help="command (overrides the job file)")
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--max-iter", type=int, dest="max_iter")
+    parser.add_argument("--cap", type=int)
+    parser.add_argument("--k-max", type=int, dest="k_max")
+    parser.add_argument("--output", help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    return parser
+
+
+def test_parser_help_and_usage_errors_are_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    reference = reference_parser()
+    for argv, code in ((["--help"], 0), (["--input", "x", "--bogus"], 2),
+                       (["--input", "x", "--command", "nope"], 2), ([], 2),
+                       (["--input", "x", "--tol", "abc"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as ref:
+            reference.parse_args(argv)
+        want = capsys.readouterr()
+        assert exc.value.code == ref.value.code == code, argv
+        assert (got.out, got.err) == (want.out, want.err), argv
+        assert (got.out or got.err).startswith("usage: toricgit [-h] --input INPUT"), argv
+    assert cli.PARSER.prog == "toricgit"
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", "x", "--bogus"])
+    assert capsys.readouterr().err.endswith(
+        "toricgit: error: unrecognized arguments: --bogus\n")
 
 
 def test_malformed_jobs_exit_one_with_input_error(tmp_path, capsys):

@@ -40,6 +40,7 @@ from toricgit.polytope import HPolytope
 from util import (
     count_calls,
     fourier_motzkin_point,
+    non_simple_polytope,
     random_generic_setup,
     random_polytope,
     random_quotient_sheaf,
@@ -392,9 +393,11 @@ def test_sheaf_facet_count_mismatches_raise():
         descends(SETUP, structure_sheaf(5))
 
 
-def fourier_motzkin_classification(setup):
+def fourier_motzkin_classification(setup, seen=None):
     """Oracle: two Fourier-Motzkin calls per face, one on the loose system
-    (does Q meet U?) and one on the strict system (does ri Q meet U?)."""
+    (does Q meet U?) and one on the strict system (does ri Q meet U?), and
+    the rank-additivity test of transversality on every face whose relative
+    interior meets U; those faces are counted in ``seen["ri meets U"]``."""
     p = setup.polytope
     gens = setup.sublattice.generators
     out = []
@@ -409,6 +412,8 @@ def fourier_motzkin_classification(setup):
             out.append((face.active_facets, UNSTABLE, None))
             continue
         interior = fourier_motzkin_point(p.n, eqs, [(u, c, True) for u, c, _ in loose])
+        if seen is not None:
+            seen["ri meets U"] += interior is not None
         normals = [p.facets[f][0] for f in active]
         transversal = linalg.int_rank(normals + list(gens)) == linalg.int_rank(normals) + len(gens)
         if interior is not None and transversal:
@@ -421,28 +426,53 @@ def fourier_motzkin_classification(setup):
 def random_setup(rng, n, rank):
     """A random polytope moved by a small integer translation, against a
     random saturated sublattice of the given rank."""
+    return GitSetup(*random_setup_parts(rng, n, rank))
+
+
+def random_setup_parts(rng, n, rank):
     t = [rng.randint(-1, 1) for _ in range(n)]
-    return GitSetup(random_polytope(rng, n).translate(t),
-                    random_saturated_sublattice(rng, n, rank))
+    return (random_polytope(rng, n).translate(t),
+            random_saturated_sublattice(rng, n, rank))
 
 
-def test_slice_vertex_classification_matches_fourier_motzkin():
-    rng = Random(71)
-    statuses = Counter()
+def test_slice_vertex_classification_matches_fourier_motzkin(monkeypatch):
+    # a face whose relative interior meets U is transversal when a slice
+    # vertex over it is tight on exactly n - g facets; otherwise one rank
+    # test decides.  Both branches are taken, on random and on non-simple
+    # polytopes (pyramids over cubes, cross-polytopes), and so are strictly
+    # semistable faces with a vertex in U
+    ranks = count_calls(monkeypatch, linalg, "int_rank")
+    rng, other = Random(71), Random(712)
+    statuses, seen = Counter(), Counter()
     setups = 0
     for n, reps in ((2, 50), (3, 10), (4, 3)):
         for rank in range(n + 1):
-            for _ in range(reps):
-                setup = random_setup(rng, n, rank)
+            for k in range(reps + (reps // 2 if n > 2 else 0)):
+                if k < reps:
+                    poly, sub = random_setup_parts(rng, n, rank)
+                else:
+                    poly = non_simple_polytope(other, n)
+                    sub = random_saturated_sublattice(other, n, rank)
+                poly.face_lattice
+                ranks.clear()
+                setup = GitSetup(poly, sub)
+                seen["rank"] += ranks["int_rank"]
                 got = [(fs.face.active_facets, fs.status, fs.witness)
                        for fs in setup.classification]
-                assert got == fourier_motzkin_classification(setup)
+                assert got == fourier_motzkin_classification(setup, seen)
                 statuses.update((n, fs.status) for fs in setup.classification)
+                seen["sss with a vertex in U"] += sum(
+                    fs.status == STRICTLY_SEMISTABLE and any(
+                        not any(linalg.dot(poly.vertices[i], gen) for gen in sub.generators)
+                        for i in fs.face.vertex_ids)
+                    for fs in setup.classification)
                 setups += 1
     assert setups >= 200
     for n in (2, 3, 4):
         for status in (STABLE, STRICTLY_SEMISTABLE, UNSTABLE):
             assert statuses[n, status] > 0, (n, status)
+    simple = seen["ri meets U"] - seen["rank"]
+    assert simple > 50 and seen["rank"] > 50 and seen["sss with a vertex in U"] > 0, seen
 
 
 def test_witness_search_matches_fourier_motzkin_on_face_systems():
@@ -487,6 +517,41 @@ def test_classification_calls_fourier_motzkin_once_per_face_meeting_u(monkeypatc
             assert [fs.witness for fs in setup.classification] == first
             setup.classification_report()
             assert calls["feasible_point"] == 0  # witnesses are cached
+
+
+def cube_facets(n, lo, hi):
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return [(u, -lo) for u in e] + [(tuple(-x for x in u), hi) for u in e]
+
+
+SQUARE_PYRAMID = [((0, 0, 1), 0), ((0, -1, -1), 1), ((0, 1, -1), 1),
+                  ((-1, 0, -1), 1), ((1, 0, -1), 1)]  # apex (0, 0, 1)
+
+
+@pytest.mark.parametrize("n, facets, gens, pinned", [
+    # generic: every vertex of P and of the slice is simple
+    (2, P2_TRANSLATED.facets, ((1, 1),), 0),
+    (4, cube_facets(4, Fraction(-3, 8), Fraction(5, 8)), ((1, 1, 1, 1),), 0),
+    # U through the apex: its face dimension (in the face lattice) and its
+    # transversality (in the classification) each take one rank
+    (3, SQUARE_PYRAMID, ((1, 0, 0),), 2),
+    # U through the cube vertices that permute (1, -1/3, -1/3, -1/3)
+    (4, cube_facets(4, Fraction(-1, 3), 1), ((1, 1, 1, 1),), 15),
+])
+def test_elimination_counts_of_construction_are_pinned(monkeypatch, n, facets, gens, pinned):
+    # building the polytope, its face lattice and the setup eliminates only
+    # where a vertex of P or of the slice is tight on too many facets; rref
+    # is called by the witnesses alone, once each
+    calls = {name: count_calls(monkeypatch, linalg, name) for name in ("echelon", "rref")}
+    poly = HPolytope(n, facets)
+    poly.face_lattice
+    setup = GitSetup(poly, Sublattice(Lattice(n), gens))
+    assert (calls["echelon"]["echelon"], calls["rref"]["rref"]) == (pinned, 0)
+    assert setup.is_generic() == (pinned == 0)
+    meets_u = sum(fs.status != UNSTABLE for fs in setup.classification)
+    [fs.witness for fs in setup.classification]
+    assert calls["rref"]["rref"] == meets_u
+    assert calls["echelon"]["echelon"] == pinned + meets_u
 
 
 def test_classification_raises_when_witness_search_disagrees(monkeypatch, tmp_path, capsys):

@@ -29,9 +29,11 @@ from util import (
     brute_force_system_vertices,
     brute_force_vertices,
     count_calls,
+    count_face_dim_branches,
     fourier_motzkin_point,
     fraction_volume_oracle,
     invert_unimodular,
+    non_simple_polytope,
     random_polytope,
 )
 
@@ -279,15 +281,19 @@ def affine_validity(n, cons):
     return None
 
 
-def test_face_dimensions_match_the_affine_rank_oracle():
+def test_face_dimensions_match_the_affine_rank_oracle(monkeypatch):
     # a face's dimension is n minus the rank of the normals tight on all of
-    # its vertices; the oracle is the affine rank of those vertices, on
-    # seeded polytopes and on the seeded raw systems (normals made
+    # its vertices, read off their count when a vertex is tight on exactly
+    # n facets; the oracle is the affine rank of those vertices, on seeded
+    # polytopes, simple or not, and on the seeded raw systems (normals made
     # primitive, the first constraint per normal kept), which must construct
-    # or fail as the oracle predicts
-    rng = Random(71)
-    for _ in range(60):
-        poly = random_polytope(rng, rng.randint(1, 4))
+    # or fail as the oracle predicts.  Both branches are taken, during
+    # validation and in the face lattice.
+    branches = count_face_dim_branches(monkeypatch)
+    rng, other = Random(71), Random(711)
+    polys = [random_polytope(rng, rng.randint(1, 4)) for _ in range(60)]
+    polys += [non_simple_polytope(other, n) for n in (3, 4) for _ in range(10)]
+    for poly in polys:
         for face in poly.face_lattice:
             assert face.dim == affine_rank([poly.vertices[i] for i in face.vertex_ids])
     outcomes = Counter()
@@ -311,6 +317,7 @@ def test_face_dimensions_match_the_affine_rank_oracle():
                     assert face.dim == affine_rank(pts)
     assert all(outcomes[k] >= 10 for k in (None, NotFullDimensional, RedundantInequality)), \
         outcomes
+    assert branches["simple"] > 50 and branches["rank"] > 50, branches
 
 
 def test_nonprimitive_and_duplicate_normals_rejected():

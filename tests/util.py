@@ -233,6 +233,41 @@ def random_polytope(rng: Random, n: int) -> HPolytope:
             continue
 
 
+def non_simple_polytope(rng: Random, n: int) -> HPolytope:
+    """A seeded non-simple n-polytope, n >= 3: the pyramid over the cube
+    [-1, 1]^(n-1) with apex e_n (the square pyramid for n = 3), whose apex
+    is tight on 2n - 2 > n facets, or the cross-polytope {sum |m_i| <= 1}
+    (the octahedron for n = 3), whose every vertex is tight on 2^(n-1) > n;
+    dilated by 1..3 and translated by a vector in {-1, 0, 1}^n."""
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if rng.random() < 0.5:
+        facets = [(e[-1], 0)] + [(tuple(s * x - y for x, y in zip(e[i], e[-1])), 1)
+                                 for i in range(n - 1) for s in (1, -1)]
+    else:
+        facets = [(tuple(1 - 2 * (b >> i & 1) for i in range(n)), 1) for b in range(2 ** n)]
+    k = rng.randint(1, 3)
+    t = [rng.randint(-1, 1) for _ in range(n)]
+    return HPolytope(n, [(u, k * a - linalg.dot(t, u)) for u, a in facets])
+
+
+def count_face_dim_branches(monkeypatch) -> Counter:
+    """Patch ``HPolytope._face_dim`` to count its calls by branch: "simple"
+    when a vertex tight on exactly n facets gives the rank, "rank" when it
+    falls back to ``linalg.int_rank``."""
+    ranks = count_calls(monkeypatch, linalg, "int_rank")
+    branches = Counter()
+    original = HPolytope._face_dim
+
+    def counting(self, tights):
+        before = ranks["int_rank"]
+        out = original(self, tights)
+        branches["rank" if ranks["int_rank"] > before else "simple"] += 1
+        return out
+
+    monkeypatch.setattr(HPolytope, "_face_dim", counting)
+    return branches
+
+
 def random_saturated_sublattice(rng: Random, n: int, rank: int) -> Sublattice:
     """A random saturated rank-``rank`` sublattice of ZZ^n."""
     while True:
@@ -454,7 +489,9 @@ def fourier_motzkin_point(
     sol = linalg.affine_solution_space(eqs, n)
     if sol is None:
         return None
-    point, basis = sol
+    num, d, dirs = sol  # the rational point and kernel basis, as before
+    point = tuple(Fraction(x, d) for x in num)
+    basis = [tuple(Fraction(x, d) for x in w) for w in dirs]
     k = len(basis)
     cons: list[Constraint] = []
     for a, c, strict in inequalities:
