@@ -29,7 +29,7 @@ functors) is only geometric in the generic case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -56,20 +56,27 @@ UNSTABLE = "Unstable"
 
 @dataclass(frozen=True)
 class FaceStatus:
-    """A face, its status, and the bounded system whose
-    ``linalg.feasible_point`` is the witness (None for an unstable face).
-    The witness is computed on first read only."""
+    """A face, its status, and the polytope and sublattice generators whose
+    bounded face system has the witness as ``linalg.feasible_point`` (None
+    for an unstable face).  System and witness are built on first read."""
 
     face: Face
     status: str
-    _system: Optional[tuple] = None  # (n, equations, inequalities)
+    _source: Optional[tuple] = field(default=None, compare=False)  # (P, generators)
 
     @cached_property
     def witness(self) -> Optional[tuple[Fraction, ...]]:
-        """A point of Q n U, in ri Q for a stable face; None if unstable."""
-        if self._system is None:
+        """A point of Q n U, in ri Q for a stable face; None if unstable:
+        Q's affine hull and U cut by P's other facets, strictly for a
+        stable face."""
+        if self._source is None:
             return None
-        point = linalg.feasible_point(*self._system)
+        p, gens = self._source
+        eqs = [(p.facets[f][0], -p.facets[f][1]) for f in sorted(self.face.active_facets)]
+        eqs += [(gen, 0) for gen in gens]
+        others = [(u, -a, self.status == STABLE) for f, (u, a) in enumerate(p.facets)
+                  if f not in self.face.active_facets]
+        point = linalg.feasible_point(p.n, eqs, others)
         if point is None:
             raise InternalError(
                 f"face {sorted(self.face.active_facets)} meets U by the slice "
@@ -107,9 +114,9 @@ class GitSetup:
         the proj(u_F) of active(Q) are independent: true when a slice
         vertex is tight on exactly n - g facets, as its tight projected
         normals have rank n - g; else an integer rank test, with
-        rank(normals) = n - dim Q.  Each FaceStatus keeps its witness
-        system, bounded because P is: Q's affine hull and U cut by P's
-        other facets, strictly for a stable face."""
+        rank(normals) = n - dim Q.  Each FaceStatus of a face meeting U
+        builds its witness system on first read; it is bounded because P
+        is."""
         p = self.polytope
         gens = self.sublattice.generators
         g = len(gens)
@@ -121,17 +128,12 @@ class GitSetup:
             if not over:
                 out.append(FaceStatus(face, UNSTABLE, None))
                 continue
-            active = sorted(face.active_facets)
             stable = frozenset.intersection(*over) == face.active_facets
             if stable and all(len(s) != p.n - g for s in over):
-                normals = [p.facets[f][0] for f in active]
+                normals = [p.facets[f][0] for f in sorted(face.active_facets)]
                 stable = linalg.int_rank(normals + list(gens)) == p.n - face.dim + g
-            eqs = [(p.facets[f][0], -p.facets[f][1]) for f in active]
-            eqs += [(gen, 0) for gen in gens]
-            others = [(p.facets[f][0], -p.facets[f][1], stable)
-                      for f in range(p.num_facets) if f not in face.active_facets]
             out.append(FaceStatus(face, STABLE if stable else STRICTLY_SEMISTABLE,
-                                  (p.n, tuple(eqs), tuple(others))))
+                                  (p, gens)))
         return tuple(out)
 
     def _facets(self, status: str) -> tuple[int, ...]:

@@ -8,12 +8,18 @@ the last of which is QQ^r.  Below the first jump the filtration is 0.
 Subspaces store the reduced row echelon basis times the least D > 0 that
 makes it integral (``linalg.rref``), so equal subspaces have equal rows and
 every elimination runs on the stored rows as they are; ``Subspace.basis``
-divides by D.  Containment, sum and meet are decided by one exact rank,
-s = rank[W; E] = dim(W + E): E <= W iff s = dim W, and the meet has
-dimension dim W + dim E - s.  A meet that is neither zero nor one of the
-two is read off one reduced form of [W | W; E | 0] (Zassenhaus): its rows
-(w + e, w) with vanishing left half have w in W n E, and their right
-halves divided by their gcd are the canonical rows.
+divides by D.  The kernel read off those rows (cached) spans W^perp, so
+x lies in W iff its residual, its pairings with that kernel, vanishes
+(D x - sum_k x[p_k] w_k on the free columns).  So containment takes no
+elimination, and s = rank[W; E] = dim(W + E) is dim W plus the rank of
+E's nonzero residuals, eliminated only when there are two or more: E <= W
+iff s = dim W, and the meet has dimension dim W + dim E - s.  A meet that
+is neither zero nor one of the two is read off one reduced form of
+[W | W; E | 0] (Zassenhaus): its rows (w + e, w) with vanishing left half
+have w in W n E, and their right halves divided by their gcd are the
+canonical rows.  A sheaf caches flag-adapted coordinates per facet, from
+the jumps' kernels: x lies in E_k iff its coordinates from dim E_k on
+vanish (``FiltrationSheaf.flag_coordinates``).
 
 The ground field is QQ; witnesses defined only over an extension field are
 out of reach and verdicts record that restriction.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -31,6 +38,7 @@ from .errors import DimensionMismatch, FacetMismatch, InputError
 from .polytope import DivisorClass, Face, HPolytope
 
 QVec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -74,22 +82,36 @@ class Subspace:
         d = next(x for x in self.rows[0] if x) if self.rows else 1
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.rows)
 
+    @cached_property
+    def _annihilator(self) -> list[IntVec]:
+        """The kernel of the stored rows: one vector per free column."""
+        return linalg.kernel(self.rows, self.pivots(), self.ambient)
+
+    def _residuals(self, vectors: Iterable[Sequence[int]]) -> list[list[int]]:
+        """The nonzero residuals of integer vectors against W."""
+        return [res for res in linalg.pairings(vectors, self._annihilator) if any(res)]
+
+    def _sum_dim(self, other: "Subspace") -> int:
+        """rank[W; E] = dim W + the rank of E's nonzero residuals."""
+        if other.ambient != self.ambient:
+            raise DimensionMismatch("subspaces of different ambient spaces")
+        res = self._residuals(other.rows)
+        if len(res) > 1 and self.ambient - self.dim > 1:
+            return self.dim + linalg.int_rank(res)
+        return self.dim + min(len(res), 1)
+
     def contains_vector(self, v: Sequence) -> bool:
-        return linalg.int_rank([*self.rows, *linalg.int_rows([v])]) == self.dim
+        return not self._residuals(linalg.int_rows([v]))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces of different ambient spaces")
         if other.dim > self.dim:
             return False
-        if self.is_full() or other.is_zero():
-            return True
-        return linalg.int_rank(self.rows + other.rows) == self.dim
+        return self.is_full() or other.is_zero() or not self._residuals(other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
-        if other.ambient != self.ambient:
-            raise DimensionMismatch("subspaces of different ambient spaces")
-        s = linalg.int_rank(self.rows + other.rows)
+        s = self._sum_dim(other)
         if s == other.dim:
             return other
         if s == self.dim:
@@ -97,9 +119,7 @@ class Subspace:
         return Subspace.span(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        if other.ambient != self.ambient:
-            raise DimensionMismatch("subspaces of different ambient spaces")
-        d = self.dim + other.dim - linalg.int_rank(self.rows + other.rows)
+        d = self.dim + other.dim - self._sum_dim(other)
         if d == 0:
             return Subspace.zero(self.ambient)
         if d == self.dim:
@@ -117,8 +137,7 @@ class Subspace:
         """The annihilator {x : x . w = 0 for w in W}, in the dual space
         identified with QQ^ambient by the standard pairing: the kernel read
         off the stored rows, which are already in reduced form."""
-        return Subspace.span(self.ambient,
-                             linalg.kernel(self.rows, self.pivots(), self.ambient))
+        return Subspace.span(self.ambient, self._annihilator)
 
     def image_under(self, matrix: Sequence[Sequence]) -> "Subspace":
         """Image of this subspace under the linear map given row-wise by a
@@ -204,6 +223,25 @@ class FiltrationSheaf:
 
     def jump_indices(self, facet: int) -> tuple[int, ...]:
         return tuple(i for i, _ in self.filtrations[facet])
+
+    @cached_property
+    def flag_coordinates(self) -> tuple[tuple[tuple[IntVec, ...], tuple[int, ...]], ...]:
+        """Per facet, (columns g_0..g_{r-1} of an invertible integer matrix,
+        levels): for every jump (i_k, E_k), the g_j with j >= dim E_k span
+        E_k^perp, and level j is the i_k of the first jump with dim E_k > j.
+        Positions dim E_{k-1}.. take the kernel vectors of E_{k-1} at the
+        pivots that E_k adds to it, so nothing is eliminated."""
+        out = []
+        for filt in self.filtrations:
+            cols, levels, prev, old = [], [], Subspace.zero(self.rank), []
+            for i, v in filt:
+                new = v.pivots()
+                free = [c for c in range(self.rank) if c not in old]
+                cols += [k for c, k in zip(free, prev._annihilator) if c in new]
+                levels += [i] * (v.dim - prev.dim)
+                prev, old = v, new
+            out.append((tuple(cols), tuple(levels)))
+        return tuple(out)
 
     # -- serialization ----------------------------------------------------
 

@@ -51,6 +51,11 @@ def vec_scale(c, a: Sequence) -> Vec:
     return tuple(c * Fraction(x) for x in a)
 
 
+def pairings(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list[Scalar]]:
+    """The matrix of dot products row . col, lengths unchecked."""
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
+
 def barycenter(points: Sequence[Sequence]) -> tuple[Fraction, ...]:
     """The mean of a nonempty list of points."""
     return tuple(Fraction(sum(col), len(points)) for col in zip(*points))

@@ -30,11 +30,17 @@ its fixed point.  Any closure stopped at ``cap`` sets ``cap_exceeded``;
 without certified completeness the middle dimensions are attacked with
 seeded random subspaces and the verdict never claims Stable.
 
-Candidates and random subspaces are scored without building subsheaves:
-dim(W n E) = dim W + dim E - rank[W; E], with the rank from fraction-free
-integer elimination, gives i_F(det S_W) = sum_k i_k (d_k - d_{k-1}) over the
-jumps (i_k, E_k) of each facet, d_k = dim(W n E_k).  Only the line,
-hyperplane and final witnesses are re-verified through ``subsheaf``.
+Candidates and random subspaces are scored without building subsheaves,
+from W's Schubert position against each facet's flag.  In the facet's
+flag-adapted coordinates (``FiltrationSheaf.flag_coordinates``) x lies in
+E_k iff its coordinates from dim E_k on vanish.  Bring W's coordinates,
+last column first, to echelon form: the last nonzero coordinates j of its
+rows are W's position, dim(W n E_k) is the number of them below dim E_k,
+and i_F(det S_W) is the sum of their levels, the index of the first jump
+containing the coordinate.  That is one integer elimination per facet for
+every jump at once, and none for a line.  A profile p(C)_F is the level of
+C's highest nonzero coordinate.  Only the line, hyperplane and final
+witnesses are re-verified through ``subsheaf``.
 """
 
 from __future__ import annotations
@@ -93,13 +99,12 @@ def _closure(
     as a new member takes it past ``cap`` members."""
     found: dict[Subspace, None] = dict.fromkeys(seeds)
     frontier = list(found)
+    old: list[Subspace] = []
     while frontier:
         new: list[Subspace] = []
-        existing = list(found)
-        for a in frontier:
-            for b in existing:
-                if a == b:
-                    continue
+        for k, a in enumerate(frontier):
+            # (a, frontier[j]), j < k, was met as (frontier[j], a)
+            for b in old + frontier[k + 1:]:
                 results = [a.intersect(b), a.add(b)] if join else [a.intersect(b)]
                 for c in results:
                     if c.is_zero() or (join and c.dim >= rank):
@@ -109,6 +114,7 @@ def _closure(
                         new.append(c)
                         if len(found) > cap:
                             return list(found), False
+        old += frontier
         frontier = new
     return list(found), True
 
@@ -133,28 +139,31 @@ def _verify_witness(
 
 
 # ---------------------------------------------------------------------------
-# slopes from intersection dimensions
+# slopes from Schubert positions
+
+
+def _positions(cols: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> list[int]:
+    """The Schubert position of the span of ``rows`` (independent) against
+    a flag with these adapted columns: the last nonzero coordinates of an
+    echelon form, read off the pivots of the reversed coordinates."""
+    top = len(cols) - 1
+    coords = linalg.pairings(rows, cols[::-1])
+    if len(coords) == 1:
+        return [top - next(q for q, x in enumerate(coords[0]) if x)]
+    return [top - q for q in linalg.echelon(coords, reduce=False)[1]]
 
 
 def _slope_scorer(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]):
-    """mu(subsheaf(S, W)) from dim(W n E) = dim W + dim E - rank[W; E] alone,
-    for W given by its integer rows."""
-    r = sheaf.rank
-    jumps = [[(i, v.dim, v.rows) for i, v in filt] for filt in sheaf.filtrations]
+    """mu(subsheaf(S, W)) from W's Schubert positions alone, for W given by
+    its integer rows: i_F(det S_W) is the sum of the levels of W's
+    positions against facet F's flag."""
+    flags = sheaf.flag_coordinates
 
     def score(w_rows: tuple[tuple[int, ...], ...]) -> Fraction:
-        dim_w = len(w_rows)
         total = Fraction(0)
-        for deg, facet_jumps in zip(degrees, jumps):
-            index, prev = 0, 0
-            for i, dim_e, e_rows in facet_jumps:
-                d = dim_w if dim_e == r else dim_w + dim_e - linalg.int_rank(w_rows + e_rows)
-                index += i * (d - prev)
-                prev = d
-                if d == dim_w:
-                    break
-            total += index * deg
-        return -total / dim_w
+        for deg, (cols, levels) in zip(degrees, flags):
+            total += sum(levels[j] for j in _positions(cols, w_rows)) * deg
+        return -total / len(w_rows)
 
     return score
 
@@ -164,17 +173,13 @@ def _slope_scorer(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]):
 
 
 def _profile(sheaf: FiltrationSheaf, c: Subspace) -> list[int]:
-    """p(C)_F = min{i : C <= E^F(i)} (the last jump index always works)."""
+    """p(C)_F = min{i : C <= E^F(i)}: the level of C's highest nonzero
+    flag-adapted coordinate (the first level for C = 0)."""
     out = []
-    for f in range(sheaf.num_facets):
-        p = None
-        for i, v in sheaf.filtrations[f]:
-            if v.contains(c):
-                p = i
-                break
-        if p is None:
-            raise InternalError("profile of a subspace not inside E")
-        out.append(p)
+    for cols, levels in sheaf.flag_coordinates:
+        top = max((j for row in linalg.pairings(c.rows, cols) for j, x in enumerate(row) if x),
+                  default=0)
+        out.append(levels[top])
     return out
 
 

@@ -160,6 +160,71 @@ def test_subspace_relations_match_elimination_oracles():
     assert all(count >= 40 for count in seen.values()), seen
 
 
+def stacked_rank_contains(w, e):
+    """The former containment test: one integer rank of the stacked rows."""
+    if e.dim > w.dim:
+        return False
+    return w.is_full() or e.is_zero() or linalg.int_rank(w.rows + e.rows) == w.dim
+
+
+def stacked_rank_contains_vector(w, v):
+    return linalg.int_rank([*w.rows, *linalg.int_rows([v])]) == w.dim
+
+
+def stacked_rank_add(w, e):
+    s = linalg.int_rank(w.rows + e.rows)
+    if s == e.dim:
+        return e
+    if s == w.dim:
+        return w
+    return Subspace.span(w.ambient, w.rows + e.rows)
+
+
+def stacked_rank_intersect(w, e):
+    """The former meet: its dimension from the rank of the stacked rows,
+    a proper meet from one Zassenhaus reduction."""
+    d = w.dim + e.dim - linalg.int_rank(w.rows + e.rows)
+    if d == 0:
+        return Subspace.zero(w.ambient)
+    if d == w.dim:
+        return w
+    if d == e.dim:
+        return e
+    n = w.ambient
+    reduced, pivots = linalg.rref([*(x + x for x in w.rows), *(y + (0,) * n for y in e.rows)])
+    meet = [row[n:] for row, p in zip(reduced, pivots) if p >= n]
+    g = math.gcd(*(x for row in meet for x in row))
+    return Subspace(n, tuple(tuple(x // g for x in row) for row in meet))
+
+
+def test_subspace_relations_by_residuals_match_stacked_rank_oracles():
+    # the residual kernels against the former stacked-rank kernels, result
+    # and identity: a nested or trivial sum or meet returns the same operand
+    rng = Random(65)
+    kinds = ("zero", "full", "equal", "nested", "integer", "crossing", "rational")
+    seen = dict.fromkeys(("zero", "full", "equal", "nested", "crossing", "inside"), 0)
+    for t in range(1200):
+        n = rng.randint(1, 6)
+        w, e = random_pair(rng, n, kinds[t % len(kinds)])
+        meet_dim = stacked_rank_intersect(w, e).dim
+        seen["zero"] += w.is_zero() or e.is_zero()
+        seen["full"] += w.is_full() or e.is_full()
+        seen["equal"] += w == e
+        seen["nested"] += 0 < min(w.dim, e.dim) < max(w.dim, e.dim) == w.dim + e.dim - meet_dim
+        seen["crossing"] += meet_dim not in (0, w.dim, e.dim)
+        for x, y in ((w, e), (e, w)):
+            assert x.contains(y) == stacked_rank_contains(x, y)
+            for op, oracle in ((x.add, stacked_rank_add), (x.intersect, stacked_rank_intersect)):
+                got, want = op(y), oracle(x, y)
+                assert got == want and (got is x, got is y) == (want is x, want is y)
+            vectors = [*y.rows, *combinations_of(rng, x, 1), rational_rows(rng, n, 1)[0],
+                       [rng.randint(-2, 2) for _ in range(n)]]
+            for v in vectors:
+                assert x.contains_vector(v) == stacked_rank_contains_vector(x, v)
+                seen["inside"] += 0 < x.dim < n and any(v) and x.contains_vector(v)
+    assert all(count >= 100 for count in seen.values()), seen
+
+
 def nullspace_oracle(rows, n):
     """Basis of {x : r . x = 0 for every row r}, one vector per free column
     of the oracle's reduced form, as a reduced basis."""

@@ -289,21 +289,41 @@ def test_rank3_generic_flags_certified_from_exact_strata(monkeypatch):
 
 
 def test_elimination_work_counts_are_pinned(monkeypatch):
-    # exact elimination counts of one Certified rank-3 job: containment, sum
-    # and meet each cost one integer rank of the stored rows, a proper meet
-    # one rref more, a perp one rref of the kernel it reads off the stored
-    # rows, and every rank and rref is one echelon, so a second
-    # elimination routine or a rational rank creeping back in shows as a
-    # changed count
+    # exact elimination counts of one Certified rank-3 job: containment
+    # reads residuals against the cached kernel of the stored rows, a sum or
+    # meet eliminates only two or more nonzero residuals, a proper meet
+    # costs one rref, a perp one rref of that kernel, the closure meets each
+    # unordered pair once, and every rank and rref is one echelon, so a
+    # second elimination routine or a stacked rank creeping back in shows
+    # as a changed count
     s = generic_full_flag_sheaf(Random(55), 3, 4)
     counts = {name: count_calls(monkeypatch, linalg, name)
               for name in ("echelon", "int_rank", "rref")}
     verdict = check_stability(s, F1)
     assert verdict.certainty == "Certified"
     assert {name: c[name] for name, c in counts.items()} == \
-        {"echelon": 617, "int_rank": 555, "rref": 62}
+        {"echelon": 142, "int_rank": 92, "rref": 50}
     for gone in ("rank", "nullspace", "solve_general"):
         assert not hasattr(linalg, gone), gone
+
+
+def test_profiles_and_line_scores_eliminate_nothing(monkeypatch):
+    # flag-adapted coordinates come from the jumps' kernels; a profile is
+    # read off the highest nonzero coordinate and a line's position off its
+    # last nonzero coordinate, so neither needs an echelon form
+    s = generic_full_flag_sheaf(Random(54), 4, 4)
+    members, fixpoint = stability._closure(
+        [v for filt in s.filtrations for _, v in filt], 4, stability.DEFAULT_CAP, join=False)
+    assert fixpoint and len(members) == 35
+    lines = [c for c in members if c.dim == 1] + [random_subspace(Random(76), 4, 1)]
+    calls = count_calls(monkeypatch, linalg, "echelon")
+    score = stability._slope_scorer(s, F1)
+    profiles = [stability._profile(s, c) for c in members]
+    scores = [score(line.rows) for line in lines]
+    assert calls["echelon"] == 0
+    assert profiles == [jump_rank_profile(s, c) for c in members]
+    assert len(lines) > 10
+    assert scores == [slope(subsheaf(s, line), F1) for line in lines]
 
 
 def test_strata_cap_hit_sets_cap_exceeded():
@@ -326,6 +346,117 @@ def test_dimension_count_slope_matches_subsheaf():
         for _ in range(5):
             w = random_subspace(rng, r, rng.randint(1, r - 1))
             assert score(w.rows) == slope(subsheaf(s, w), degrees)
+
+
+def jump_rank_scorer(sheaf, degrees):
+    """The former scorer: dim(W n E) = dim W + dim E - rank[W; E], one
+    integer rank per jump."""
+    r = sheaf.rank
+    jumps = [[(i, v.dim, v.rows) for i, v in filt] for filt in sheaf.filtrations]
+
+    def score(w_rows):
+        dim_w = len(w_rows)
+        total = Fraction(0)
+        for deg, facet_jumps in zip(degrees, jumps):
+            index, prev = 0, 0
+            for i, dim_e, e_rows in facet_jumps:
+                d = dim_w if dim_e == r else dim_w + dim_e - linalg.int_rank(w_rows + e_rows)
+                index += i * (d - prev)
+                prev = d
+                if d == dim_w:
+                    break
+            total += index * deg
+        return -total / dim_w
+
+    return score
+
+
+def jump_rank_profile(sheaf, c):
+    """The former profile: the first jump containing C, by stacked rank."""
+    return [next(i for i, v in filt if linalg.int_rank(v.rows + c.rows) == v.dim)
+            for filt in sheaf.filtrations]
+
+
+def special_subspace(rng, sheaf, dim):
+    """A subspace spanned by vectors of random jump subspaces: it meets the
+    flags in more than the generic dimensions."""
+    r = sheaf.rank
+    jumps = [v for filt in sheaf.filtrations for _, v in filt]
+    while True:
+        vecs = [[sum(rng.randint(-2, 2) * row[j] for row in rng.choice(jumps).rows)
+                 for j in range(r)] for _ in range(dim)]
+        w = Subspace.span(r, vecs)
+        if w.dim == dim:
+            return w
+
+
+def test_schubert_scores_and_profiles_match_jump_rank_oracles():
+    # sheaves of rank 2-5 with full and partial flags, and their duals;
+    # random and special W of every dimension, and the closure members
+    rng = Random(74)
+    classes = (P2_O1, F1, P2.dilate(2).latvols())
+    seen = dict.fromkeys(("partial", "special"), 0)
+    for k in range(320):
+        degrees, r = classes[k % 3], 2 + k % 4
+        s = random_sheaf(rng, r, len(degrees))
+        for sheaf in (s, dual(s)):
+            score, want = stability._slope_scorer(sheaf, degrees), jump_rank_scorer(sheaf, degrees)
+            seen["partial"] += any(len(filt) < r for filt in sheaf.filtrations)
+            for dim in range(r + 1):
+                for w in (random_subspace(rng, r, dim), special_subspace(rng, sheaf, dim)):
+                    assert stability._profile(sheaf, w) == jump_rank_profile(sheaf, w)
+                    if dim:
+                        assert score(w.rows) == want(w.rows)
+                        seen["special"] += score(w.rows) != score(
+                            random_subspace(rng, r, dim).rows)
+            seeds = [v for filt in sheaf.filtrations for _, v in filt]
+            for c in stability._closure(seeds, r, 60, join=False)[0]:
+                assert stability._profile(sheaf, c) == jump_rank_profile(sheaf, c)
+    assert all(count >= 200 for count in seen.values()), seen
+
+
+def all_pairs_closure(seeds, rank, cap, join):
+    """The former closure: every frontier member against every member found
+    before the round, both orders of each pair."""
+    found = dict.fromkeys(seeds)
+    frontier = list(found)
+    while frontier:
+        new = []
+        existing = list(found)
+        for a in frontier:
+            for b in existing:
+                if a == b:
+                    continue
+                results = [a.intersect(b), a.add(b)] if join else [a.intersect(b)]
+                for c in results:
+                    if c.is_zero() or (join and c.dim >= rank):
+                        continue
+                    if c not in found:
+                        found[c] = None
+                        new.append(c)
+                        if len(found) > cap:
+                            return list(found), False
+        frontier = new
+    return list(found), True
+
+
+def test_closure_matches_the_all_pairs_oracle():
+    # members in order and the fixpoint flag, at every cap up to one past
+    # the fixpoint (or past 30 members), in both modes
+    rng = Random(75)
+    seen = dict.fromkeys(("fixpoint", "capped"), 0)
+    for k in range(36):
+        r = 2 + k % 3
+        s = generic_full_flag_sheaf(rng, r, 4) if k % 4 == 3 else random_sheaf(rng, r, 3)
+        for join in (False, True):
+            seeds = (stability._proper_jump_subspaces(s) if join
+                     else [v for filt in s.filtrations for _, v in filt])
+            members, fixpoint = all_pairs_closure(seeds, r, 30, join)
+            seen["fixpoint" if fixpoint else "capped"] += 1
+            for cap in range(len(members) + 2 if fixpoint else 32):
+                assert stability._closure(seeds, r, cap, join) == \
+                    all_pairs_closure(seeds, r, cap, join)
+    assert all(count >= 8 for count in seen.values()), seen
 
 
 def test_semistable_witness_reverified_through_subsheaf(monkeypatch):
