@@ -22,12 +22,12 @@ from .git import (
 )
 from .klyachko import (
     FiltrationSheaf,
-    SheafMorphism,
     Subspace,
     det_indices,
     dimension_jumps,
     direct_sum,
     first_chern,
+    hom_space,
     is_morphism,
     line_bundle,
     sections_on_chart,
@@ -64,12 +64,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AmpleClassNumeric", "BundleSpec", "DivisorClass", "Face",
     "FiltrationSheaf", "GitSetup", "HPolytope", "Lattice", "MinkowskiReport",
-    "QuotientLattice", "SheafMorphism", "StabilityVerdict", "Sublattice",
-    "Subspace", "UnstableIndexVector", "alpha_surface_formula",
-    "ample_class_alpha", "candidate_subspaces", "check_stability",
-    "compatible_subgroups", "converse_falsifier", "curve_slope_ratio",
-    "descends", "det_indices", "dimension_jumps", "direct_sum", "first_chern",
-    "hirzebruch", "in_image", "is_morphism", "is_weighted_projective_quotient",
+    "QuotientLattice", "StabilityVerdict", "Sublattice", "Subspace",
+    "UnstableIndexVector", "alpha_surface_formula", "ample_class_alpha",
+    "candidate_subspaces", "check_stability", "compatible_subgroups",
+    "converse_falsifier", "curve_slope_ratio", "descends", "det_indices",
+    "dimension_jumps", "direct_sum", "first_chern", "hirzebruch", "hom_space",
+    "in_image", "is_morphism", "is_weighted_projective_quotient",
     "line_bundle", "minkowski_condition", "primitive_content", "product",
     "projective_space", "projectivized_bundle", "pullback", "pullback_functor",
     "pushforward", "quotient", "quotient_degrees", "restrict_to_stable",

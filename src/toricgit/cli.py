@@ -6,16 +6,17 @@ failed internal consistency check (a bug, never a property of the input;
 reported on stderr with the prefix "internal:").
 
 Options that size a search are bounded above; a larger value is malformed
-input (exit 1).  Worst cases measured on a 2-vCPU Xeon, Python 3.11:
+input (exit 1).  Worst cases, two runs each on a shared 2-vCPU Intel Xeon
+with Python 3.11.7:
 * random_trials <= 10,000: the trials of a Heuristic rank-4 stability job
-  on four facets take ~2.4 s at the bound (the cost per trial grows with
-  rank and facet count);
+  on four facets take 0.85-0.91 s at the bound (the cost per trial grows
+  with rank and facet count);
 * k_max <= 12: compatible-subgroups builds one setup per GIT chamber, so
   its cost does not grow with the supports; on P^2, F_1, F_2, P^1 x P^1,
-  P^3, the hexagon and the 3000 x 3000 square it takes at most ~0.04 s;
+  P^3, the hexagon and the 3000 x 3000 square it takes at most ~0.05 s;
 * cap <= 10,000 (stability.DEFAULT_CAP): the meet+join closure of a
-  generic rank-4 full-flag sheaf on F_1 takes ~3.3 s at the bound (~0.5 s
-  at 1,000, ~12.8 s at 30,000).
+  generic rank-4 full-flag sheaf on F_1 takes 2.4-2.7 s at the bound
+  (0.27-0.32 s at 1,000, 9.0-10.6 s at 30,000).
 An option the command does not read, from the job file or a flag, is
 malformed input as well.
 

@@ -44,7 +44,7 @@ from .errors import (
     NotGeneric,
     NotSaturated,
 )
-from .klyachko import FiltrationSheaf, SheafMorphism, Subspace, _compress
+from .klyachko import FiltrationSheaf, Subspace, _compress
 from .lattice import Lattice, QuotientLattice, Sublattice, primitive_content, quotient
 from .linalg import vertex_table
 from .polytope import Face, HPolytope
@@ -342,20 +342,6 @@ def pullback_functor(
         else:
             filts.append(((idx[f], full),))
     return FiltrationSheaf(quotient_sheaf.rank, tuple(filts))
-
-
-def pullback_functor_morphism(
-    setup: GitSetup,
-    indices: UnstableIndexVector,
-    phi: SheafMorphism,
-) -> SheafMorphism:
-    """Action of the functor on morphisms: the same matrix between the
-    transformed sheaves (the functor is faithful)."""
-    return SheafMorphism(
-        pullback_functor(setup, indices, phi.source),
-        pullback_functor(setup, indices, phi.target),
-        phi.matrix,
-    )
 
 
 def in_image(

@@ -101,6 +101,8 @@ class Subspace:
         return self.dim + min(len(res), 1)
 
     def contains_vector(self, v: Sequence) -> bool:
+        if len(v) != self.ambient:
+            raise DimensionMismatch("vector length != ambient dimension")
         return not self._residuals(linalg.int_rows([v]))
 
     def contains(self, other: "Subspace") -> bool:
@@ -139,21 +141,18 @@ class Subspace:
         off the stored rows, which are already in reduced form."""
         return Subspace.span(self.ambient, self._annihilator)
 
-    def image_under(self, matrix: Sequence[Sequence]) -> "Subspace":
-        """Image of this subspace under the linear map given row-wise by a
-        target_dim x ambient matrix."""
-        tgt = len(matrix)
-        vecs = [linalg.mat_vec(matrix, row) for row in self.rows]
-        return Subspace.span(tgt, vecs)
-
     def coordinates_in(self, big: "Subspace") -> "Subspace":
         """This subspace rewritten in the RREF-basis coordinates of ``big``
-        (requires self <= big); result lives in QQ^{big.dim}."""
+        (requires self <= big); result lives in QQ^{big.dim}.  A vector of
+        ``big`` leads at one of its pivots, so the stored rows restricted
+        to those columns are still the reduced form times D; dividing by
+        their gcd gives the least D."""
         if not big.contains(self):
             raise InputError("subspace is not contained in the claimed superspace")
         piv = big.pivots()
-        rows = [tuple(r[p] for p in piv) for r in self.rows]
-        return Subspace.span(big.dim, rows)
+        rows = [[r[p] for p in piv] for r in self.rows]
+        g = gcd(*(x for row in rows for x in row)) or 1
+        return Subspace(big.dim, tuple(tuple(x // g for x in row) for row in rows))
 
     def to_json(self) -> list:
         return [[serialize.frac_to_str(x) for x in row] for row in self.basis()]
@@ -361,6 +360,8 @@ def sections_on_chart(
     if sheaf.num_facets != p.num_facets:
         raise FacetMismatch("sheaf and polytope facet counts differ")
     mv = tuple(int(x) for x in m)
+    if mv != tuple(m):
+        raise InputError("weight entries must be integers")
     if len(mv) != p.n:
         raise DimensionMismatch("weight vector of wrong length")
     current = Subspace.full(sheaf.rank)
@@ -392,48 +393,26 @@ def direct_sum(s1: FiltrationSheaf, s2: FiltrationSheaf) -> FiltrationSheaf:
     return FiltrationSheaf(rank, tuple(filts))
 
 
-@dataclass(frozen=True)
-class SheafMorphism:
-    """Linear map between the underlying spaces that preserves every
-    filtration step."""
-
-    source: FiltrationSheaf
-    target: FiltrationSheaf
-    matrix: tuple[QVec, ...]  # target.rank x source.rank
-
-    def __post_init__(self):
-        if len(self.matrix) != self.target.rank or any(
-            len(r) != self.source.rank for r in self.matrix
-        ):
-            raise DimensionMismatch("morphism matrix of wrong shape")
-        object.__setattr__(self, "matrix", linalg.frac_mat(self.matrix))
-
-    def apply(self, v: Subspace) -> Subspace:
-        return v.image_under(self.matrix)
-
-    def compose(self, other: "SheafMorphism") -> "SheafMorphism":
-        """self o other."""
-        if other.target is not self.source and other.target != self.source:
-            raise FacetMismatch("composition with mismatched middle sheaf")
-        return SheafMorphism(
-            other.source, self.target, linalg.mat_mul(self.matrix, other.matrix))
-
-
-def is_morphism(phi: SheafMorphism) -> bool:
-    """Check phi(E1^F(i)) <= E2^F(i); jump indices of the source suffice."""
-    s, t = phi.source, phi.target
-    if s.num_facets != t.num_facets:
+def hom_space(source: FiltrationSheaf, target: FiltrationSheaf) -> Subspace:
+    """The equivariant morphisms source -> target: the target.rank x
+    source.rank matrices phi, flattened row by row, with phi(E_S^F(i)) <=
+    E_T^F(i) at every jump (i, E) of the source (Klyachko 1990).  phi e lies
+    in E_T^F(i) iff p . phi e = sum_ab p_a phi_ab e_b vanishes for each p in
+    the kernel of its rows, so the space is the annihilator of those
+    conditions, one per facet, jump, stored row e and kernel vector p."""
+    if source.num_facets != target.num_facets:
         raise FacetMismatch("morphism between sheaves on different facet sets")
-    for f in range(s.num_facets):
-        for i, v in s.filtrations[f]:
-            if not t.value_at(f, i).contains(phi.apply(v)):
-                return False
-    return True
+    conds = [[a * b for a in p for b in e]
+             for f, filt in enumerate(source.filtrations) for i, v in filt
+             for p in target.value_at(f, i)._annihilator for e in v.rows]
+    return Subspace.span(target.rank * source.rank, conds).perp()
 
 
-def inclusion_morphism(sheaf: FiltrationSheaf, w: Subspace) -> SheafMorphism:
-    """The canonical inclusion subsheaf(S, W) -> S; its matrix maps the W
-    coordinates back through the RREF basis of W."""
-    sub = subsheaf(sheaf, w)
-    matrix = linalg.transpose(w.basis())  # rank x dim(W)
-    return SheafMorphism(sub, sheaf, matrix)
+def is_morphism(source: FiltrationSheaf, target: FiltrationSheaf,
+                matrix: Sequence[Sequence]) -> bool:
+    """Whether the target.rank x source.rank matrix, its entries read
+    exactly as Fractions, lies in ``hom_space``."""
+    if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
+        raise DimensionMismatch("morphism matrix of wrong shape")
+    flat = [Fraction(x) for row in matrix for x in row]
+    return hom_space(source, target).contains_vector(flat)

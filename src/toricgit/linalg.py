@@ -23,17 +23,12 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
 IntVec = tuple[int, ...]
 Scalar = int | Fraction  # what the unboxed helpers return
 
 
 def frac_vec(v: Sequence) -> Vec:
     return tuple(Fraction(x) for x in v)
-
-
-def frac_mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(frac_vec(r) for r in rows)
 
 
 def dot(a: Sequence, b: Sequence) -> Scalar:
@@ -61,10 +56,6 @@ def barycenter(points: Sequence[Sequence]) -> tuple[Fraction, ...]:
     return tuple(Fraction(sum(col), len(points)) for col in zip(*points))
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple[Scalar, ...]:
-    return tuple(dot(row, v) for row in m)
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
     bt = list(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
@@ -72,10 +63,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple[Scalar,
 
 def identity_mat(n: int) -> tuple[IntVec, ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def transpose(m: Sequence[Sequence]) -> Mat:
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0]))) if m else ()
 
 
 # ---------------------------------------------------------------------------

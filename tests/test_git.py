@@ -18,17 +18,17 @@ from toricgit.git import (
     in_image,
     pullback,
     pullback_functor,
-    pullback_functor_morphism,
     pushforward,
     restrict_to_stable,
     translation_classes,
 )
 from toricgit.klyachko import (
     FiltrationSheaf,
-    SheafMorphism,
     Subspace,
     det_indices,
     dimension_jumps,
+    direct_sum,
+    hom_space,
     is_morphism,
     line_bundle,
     structure_sheaf,
@@ -350,15 +350,26 @@ def test_functor_line_bundle_identity():
 
 
 def test_functor_faithful_on_morphisms():
+    # the functor keeps the matrix, and it is fully faithful:
+    # Hom(F S, F T) = Hom(S, T) inside the same matrix space
     rng = Random(70)
-    setup = SETUP
-    py, _, _ = setup.quotient_polytope()
-    s1 = random_quotient_sheaf(rng, setup, max_rank=2)
-    ident = SheafMorphism(s1, s1, linalg.identity_mat(s1.rank))
-    ivec = UnstableIndexVector.zero(setup)
-    lifted = pullback_functor_morphism(setup, ivec, ident)
-    assert is_morphism(lifted)
-    assert lifted.matrix == ident.matrix  # injective on morphism matrices
+    s1 = random_quotient_sheaf(rng, SETUP, max_rank=2)
+    lifted = pullback_functor(SETUP, UnstableIndexVector.zero(SETUP), s1)
+    assert is_morphism(lifted, lifted, linalg.identity_mat(s1.rank))
+    seen = Counter()
+    for _ in range(100):
+        setup = random_generic_setup(rng)
+        ivec = UnstableIndexVector.from_dict(
+            {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+        s, t = random_quotient_sheaf(rng, setup), random_quotient_sheaf(rng, setup)
+        if rng.random() < 0.3:
+            t = direct_sum(s, t) if rng.random() < 0.5 else direct_sum(t, s)
+        hom = hom_space(s, t)
+        assert hom_space(pullback_functor(setup, ivec, s),
+                         pullback_functor(setup, ivec, t)) == hom
+        seen["b != 1"] += any(setup.b_values()[f] != 1 for f in setup.stable_facets)
+        seen["proper"] += 0 < hom.dim < s.rank * t.rank
+    assert seen["b != 1"] >= 30 and seen["proper"] >= 10
 
 
 def test_index_vector_key_mismatch():

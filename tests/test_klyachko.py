@@ -1,21 +1,21 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from toricgit import linalg
-from toricgit.errors import FacetMismatch, InputError
+from toricgit.errors import DimensionMismatch, FacetMismatch, InputError
 from toricgit.klyachko import (
     FiltrationSheaf,
-    SheafMorphism,
     Subspace,
     det_indices,
     dimension_jumps,
     direct_sum,
     dual,
     first_chern,
-    inclusion_morphism,
+    hom_space,
     is_morphism,
     line_bundle,
     sections_on_chart,
@@ -24,7 +24,14 @@ from toricgit.klyachko import (
 )
 from toricgit.polytope import HPolytope
 
-from util import random_sheaf, random_subspace, rref_oracle
+from util import (
+    coordinate_sheaf,
+    morphism_oracle,
+    random_sheaf,
+    random_subspace,
+    rref_oracle,
+    transformed_sheaf,
+)
 
 L1 = Subspace.span(2, [(1, 0)])
 L2 = Subspace.span(2, [(0, 1)])
@@ -411,27 +418,72 @@ def test_sections_on_chart_tangent_vertex_weight_zero():
     assert sections_on_chart(TANGENT, P2_O3, vertex, (0, 0)) == E2
 
 
+def test_sections_on_chart_rejects_non_integral_weight():
+    # a weight lives in M: (3/2, 0) must not be read as (1, 0)
+    vertex = next(f for f in P2_O3.face_lattice if f.dim == 0)
+    assert sections_on_chart(TANGENT, P2_O3, vertex, (Fraction(2), 0)) == \
+        sections_on_chart(TANGENT, P2_O3, vertex, (2, 0))
+    for bad in ((Fraction(3, 2), 0), (0, Fraction(-1, 3))):
+        with pytest.raises(InputError):
+            sections_on_chart(line_bundle(3, {0: 1}), P2_O3, vertex, bad)
+
+
+def matrix_of(flat, rows, cols):
+    return [list(flat[a * cols:(a + 1) * cols]) for a in range(rows)]
+
+
 def test_morphism_identity_zero_and_violation():
-    ident = SheafMorphism(TANGENT, TANGENT, linalg.identity_mat(2))
-    zero = SheafMorphism(TANGENT, TANGENT,
-                         ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
-    assert is_morphism(ident)
-    assert is_morphism(zero)
+    assert is_morphism(TANGENT, TANGENT, linalg.identity_mat(2))
+    assert is_morphism(TANGENT, TANGENT, ((0, 0), (0, 0)))
+    assert is_morphism(TANGENT, TANGENT, ((Fraction(1, 2), 0), (0, Fraction(1, 2))))
+    assert is_morphism(TANGENT, TANGENT, ((0.5, 0), (0, "1/2")))
+    assert not is_morphism(TANGENT, TANGENT, ((0.5, 0), (0, 0.25)))
     # send the deep line at facet 0 somewhere shallow
-    swap = SheafMorphism(TANGENT, TANGENT,
-                         ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
-    assert not is_morphism(swap)
+    assert not is_morphism(TANGENT, TANGENT, ((0, 0), (1, 0)))
+    # three distinct lines in QQ^2 are preserved only by scalars
+    assert hom_space(TANGENT, TANGENT) == Subspace.span(4, [(1, 0, 0, 1)])
+
+
+def test_morphism_shapes_and_facets_checked():
+    for bad in (((1, 0),), ((1, 0), (0,)), ((1, 0), (0, 1, 0)),
+                ((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0))):
+        with pytest.raises(DimensionMismatch):
+            is_morphism(TANGENT, TANGENT, bad)
+    with pytest.raises(FacetMismatch):
+        hom_space(TANGENT, structure_sheaf(2))
+    with pytest.raises(FacetMismatch):
+        is_morphism(TANGENT, structure_sheaf(2), ((1, 0),))
+
+
+def test_contains_vector_rejects_wrong_length():
+    w = Subspace.span(3, [[1, 0, 0]])
+    assert w.contains_vector([2, 0, 0]) and not w.contains_vector([0, 1, 0])
+    for v in ([1, 0], [1, 0, 0, 5], []):
+        with pytest.raises(DimensionMismatch):
+            w.contains_vector(v)
+    with pytest.raises(DimensionMismatch):
+        Subspace.zero(2).contains_vector([0])
 
 
 def test_morphism_composition_closed():
+    # End(S) is an algebra: products of members are members, on random
+    # sheaves, coordinate sheaves (large incidence algebras) and sums
     rng = Random(23)
-    s = random_sheaf(rng, 2, 3)
-    ident = SheafMorphism(s, s, linalg.identity_mat(2))
-    half = SheafMorphism(s, s, ((Fraction(1, 2), Fraction(0)),
-                                (Fraction(0), Fraction(1, 2))))
-    assert is_morphism(half)
-    comp = half.compose(ident)
-    assert is_morphism(comp)
+    big = 0
+    for k in range(60):
+        r = rng.randint(1, 3)
+        d = rng.randint(1, 4)
+        s = (random_sheaf, coordinate_sheaf)[k % 2](rng, r, d)
+        if k % 3 == 0:
+            s = direct_sum(s, coordinate_sheaf(rng, 1, d))
+        end = hom_space(s, s)
+        assert is_morphism(s, s, linalg.identity_mat(s.rank))
+        mats = [matrix_of(b, s.rank, s.rank) for b in end.basis()]
+        for a in mats:
+            for b in mats:
+                assert is_morphism(s, s, linalg.mat_mul(a, b))
+        big += end.dim > 1
+    assert big > 20
 
 
 def test_inclusion_of_subsheaf_is_morphism():
@@ -439,7 +491,90 @@ def test_inclusion_of_subsheaf_is_morphism():
     for _ in range(10):
         s = random_sheaf(rng, 3, 3)
         w = random_subspace(rng, 3, rng.randint(1, 2))
-        assert is_morphism(inclusion_morphism(s, w))
+        inclusion = [[b[j] for b in w.basis()] for j in range(3)]  # 3 x dim W
+        assert is_morphism(subsheaf(s, w), s, inclusion)
+        assert morphism_oracle(subsheaf(s, w), s, inclusion)
+
+
+def invertible(rng, r):
+    while True:
+        g = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+        if linalg.int_rank(g) == r:
+            return g
+
+
+def test_hom_space_matches_the_morphism_oracle():
+    # every basis matrix and a random combination pass the definition, and
+    # random sparse matrices are members exactly when they pass it.  For
+    # coordinate sheaves C, C' the space is spanned by the elementary
+    # matrices that pass, and Hom(gC, hC') = h Hom(C, C') g^-1 has that
+    # dimension, which pins the dimension on sheaves in general position
+    rng = Random(81)
+    seen = Counter()
+    for k in range(320):
+        d = rng.randint(1, 4)
+        rs, rt = rng.randint(1, 4), rng.randint(1, 3)
+        cs, ct = coordinate_sheaf(rng, rs, d), coordinate_sheaf(rng, rt, d)
+        elementary = [[[int((a, b) == (x, y)) for b in range(rs)] for a in range(rt)]
+                      for x in range(rt) for y in range(rs)]
+        allowed = [e for e in elementary if morphism_oracle(cs, ct, e)]
+        assert hom_space(cs, ct) == Subspace.span(
+            rt * rs, [[x for row in e for x in row] for e in allowed])
+        if k % 2:
+            s, t = transformed_sheaf(invertible(rng, rs), cs), \
+                transformed_sheaf(invertible(rng, rt), ct)
+        else:
+            s, t = random_sheaf(rng, rs, d), random_sheaf(rng, rt, d)
+        hom = hom_space(s, t)
+        if k % 2:
+            assert hom.dim == len(allowed)
+        for flat in hom.basis():
+            assert morphism_oracle(s, t, matrix_of(flat, rt, rs))
+        coeffs = [rng.randint(-3, 3) for _ in range(hom.dim)]
+        combo = [sum(c * b[j] for c, b in zip(coeffs, hom.basis())) for j in range(rt * rs)]
+        assert is_morphism(s, t, matrix_of(combo, rt, rs))
+        assert morphism_oracle(s, t, matrix_of(combo, rt, rs))
+        for pair in ((cs, ct), (s, t)):
+            for _ in range(3):
+                phi = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rs)] for _ in range(rt)]
+                member = is_morphism(*pair, phi)
+                assert member == morphism_oracle(*pair, phi)
+                seen[member, any(map(any, phi))] += 1
+        seen["proper"] += 0 < hom.dim < rs * rt
+    assert seen[True, True] > 100 and seen[False, True] > 100 and seen["proper"] > 50
+
+
+def test_line_bundle_homs():
+    # Hom(O(D), O(D')) = QQ iff D' - D >= 0 coefficientwise, else 0
+    rng = Random(82)
+    seen = Counter()
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        c1 = {f: rng.randint(-2, 2) for f in range(d)}
+        c2 = {f: rng.randint(-2, 2) for f in range(d)}
+        effective = all(c2[f] >= c1[f] for f in range(d))
+        hom = hom_space(line_bundle(d, c1), line_bundle(d, c2))
+        assert hom == (Subspace.full(1) if effective else Subspace.zero(1))
+        seen[effective] += 1
+    assert seen[True] > 30 and seen[False] > 30
+
+
+def test_coordinates_in_matches_the_span_oracle():
+    # the rows restricted to the superspace's pivot columns, divided by
+    # their gcd, against one elimination of those rows
+    rng = Random(83)
+    for _ in range(3000):
+        r = rng.randint(1, 6)
+        big = random_subspace(rng, r, rng.randint(1, r))
+        coeffs = [[rng.randint(-3, 3) for _ in range(big.dim)]
+                  for _ in range(rng.randint(0, big.dim))]
+        small = Subspace.span(r, [[sum(c * row[j] for c, row in zip(cs, big.rows))
+                                   for j in range(r)] for cs in coeffs])
+        piv = big.pivots()
+        assert small.coordinates_in(big) == \
+            Subspace.span(big.dim, [[row[p] for p in piv] for row in small.rows])
+    with pytest.raises(InputError):
+        Subspace.span(2, [(0, 1)]).coordinates_in(Subspace.span(2, [(1, 0)]))
 
 
 def test_direct_sum_facet_mismatch():

@@ -1,6 +1,8 @@
 import ast
 import subprocess
 import sys
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -16,6 +18,7 @@ from toricgit.klyachko import (
     det_indices,
     direct_sum,
     dual,
+    hom_space,
     line_bundle,
     structure_sheaf,
     subsheaf,
@@ -255,6 +258,39 @@ def generic_full_flag_sheaf(rng, rank, num_facets):
         for _ in range(num_facets)))
 
 
+def line_hyperplane_sheaf(rng, num_facets):
+    """Rank 4 with every proper jump a line or a hyperplane, 0-2 per facet."""
+    filts = []
+    for _ in range(num_facets):
+        dims = sorted(rng.sample((1, 3), rng.randint(0, 2))) + [4]
+        idx = sorted(rng.sample(range(-3, 4), len(dims)))
+        filts.append(tuple(zip(idx, random_flag(rng, 4, dims))))
+    return FiltrationSheaf(4, tuple(filts))
+
+
+def test_certified_stable_sheaves_are_simple():
+    # a stable sheaf is simple (Huybrechts-Lehn, Cor. 1.2.8): End = QQ.
+    # Rank 4 uses a small cap, since only Certified verdicts are checked
+    rng = Random(84)
+    start = time.perf_counter()
+    seen = Counter()
+    for k in range(360):
+        degrees = (P2_O1, F1)[k % 2]
+        if k < 300:
+            s = random_sheaf(rng, rng.randint(2, 3), len(degrees))
+            verdict = check_stability(s, degrees)
+        else:
+            s = line_hyperplane_sheaf(rng, len(degrees))
+            verdict = check_stability(s, degrees, cap=200, random_trials=20)
+        seen[verdict.status, verdict.certainty, s.rank] += 1
+        if (verdict.status, verdict.certainty) == (STABLE, "Certified"):
+            assert hom_space(s, s).dim == 1
+    assert sum(n for (status, cert, _), n in seen.items()
+               if (status, cert) == (STABLE, "Certified")) >= 20
+    assert sum(n for (_, cert, r), n in seen.items() if cert == "Certified" and r == 4) >= 20
+    assert time.perf_counter() - start < 10
+
+
 def test_cap_exceeded_downgrades_to_heuristic():
     # four generic full flags in rank 4 spin up a meet/join closure past any cap
     rng = Random(54)
@@ -293,16 +329,16 @@ def test_elimination_work_counts_are_pinned(monkeypatch):
     # reads residuals against the cached kernel of the stored rows, a sum or
     # meet eliminates only two or more nonzero residuals, a proper meet
     # costs one rref, a perp one rref of that kernel, the closure meets each
-    # unordered pair once, and every rank and rref is one echelon, so a
-    # second elimination routine or a stacked rank creeping back in shows
-    # as a changed count
+    # unordered pair once, a subsheaf's coordinates are read off its rows,
+    # and every rank and rref is one echelon, so a second elimination
+    # routine or a stacked rank creeping back in shows as a changed count
     s = generic_full_flag_sheaf(Random(55), 3, 4)
     counts = {name: count_calls(monkeypatch, linalg, name)
               for name in ("echelon", "int_rank", "rref")}
     verdict = check_stability(s, F1)
     assert verdict.certainty == "Certified"
     assert {name: c[name] for name, c in counts.items()} == \
-        {"echelon": 142, "int_rank": 92, "rref": 50}
+        {"echelon": 118, "int_rank": 92, "rref": 26}
     for gone in ("rank", "nullspace", "solve_general"):
         assert not hasattr(linalg, gone), gone
 

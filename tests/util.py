@@ -125,6 +125,44 @@ def random_sheaf(
     return FiltrationSheaf(rank, tuple(filts))
 
 
+def coordinate_sheaf(rng: Random, rank: int, num_facets: int) -> FiltrationSheaf:
+    """Random sheaf whose jump subspaces are all spanned by standard basis
+    vectors: on each facet a prefix flag of a random coordinate order."""
+    filts = []
+    for _ in range(num_facets):
+        order = rng.sample(range(rank), rank)
+        dims = sorted(set(rng.sample(range(1, rank + 1), rng.randint(1, rank))) | {rank})
+        idx = sorted(rng.sample(range(-3, 4), len(dims)))
+        filts.append(tuple(
+            (i, Subspace.span(rank, [linalg.identity_mat(rank)[c] for c in order[:k]]))
+            for i, k in zip(idx, dims)))
+    return FiltrationSheaf(rank, tuple(filts))
+
+
+def transformed_sheaf(g: Sequence[Sequence[int]], sheaf: FiltrationSheaf) -> FiltrationSheaf:
+    """g . S for an invertible matrix g: every jump subspace E becomes gE."""
+    return FiltrationSheaf(sheaf.rank, tuple(
+        tuple((i, Subspace.span(sheaf.rank, [[linalg.dot(row, e) for row in g]
+                                             for e in v.rows]))
+              for i, v in filt)
+        for filt in sheaf.filtrations))
+
+
+def morphism_oracle(source: FiltrationSheaf, target: FiltrationSheaf, matrix) -> bool:
+    """The definition of an equivariant morphism (Klyachko 1990): the
+    target.rank x source.rank matrix maps E_S^F(i) into E_T^F(i) at every
+    jump (i, E) of the source.  Each image is tested by a Fraction
+    Gauss-Jordan rank (``rref_oracle``), not by ``Subspace`` relations."""
+    for f, filt in enumerate(source.filtrations):
+        for i, v in filt:
+            e_t = target.value_at(f, i).rows
+            for e in v.rows:
+                image = [sum(Fraction(a) * b for a, b in zip(row, e)) for row in matrix]
+                if len(rref_oracle([*e_t, image])[1]) != len(e_t):
+                    return False
+    return True
+
+
 BASE_FAMILIES = (
     lambda: projective_space(2, 1),
     lambda: projective_space(2, 2),
