@@ -32,7 +32,6 @@ unstable ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalError, NotAmple
@@ -45,27 +44,22 @@ from .serialize import facet_id, int_from_obj
 def projective_space(n: int, k: int = 1) -> HPolytope:
     """The k-dilated standard simplex: normals e_1..e_n and -(e_1+..+e_n),
     supports (0, .., 0, k); any lattice translate represents the same class."""
-    if n < 1 or k < 1:
+    if int_from_obj(n) < 1 or int_from_obj(k) < 1:
         raise InputError("projective_space needs n >= 1 and k >= 1")
-    facets = []
-    for i in range(n):
-        facets.append((tuple(1 if j == i else 0 for j in range(n)), Fraction(0)))
-    facets.append((tuple(-1 for _ in range(n)), Fraction(k)))
-    return HPolytope(n, facets)
+    facets = [(tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
+    return HPolytope(n, facets + [((-1,) * n, k)])
 
 
 def hirzebruch(a: int, supports: Optional[Sequence] = None) -> HPolytope:
     """Hirzebruch surface with the documented normal convention; default
     supports (0, 0, 1, 1)."""
-    if a < 0:
+    if int_from_obj(a) < 0:
         raise InputError("hirzebruch parameter must be >= 0")
     if supports is None:
         supports = (0, 0, 1, 1)
-    sup = [Fraction(s) for s in supports]
-    if len(sup) != 4:
+    if not isinstance(supports, (list, tuple)) or len(supports) != 4:
         raise InputError("hirzebruch needs 4 supports")
-    normals = [(1, 0), (0, 1), (-1, a), (0, -1)]
-    return HPolytope(2, list(zip(normals, sup)))
+    return HPolytope(2, list(zip([(1, 0), (0, 1), (-1, a), (0, -1)], supports)))
 
 
 def product(p: HPolytope, q: HPolytope) -> HPolytope:
@@ -120,7 +114,7 @@ class BundleSpec:
         for d in obj["summands"]:
             if not isinstance(d, dict):
                 raise InputError("each summand must be an object facet -> int")
-            summands.append({facet_id(k): int_from_obj(v) for k, v in d.items()})
+            summands.append({facet_id(k): v for k, v in d.items()})
         return BundleSpec(base, tuple(summands))
 
 
@@ -135,9 +129,8 @@ def bundle_polytope(spec: BundleSpec) -> HPolytope:
         tail = tuple(spec.summands[i].get(rho, 0) for i in range(r))
         facets.append((u + tail, b))
     for i in range(r):
-        facets.append(((0,) * ny + tuple(1 if j == i else 0 for j in range(r)),
-                       Fraction(1)))
-    facets.append(((0,) * ny + (-1,) * r, Fraction(1)))
+        facets.append(((0,) * ny + tuple(1 if j == i else 0 for j in range(r)), 1))
+    facets.append(((0,) * ny + (-1,) * r, 1))
     try:
         return HPolytope(n, facets)
     except InfeasibleError as exc:

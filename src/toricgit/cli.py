@@ -117,8 +117,7 @@ def _indices(payload, setup: GitSetup) -> UnstableIndexVector:
         return UnstableIndexVector.zero(setup)
     if not isinstance(raw, dict):
         raise InputError("indices must be an object facet -> integer")
-    return UnstableIndexVector.from_dict(
-        {serialize.facet_id(k): serialize.int_from_obj(v) for k, v in raw.items()})
+    return UnstableIndexVector.from_dict({serialize.facet_id(k): v for k, v in raw.items()})
 
 
 def run_command(command: str, payload: dict, options: dict) -> dict:
@@ -172,10 +171,8 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         setup = _setup(payload)
         return minkowski.minkowski_condition(setup).to_json_dict()
     if command == "solve-minkowski":
-        normals = [serialize.int_vector(u) for u in _need_list(payload, "normals")]
-        volumes = [serialize.frac_from_obj(v) if not isinstance(v, float) else v
-                   for v in _need_list(payload, "volumes")]
-        sol = minkowski.solve_minkowski(normals, volumes, **options)
+        sol = minkowski.solve_minkowski(_need_list(payload, "normals"),
+                                        _need_list(payload, "volumes"), **options)
         return {
             "normals": [list(u) for u in sol.normals],
             "supports": [f"{a:.12g}" for a in sol.supports],

@@ -173,7 +173,7 @@ class GitSetup:
         for f in self.stable_facets:
             u, a = self.polytope.facets[f]
             prim, b[f] = primitive_content(self.quotient_lattice.project(u))
-            facets.append((prim, Fraction(a) / b[f]))
+            facets.append((prim, a / b[f]))
         fmap = {f: pos for pos, f in enumerate(self.stable_facets)}
         return HPolytope(self.quotient_lattice.rank, facets), fmap, b
 
@@ -203,8 +203,7 @@ class GitSetup:
         poly = HPolytope.from_json_dict(obj["polytope"])
         if not isinstance(obj["sublattice"], list):
             raise InputError("sublattice must be a list of integer vectors")
-        gens = tuple(serialize.int_vector(g, poly.n) for g in obj["sublattice"])
-        return GitSetup(poly, Sublattice(Lattice(poly.n), gens))
+        return GitSetup(poly, Sublattice(Lattice(poly.n), obj["sublattice"]))
 
     def classification_report(self) -> list[dict]:
         out = []

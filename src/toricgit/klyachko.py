@@ -43,18 +43,24 @@ IntVec = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of QQ^ambient with its canonical integer rows."""
+    """Linear subspace of QQ^ambient with its canonical integer rows.  Built
+    from caller vectors by ``span``, which reads them through ``serialize``;
+    the package's own integer rows go straight to ``linalg.rref``."""
 
     ambient: int
     rows: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def span(ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = list(vectors)
-        if any(len(v) != ambient for v in vecs):
-            raise DimensionMismatch("vector length != ambient dimension")
-        reduced, _ = linalg.rref(vecs)
-        return Subspace(ambient, tuple(map(tuple, reduced)))
+        """The span of rational vectors (``serialize.frac_vector``)."""
+        ambient = serialize.int_from_obj(ambient)
+        vecs = [serialize.frac_vector(v, ambient) for v in vectors]
+        return Subspace._of_rows(ambient, linalg.int_rows(vecs))
+
+    @staticmethod
+    def _of_rows(ambient: int, rows: Sequence[Sequence[int]]) -> "Subspace":
+        """The span of integer rows built inside the package: no reader."""
+        return Subspace(ambient, tuple(map(tuple, linalg.rref(rows)[0])))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -101,9 +107,8 @@ class Subspace:
         return self.dim + min(len(res), 1)
 
     def contains_vector(self, v: Sequence) -> bool:
-        if len(v) != self.ambient:
-            raise DimensionMismatch("vector length != ambient dimension")
-        return not self._residuals(linalg.int_rows([v]))
+        vec = serialize.frac_vector(v, self.ambient)
+        return not self._residuals(linalg.int_rows([vec]))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
@@ -118,7 +123,7 @@ class Subspace:
             return other
         if s == self.dim:
             return self
-        return Subspace.span(self.ambient, self.rows + other.rows)
+        return Subspace._of_rows(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         d = self.dim + other.dim - self._sum_dim(other)
@@ -139,7 +144,7 @@ class Subspace:
         """The annihilator {x : x . w = 0 for w in W}, in the dual space
         identified with QQ^ambient by the standard pairing: the kernel read
         off the stored rows, which are already in reduced form."""
-        return Subspace.span(self.ambient, self._annihilator)
+        return Subspace._of_rows(self.ambient, self._annihilator)
 
     def coordinates_in(self, big: "Subspace") -> "Subspace":
         """This subspace rewritten in the RREF-basis coordinates of ``big``
@@ -167,6 +172,7 @@ def _check_filtration(rank: int, jumps: Sequence[tuple[int, Subspace]]) -> Filtr
     prev_i: Optional[int] = None
     prev_v = Subspace.zero(rank)
     for i, v in jumps:
+        serialize.int_from_obj(i)
         if v.ambient != rank:
             raise DimensionMismatch("filtration subspace of wrong ambient dimension")
         if prev_i is not None and i <= prev_i:
@@ -176,7 +182,7 @@ def _check_filtration(rank: int, jumps: Sequence[tuple[int, Subspace]]) -> Filtr
         prev_i, prev_v = i, v
     if not prev_v.is_full():
         raise InputError("last filtration step must be the full space")
-    return tuple((int(i), v) for i, v in jumps)
+    return tuple((i, v) for i, v in jumps)
 
 
 def _compress(rank: int, steps: Sequence[tuple[int, Subspace]]) -> Filtration:
@@ -199,7 +205,7 @@ class FiltrationSheaf:
     filtrations: tuple[Filtration, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
+        if serialize.int_from_obj(self.rank) < 1:
             raise InputError("sheaf rank must be >= 1")
         object.__setattr__(
             self,
@@ -219,9 +225,6 @@ class FiltrationSheaf:
                 break
             current = v
         return current
-
-    def jump_indices(self, facet: int) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.filtrations[facet])
 
     @cached_property
     def flag_coordinates(self) -> tuple[tuple[tuple[IntVec, ...], tuple[int, ...]], ...]:
@@ -257,7 +260,7 @@ class FiltrationSheaf:
     def from_json_dict(obj) -> "FiltrationSheaf":
         if not isinstance(obj, dict) or "rank" not in obj or "filtrations" not in obj:
             raise InputError('sheaf JSON must have keys "rank" and "filtrations"')
-        rank = serialize.int_from_obj(obj["rank"])
+        rank = obj["rank"]
         raw = obj["filtrations"]
         if not isinstance(raw, dict):
             raise InputError("filtrations must be an object keyed by facet id")
@@ -275,22 +278,20 @@ class FiltrationSheaf:
                 basis = entry["basis"]
                 if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
                     raise InputError("a jump basis must be a list of vectors")
-                basis = [[serialize.frac_from_obj(x) for x in row] for row in basis]
-                jumps.append((serialize.int_from_obj(entry["i"]),
-                              Subspace.span(rank, basis)))
+                jumps.append((entry["i"], Subspace.span(rank, basis)))
             filts.append(tuple(jumps))
         return FiltrationSheaf(rank, tuple(filts))
 
 
 def line_bundle(num_facets: int, coeffs: Mapping[int, int]) -> FiltrationSheaf:
-    """Rank-1 sheaf of the divisor sum_F c_F D_F: the facet-F filtration
-    jumps from 0 to the line exactly at -c_F."""
+    """Rank-1 sheaf of the divisor sum_F c_F D_F, integer c_F: the facet-F
+    filtration jumps from 0 to the line exactly at -c_F."""
+    num_facets = serialize.int_from_obj(num_facets)
+    c = {serialize.int_from_obj(f): serialize.int_from_obj(v) for f, v in coeffs.items()}
+    if not all(0 <= f < num_facets for f in c):
+        raise InputError("line bundle coefficient on an unknown facet")
     full = Subspace.full(1)
-    filts = []
-    for f in range(num_facets):
-        c = int(coeffs.get(f, 0))
-        filts.append(((-c, full),))
-    return FiltrationSheaf(1, tuple(filts))
+    return FiltrationSheaf(1, tuple(((-c.get(f, 0), full),) for f in range(num_facets)))
 
 
 def structure_sheaf(num_facets: int) -> FiltrationSheaf:
@@ -359,15 +360,12 @@ def sections_on_chart(
     chart (empty active set)."""
     if sheaf.num_facets != p.num_facets:
         raise FacetMismatch("sheaf and polytope facet counts differ")
-    mv = tuple(int(x) for x in m)
-    if mv != tuple(m):
+    mv = serialize.frac_vector(m, p.n)
+    if any(x.denominator != 1 for x in mv):
         raise InputError("weight entries must be integers")
-    if len(mv) != p.n:
-        raise DimensionMismatch("weight vector of wrong length")
     current = Subspace.full(sheaf.rank)
     for f in sorted(face.active_facets):
-        pairing = int(linalg.dot(mv, p.facets[f][0]))
-        current = current.intersect(sheaf.value_at(f, pairing))
+        current = current.intersect(sheaf.value_at(f, linalg.dot(mv, p.facets[f][0])))
     return current
 
 
@@ -388,7 +386,7 @@ def direct_sum(s1: FiltrationSheaf, s2: FiltrationSheaf) -> FiltrationSheaf:
         steps = []
         for i in indices:
             rows = embed(s1.value_at(f, i), 0) + embed(s2.value_at(f, i), r1)
-            steps.append((i, Subspace.span(rank, rows)))
+            steps.append((i, Subspace._of_rows(rank, rows)))
         filts.append(_compress(rank, steps))
     return FiltrationSheaf(rank, tuple(filts))
 
@@ -405,14 +403,14 @@ def hom_space(source: FiltrationSheaf, target: FiltrationSheaf) -> Subspace:
     conds = [[a * b for a in p for b in e]
              for f, filt in enumerate(source.filtrations) for i, v in filt
              for p in target.value_at(f, i)._annihilator for e in v.rows]
-    return Subspace.span(target.rank * source.rank, conds).perp()
+    return Subspace._of_rows(target.rank * source.rank, conds).perp()
 
 
 def is_morphism(source: FiltrationSheaf, target: FiltrationSheaf,
                 matrix: Sequence[Sequence]) -> bool:
-    """Whether the target.rank x source.rank matrix, its entries read
-    exactly as Fractions, lies in ``hom_space``."""
+    """Whether the target.rank x source.rank matrix, its entries read as
+    rationals (``serialize.frac_from_obj``: no floats), lies in
+    ``hom_space``."""
     if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
         raise DimensionMismatch("morphism matrix of wrong shape")
-    flat = [Fraction(x) for row in matrix for x in row]
-    return hom_space(source, target).contains_vector(flat)
+    return hom_space(source, target).contains_vector([x for row in matrix for x in row])

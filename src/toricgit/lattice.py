@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from . import linalg
+from . import linalg, serialize
 from .errors import DimensionMismatch, InternalError, NotSaturated, ZeroVector
 
 IntVec = tuple[int, ...]
@@ -20,7 +20,7 @@ IntVec = tuple[int, ...]
 def primitive_content(v: Sequence[int]) -> tuple[IntVec, int]:
     """Split v = content * primitive with primitive of gcd 1 pointing the
     same way as v and content >= 1."""
-    vec = tuple(int(x) for x in v)
+    vec = serialize.int_vector(v)
     g = linalg.vec_content(vec)
     if g == 0:
         raise ZeroVector("primitive_content of the zero vector")
@@ -34,15 +34,11 @@ class Lattice:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 0:
+        if serialize.int_from_obj(self.rank) < 0:
             raise DimensionMismatch("lattice rank must be >= 0")
 
     def check_vector(self, v: Sequence[int]) -> IntVec:
-        vec = tuple(int(x) for x in v)
-        if len(vec) != self.rank:
-            raise DimensionMismatch(
-                f"vector of length {len(vec)} in rank-{self.rank} lattice")
-        return vec
+        return serialize.int_vector(v, self.rank)
 
 
 @dataclass(frozen=True)
@@ -129,11 +125,8 @@ class QuotientLattice:
         return tuple(linalg.dot(row, vec) for row in self.projection_matrix)
 
     def lift(self, w: Sequence[int]) -> IntVec:
-        if len(w) != self.rank:
-            raise DimensionMismatch("vector/quotient rank mismatch")
-        return tuple(
-            sum(self.section_matrix[i][j] * int(w[j]) for j in range(self.rank))
-            for i in range(self.ambient.rank))
+        vec = serialize.int_vector(w, self.rank)
+        return tuple(linalg.dot(row, vec) for row in self.section_matrix)
 
 
 def quotient(n: Lattice, n0: Sublattice) -> QuotientLattice:

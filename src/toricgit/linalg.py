@@ -1,8 +1,11 @@
 """Exact linear algebra over QQ and ZZ.
 
 Everything here works on tuples of ints / fractions.Fraction; no floats, no
-machine-word arithmetic.  Floats are not accepted: ``dot`` and ``vec_add``
-work unboxed (ints give ints) and would pass floats on.  Three layers:
+machine-word arithmetic.  Nothing here reads caller input: the public
+constructors read it through ``serialize`` first.  ``dot`` and ``vec_add``
+work unboxed (ints give ints).  Elimination takes integer rows; rationals
+are scaled to integers once, at the boundary, with ``int_rows``.  Three
+layers:
 
 * one fraction-free elimination, ``echelon`` (Bareiss), on rows scaled to
   integers: it gives the exact rank, the reduced row echelon form in its
@@ -27,10 +30,6 @@ IntVec = tuple[int, ...]
 Scalar = int | Fraction  # what the unboxed helpers return
 
 
-def frac_vec(v: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in v)
-
-
 def dot(a: Sequence, b: Sequence) -> Scalar:
     if len(a) != len(b):
         raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
@@ -39,11 +38,6 @@ def dot(a: Sequence, b: Sequence) -> Scalar:
 
 def vec_add(a: Sequence, b: Sequence) -> tuple[Scalar, ...]:
     return tuple(map(add, a, b))
-
-
-def vec_scale(c, a: Sequence) -> Vec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in a)
 
 
 def pairings(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list[Scalar]]:
@@ -113,12 +107,13 @@ def int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form times D, the least positive integer that
-    makes every entry an integer; returns (nonzero rows, pivot columns).
-    Every pivot equals D, so equal row spaces give equal rows: the
-    Gauss-Jordan rows of ``echelon`` (pivots d) divided by +-gcd(d, entries)."""
-    reduced, pivots, d = echelon(int_rows(rows))
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of an integer matrix times D, the least
+    positive integer that makes every entry an integer; returns (nonzero
+    rows, pivot columns).  Every pivot equals D, so equal row spaces give
+    equal rows: the Gauss-Jordan rows of ``echelon`` (pivots d) divided by
+    +-gcd(d, entries)."""
+    reduced, pivots, d = echelon(rows)
     g = gcd(d, *(x for row in reduced for x in row)) * (1 if d > 0 else -1)
     return [[x // g for x in row] for row in reduced], pivots
 
@@ -147,10 +142,10 @@ def kernel(reduced: Sequence[Sequence[int]], pivots: Sequence[int], n: int) -> l
 def affine_solution_space(
     eqs: Sequence[tuple[Sequence, Scalar]], n: int
 ) -> Optional[tuple[IntVec, int, list[IntVec]]]:
-    """Solutions of the system {a.x = c}, (num + sum t_j w_j) / D: (num, D,
-    the w_j of ``kernel``), or None when inconsistent; all read off one
-    reduced form of [a | c], whose pivots are D."""
-    reduced, pivots = rref([[*a, c] for a, c in eqs])
+    """Solutions of the rational system {a.x = c}, (num + sum t_j w_j) / D:
+    (num, D, the w_j of ``kernel``), or None when inconsistent; all read off
+    one reduced form of [a | c], whose pivots are D."""
+    reduced, pivots = rref(int_rows([[*a, c] for a, c in eqs]))
     if n in pivots:
         return None
     num = [0] * n
@@ -164,10 +159,7 @@ def affine_solution_space(
 
 
 def vec_content(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*v)
 
 
 def hnf_rows(mat: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
@@ -177,7 +169,7 @@ def hnf_rows(mat: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
     Equal row lattices produce identical output, so this is usable as a
     structural-equality key.
     """
-    rows = [list(map(int, r)) for r in mat if any(r)]
+    rows = [list(r) for r in mat if any(r)]
     if not rows:
         return ()
     n = len(rows[0])
@@ -219,7 +211,7 @@ def integer_kernel(mat: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
     if m == 0:
         return hnf_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
     # Row-reduce [mat^T | I_n]; rows with vanishing head record kernel vectors.
-    big = [[int(mat[j][i]) for j in range(m)] + [1 if k == i else 0 for k in range(n)]
+    big = [[mat[j][i] for j in range(m)] + [1 if k == i else 0 for k in range(n)]
            for i in range(n)]
     reduced = hnf_rows(big)
     kernel = [row[m:] for row in reduced if not any(row[:m])]
@@ -263,7 +255,7 @@ def diagonal_form(
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """(d, u, v) with d = u * mat * v diagonal, entries >= 0, and u, v
     unimodular.  The diagonal need not be the Smith divisibility chain."""
-    a = [list(map(int, r)) for r in mat]
+    a = [list(r) for r in mat]
     m = len(a)
     n = len(a[0]) if a else 0
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]

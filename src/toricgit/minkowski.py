@@ -45,7 +45,7 @@ from itertools import combinations
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
-from . import linalg
+from . import linalg, serialize
 from .errors import (
     CurveQuotient,
     InfeasibleTargets,
@@ -57,7 +57,7 @@ from .errors import (
 from .git import GitSetup, UnstableIndexVector, pullback_functor, translation_classes
 from .klyachko import FiltrationSheaf, direct_sum, line_bundle
 from .lattice import Lattice, Sublattice, primitive_content, saturate
-from .polytope import HPolytope, hsystem_volume_data
+from .polytope import HPolytope, check_normals, hsystem_volume_data
 from .stability import slope
 
 IntVec = tuple[int, ...]
@@ -74,8 +74,6 @@ class MinkowskiReport:
     holds: bool
 
     def to_json_dict(self) -> dict:
-        from . import serialize
-
         return {
             "defect": [serialize.frac_to_str(x) for x in self.defect],
             "holds": self.holds,
@@ -216,28 +214,20 @@ def solve_minkowski(
     """
     if not tol >= TOL_FLOOR:
         raise InputError(f"tol {tol!r} is below the accuracy floor {TOL_FLOOR:g}")
-    norm_t = tuple(tuple(int(x) for x in u) for u in normals)
-    if not norm_t:
+    if not normals:
         raise InputError("no normals")
-    n = len(norm_t[0])
-    if any(len(u) != n for u in norm_t):
-        raise InputError("normals differ in length")
+    n = len(serialize.int_vector(normals[0]))
     if n < 2:
         raise InputError("the facet-volume problem needs dimension >= 2")
-    if len(set(norm_t)) != len(norm_t):
-        raise InputError("duplicate normals")
-    for u in norm_t:
-        prim, g = primitive_content(u)
-        if g != 1:
-            raise InputError(f"normal {u} is not primitive")
+    norm_t = check_normals(n, normals)
     targets = []
     for v in volumes:
-        if isinstance(v, float):
+        if isinstance(v, float):  # the float path: balanced only within tol
             if not math.isfinite(v):
                 raise InputError(f"facet volume targets must be finite, got {v!r}")
             targets.append(Fraction(v).limit_denominator(RATIONALIZE_DENOM))
         else:
-            targets.append(Fraction(v))
+            targets.append(serialize.frac_from_obj(v))
     if len(targets) != len(norm_t):
         raise InputError("normals and volumes differ in length")
     if any(t <= 0 for t in targets):
@@ -245,8 +235,7 @@ def solve_minkowski(
     if linalg.int_rank(norm_t) != n:
         raise InfeasibleTargets("normals do not span the ambient space")
     balance = [sum(t * u[j] for t, u in zip(targets, norm_t)) for j in range(n)]
-    exact_targets = all(isinstance(v, (int, Fraction)) or isinstance(v, str)
-                        for v in volumes)
+    exact_targets = not any(isinstance(v, float) for v in volumes)
     if exact_targets:
         if any(x != 0 for x in balance):
             raise InfeasibleTargets(f"weighted normal sum is {balance}, not zero")
@@ -353,8 +342,6 @@ class AmpleClassNumeric:
         return tuple(a / norm for a in self.supports)
 
     def to_json_dict(self) -> dict:
-        from . import serialize
-
         return {
             "normals": [list(u) for u in self.normals],
             "supports": [f"{a:.12g}" for a in self.supports],
@@ -410,8 +397,6 @@ class SlopeIdentityReport:
     residual: Fraction
 
     def to_json_dict(self) -> dict:
-        from . import serialize
-
         return {
             "lhs": serialize.frac_to_str(self.lhs),
             "mu_alpha": f"{float(self.mu_alpha):.12g}",
@@ -464,8 +449,6 @@ class ConverseCounterexample:
     defect: tuple[Fraction, ...]
 
     def to_json_dict(self) -> dict:
-        from . import serialize
-
         return {
             "facet_pair": list(self.facet_pair),
             "d1": self.d1,

@@ -83,9 +83,9 @@ def hsystem_volume_data(
     of absent facets are 0, and the rates are one-sided where the system is
     not simple.
     """
-    normals = [tuple(int(x) for x in u) for u, _ in cons]
+    normals = [u for u, _ in cons]
     if table is None:
-        table = vertex_table(n, [(u, Fraction(a)) for u, (_, a) in zip(normals, cons)])[0]
+        table = vertex_table(n, cons)[0]
     verts = [v for v, _ in table]
     if not verts:
         out = Fraction(0), [Fraction(0)] * len(normals), verts
@@ -156,24 +156,12 @@ class DivisorClass:
 
     @staticmethod
     def from_dict(d: Mapping[int, object]) -> "DivisorClass":
-        items = tuple(sorted((int(k), Fraction(v)) for k, v in d.items() if Fraction(v) != 0))
-        return DivisorClass(items)
+        """Integer facet ids to rational coefficients; zeros are dropped."""
+        items = ((serialize.int_from_obj(k), serialize.frac_from_obj(v)) for k, v in d.items())
+        return DivisorClass(tuple(sorted((k, v) for k, v in items if v)))
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.coefficients)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        d = self.as_dict()
-        for k, v in other.coefficients:
-            d[k] = d.get(k, Fraction(0)) + v
-        return DivisorClass.from_dict(d)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple((k, -v) for k, v in self.coefficients))
-
-    def scale(self, c) -> "DivisorClass":
-        c = Fraction(c)
-        return DivisorClass.from_dict({k: c * v for k, v in self.coefficients})
 
     def to_json_dict(self) -> dict:
         return {str(k): serialize.frac_to_str(v) for k, v in self.coefficients}
@@ -196,23 +184,14 @@ class HPolytope:
     """Bounded full-dimensional rational polytope in halfspace form."""
 
     def __init__(self, n: int, facets: Iterable[tuple[Sequence[int], object]]):
-        facs: list[Constraint] = []
-        for u, a in facets:
-            uv = tuple(serialize.int_from_obj(x) for x in u)
-            if len(uv) != n:
-                raise DimensionMismatch(f"normal {uv} in dimension {n}")
-            if not any(uv):
-                raise InputError("zero facet normal")
-            prim, g = primitive_content(uv)
-            if g != 1:
-                raise InputError(f"facet normal {uv} is not primitive")
-            facs.append((uv, Fraction(a)))
+        n = serialize.int_from_obj(n)
+        pairs = list(facets)
+        normals = check_normals(n, [u for u, _ in pairs])
+        supports = [serialize.frac_from_obj(a) for _, a in pairs]
         if n < 1:
             raise DimensionMismatch("polytope dimension must be >= 1")
-        if len({u for u, _ in facs}) != len(facs):
-            raise InputError("duplicate facet normals")
         self.n = n
-        self.facets: tuple[Constraint, ...] = tuple(facs)
+        self.facets: tuple[Constraint, ...] = tuple(zip(normals, supports))
         self._validate()
 
     # -- construction-time invariants ------------------------------------
@@ -278,14 +257,6 @@ class HPolytope:
     def _table(self) -> tuple[VertexTable, bool]:
         return vertex_table(self.n, self.facets)
 
-    def support_vector(self) -> QVec:
-        return tuple(a for _, a in self.facets)
-
-    def active_set(self, m: Sequence) -> frozenset[int]:
-        mv = linalg.frac_vec(m)
-        return frozenset(i for i, (u, a) in enumerate(self.facets)
-                         if linalg.dot(mv, u) == -a)
-
     @cached_property
     def face_lattice(self) -> tuple[Face, ...]:
         """All faces, dimensions 0..n, as closures of vertex sets.
@@ -347,24 +318,19 @@ class HPolytope:
             total += c * self.facet_latvol(k)
         return total
 
-    def anticanonical(self) -> DivisorClass:
-        return DivisorClass.from_dict({i: 1 for i in range(len(self.facets))})
-
     # -- transforms ---------------------------------------------------------
 
     def translate(self, t: Sequence) -> "HPolytope":
-        tv = linalg.frac_vec(t)
-        if len(tv) != self.n:
-            raise DimensionMismatch("translation vector of wrong length")
+        tv = serialize.frac_vector(t, self.n)
         return self._moved([(u, a - linalg.dot(tv, u)) for u, a in self.facets],
                            lambda p: linalg.vec_add(p, tv), 1)
 
     def dilate(self, k) -> "HPolytope":
-        k = Fraction(k)
+        k = serialize.frac_from_obj(k)
         if k <= 0:
             raise InputError("dilation factor must be positive")
         return self._moved([(u, k * a) for u, a in self.facets],
-                           lambda p: linalg.vec_scale(k, p), k)
+                           lambda p: tuple(k * x for x in p), k)
 
     def _moved(self, facets: list[Constraint], move: Callable[[QVec], QVec],
                k) -> "HPolytope":
@@ -401,16 +367,28 @@ class HPolytope:
     def from_json_dict(obj) -> "HPolytope":
         if not isinstance(obj, dict) or "n" not in obj or "facets" not in obj:
             raise InputError('polytope JSON must have keys "n" and "facets"')
-        n = serialize.int_from_obj(obj["n"])
         if not isinstance(obj["facets"], list):
             raise InputError("facets must be a list")
         facs = []
         for f in obj["facets"]:
             if not isinstance(f, dict) or "normal" not in f or "support" not in f:
                 raise InputError('facet entries need "normal" and "support"')
-            facs.append((serialize.int_vector(f["normal"], n),
-                         serialize.frac_from_obj(f["support"])))
-        return HPolytope(n, facs)
+            facs.append((f["normal"], f["support"]))
+        return HPolytope(obj["n"], facs)
+
+
+def check_normals(n: int, normals: Iterable) -> tuple[IntVec, ...]:
+    """The facet normals as integer vectors of length n, each primitive and
+    no two equal: the one normal check of polytopes and of the facet-volume
+    solver."""
+    out = tuple(serialize.int_vector(u, n) for u in normals)
+    for u in out:
+        g = linalg.vec_content(u)
+        if g != 1:
+            raise InputError(f"facet normal {u} is not primitive" if g else "zero facet normal")
+    if len(set(out)) != len(out):
+        raise InputError("duplicate facet normals")
+    return out
 
 
 def same_normal_fan(p: HPolytope, q: HPolytope) -> bool:

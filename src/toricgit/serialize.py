@@ -1,8 +1,13 @@
-"""Rational-safe JSON conventions.
+"""Exact inputs and rational-safe JSON conventions.
 
-Rationals travel as decimal-free "p/q" strings end to end; floats appear
-only in solver reports.  Canonical dumps (sorted keys, no whitespace
-surprises) back the input-hash provenance of CLI reports.
+The readers here are the one input policy of the package; every public
+constructor reads its exact data through them, and nothing downstream
+checks it again.  An integer is an ``int`` (not a ``bool``); a rational is
+an ``int``, a ``Fraction`` or a decimal-free "p/q" string, never a float;
+a vector is a list or a tuple.  Anything else is an ``InputError``.
+Rationals travel as "p/q" strings end to end; floats appear only in solver
+reports.  Canonical dumps (sorted keys, no whitespace surprises) back the
+input-hash provenance of CLI reports.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import DimensionMismatch, InputError
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -29,8 +34,10 @@ def frac_to_str(x) -> str:
 
 
 def frac_from_obj(obj) -> Fraction:
-    """A JSON integer, or an integer or "p/q" string, matched before any
-    number is built (a string like "1e5000" would build 10^5000)."""
+    """An integer, a Fraction, or an integer or "p/q" string, matched before
+    any number is built (a string like "1e5000" would build 10^5000)."""
+    if isinstance(obj, Fraction):
+        return obj
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise InputError(f"expected rational, got {obj!r}")
     try:
@@ -57,11 +64,20 @@ def facet_id(key) -> int:
 
 
 def int_vector(obj, length=None) -> tuple[int, ...]:
-    if not isinstance(obj, list):
-        raise InputError(f"expected integer vector, got {obj!r}")
-    v = tuple(int_from_obj(x) for x in obj)
+    return _vector(obj, length, int_from_obj, "integer")
+
+
+def frac_vector(obj, length=None) -> tuple[Fraction, ...]:
+    return _vector(obj, length, frac_from_obj, "rational")
+
+
+def _vector(obj, length, read, kind) -> tuple:
+    """A list or tuple read entry by entry, then checked against length."""
+    if not isinstance(obj, (list, tuple)):
+        raise InputError(f"expected {kind} vector, got {obj!r}")
+    v = tuple(map(read, obj))
     if length is not None and len(v) != length:
-        raise InputError(f"expected vector of length {length}, got {len(v)}")
+        raise DimensionMismatch(f"expected vector of length {length}, got {len(v)}")
     return v
 
 

@@ -193,7 +193,7 @@ def _generic_vector_avoiding(c: Subspace, avoid: list[Subspace]) -> tuple:
         v = tuple(
             sum(t ** k * basis[k][j] for k in range(len(basis)))
             for j in range(c.ambient))
-        if any(v) and all(not d.contains_vector(v) for d in avoid):
+        if any(v) and all(d._residuals([v]) for d in avoid):
             return v
     raise InternalError("moment curve failed to avoid proper subspaces")
 
@@ -226,7 +226,7 @@ def _line_stratum(
         if below.dim < best_c.dim:
             avoid.append(below)
     vec = _generic_vector_avoiding(best_c, avoid)
-    return best, Subspace.span(sheaf.rank, [vec]), fixpoint
+    return best, Subspace._of_rows(sheaf.rank, [vec]), fixpoint
 
 
 def max_line_slope(
@@ -264,7 +264,7 @@ def _random_subspace(rng: Random, r: int) -> Subspace:
     """A random proper subspace of random dimension."""
     dim = rng.randint(1, r - 1)
     while True:
-        w = Subspace.span(r, [[rng.randint(-5, 5) for _ in range(r)] for _ in range(dim)])
+        w = Subspace._of_rows(r, [[rng.randint(-5, 5) for _ in range(r)] for _ in range(dim)])
         if w.dim == dim:
             return w
 

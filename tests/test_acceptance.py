@@ -49,7 +49,14 @@ from toricgit.stability import check_stability, max_line_slope, slope
 
 import pytest
 
-from util import normalized_supports, random_sheaf, random_subspace, solved_polytope
+from util import (
+    anticanonical,
+    jump_indices,
+    normalized_supports,
+    random_sheaf,
+    random_subspace,
+    solved_polytope,
+)
 
 L2 = Lattice(2)
 
@@ -128,7 +135,7 @@ def test_acceptance_03_latvol_equals_degree():
     for k in (1, 2, 3):
         poly = projective_space(2, k)
         assert all(lv == k for lv in poly.latvols())
-        assert poly.degree(poly.anticanonical()) == 3 * k
+        assert poly.degree(anticanonical(poly)) == 3 * k
     f1 = hirzebruch(1)
     sums = [sum(lv * u[j] for (u, _), lv in zip(f1.facets, f1.latvols()))
             for j in range(2)]
@@ -157,7 +164,7 @@ def test_acceptance_04_descent_round_trips(setup_pool):
         mult = [b.get(f, 1) if rng.random() < 0.6 else 1 for f in range(d)]
         sheaf = random_sheaf(rng, rng.randint(1, 3), d, multiples=mult)
         divisible = all(j % b[f] == 0 for f in setup.stable_facets
-                        for j in sheaf.jump_indices(f))
+                        for j in jump_indices(sheaf, f))
         ok = descends(setup, sheaf)
         assert ok == divisible
         stable = restrict_to_stable(setup, sheaf)

@@ -17,7 +17,7 @@ from toricgit.klyachko import structure_sheaf
 from toricgit.minkowski import minkowski_condition
 from toricgit.polytope import same_normal_fan
 
-from util import random_quotient_sheaf
+from util import jump_indices, random_quotient_sheaf, support_vector
 
 
 def test_projective_space_polytope():
@@ -26,7 +26,7 @@ def test_projective_space_polytope():
     assert len(p.vertices) == 3
     # same class as the (1,1,1)-support simplex up to translation
     translated = p.translate((-1, -1))
-    assert translated.support_vector() == (Fraction(1), Fraction(1), Fraction(1))
+    assert support_vector(translated) == (Fraction(1), Fraction(1), Fraction(1))
     assert same_normal_fan(p, translated)
 
 
@@ -111,7 +111,7 @@ def test_functor_zero_is_fiberwise_pullback_shape():
     for f in setup.stable_facets:
         assert lifted.filtrations[f] == sheaf.filtrations[f]
     for f in setup.unstable_facets:
-        assert lifted.jump_indices(f) == (0,)
+        assert jump_indices(lifted, f) == (0,)
         assert lifted.value_at(f, 0).is_full()
 
 

@@ -1,0 +1,148 @@
+"""The library's exact-input boundary: every public entry point reads its
+integers and rationals through the ``serialize`` readers, so junk in any
+scalar slot returns or raises a typed error, and no non-integer is read as
+a nearby integer."""
+
+from fractions import Fraction
+
+import pytest
+
+from toricgit import (
+    BundleSpec,
+    DivisorClass,
+    FiltrationSheaf,
+    HPolytope,
+    Lattice,
+    Sublattice,
+    Subspace,
+    UnstableIndexVector,
+    hirzebruch,
+    is_morphism,
+    line_bundle,
+    projective_space,
+    quotient,
+    sections_on_chart,
+    solve_minkowski,
+)
+from toricgit.errors import InputError, ToricGitError
+
+HUGE = 10 ** 30
+JUNK = (float("nan"), float("inf"), float("-inf"), 1.5, Fraction(1, 2), True, None,
+        "x", "1/0", [], HUGE)
+
+P2 = projective_space(2, 3)
+VERTEX = next(f for f in P2.face_lattice if f.dim == 0)
+L1, L2, L3 = (Subspace.span(2, [v]) for v in ((1, 0), (0, 1), (1, 1)))
+E2 = Subspace.full(2)
+TANGENT = FiltrationSheaf(2, (((-1, L1), (0, E2)), ((-1, L2), (0, E2)), ((-1, L3), (0, E2))))
+Q = quotient(Lattice(3), Sublattice(Lattice(3), [(1, 1, 0)]))
+SQUARE_NORMALS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+# (name, call, valid arguments): each scalar among the arguments is a slot
+ENTRY_POINTS = (
+    ("HPolytope", HPolytope, (2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), "3/2")])),
+    ("translate", P2.translate, ((1, Fraction(-1, 2)),)),
+    ("dilate", P2.dilate, (Fraction(3, 2),)),
+    ("degree", lambda d: P2.degree(DivisorClass.from_dict(d)), ({0: 1, 2: "1/2"},)),
+    ("DivisorClass.from_dict", DivisorClass.from_dict, ({0: 1, 1: Fraction(1, 3)},)),
+    ("Sublattice", lambda n, gens: Sublattice(Lattice(n), gens), (2, [(2, 4), (0, 3)])),
+    ("Sublattice.contains", Sublattice(Lattice(2), [(1, 2)]).contains, ((2, 4),)),
+    ("QuotientLattice.project", Q.project, ((1, 2, 3),)),
+    ("QuotientLattice.lift", Q.lift, ((1, -2),)),
+    ("Subspace.span", Subspace.span, (3, [(1, 2, 3), (0, 1, "1/2")])),
+    ("contains_vector", L3.contains_vector, ((Fraction(1, 2), "1/2"),)),
+    ("FiltrationSheaf", FiltrationSheaf, (2, (((-1, L1), (0, E2)), ((0, E2),)))),
+    ("line_bundle", line_bundle, (3, {0: 1, 2: -2})),
+    ("sections_on_chart", lambda m: sections_on_chart(TANGENT, P2, VERTEX, m), ((1, 0),)),
+    ("is_morphism", lambda m: is_morphism(TANGENT, TANGENT, m), (((1, 0), (0, "1")),)),
+    ("UnstableIndexVector.from_dict", UnstableIndexVector.from_dict, ({3: 0, 4: -1},)),
+    ("BundleSpec", lambda s: BundleSpec(P2, s), (({0: 1}, {2: 1}),)),
+    ("projective_space", projective_space, (2, 3)),
+    ("hirzebruch", hirzebruch, (1, (0, 0, 1, "1/2"))),
+    ("solve_minkowski", lambda u: solve_minkowski(u, [1, 1, 1, 1]), (SQUARE_NORMALS,)),
+)
+
+# Slots that size the result: HUGE there asks for 10**30 facets, which no
+# reader can tell from a large valid size.
+SIZE_SLOTS = {("projective_space", (0,)), ("line_bundle", (0,))}
+
+
+def _is_scalar(x) -> bool:
+    return x is None or isinstance(x, (int, float, str, Fraction))
+
+
+def _slots(obj, path=()):
+    """Paths to the scalars in nested lists, tuples and dicts; a dict key is
+    the slot ("key", k)."""
+    if _is_scalar(obj):
+        yield path
+    elif isinstance(obj, (list, tuple)):
+        for i, x in enumerate(obj):
+            yield from _slots(x, path + (i,))
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield path + (("key", k),)
+            yield from _slots(v, path + (k,))
+
+
+def _replace(obj, path, value):
+    """A copy of obj with the slot at path replaced."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        if isinstance(head, tuple) and head[0] == "key":
+            return {(value if k == head[1] else k): v for k, v in obj.items()}
+        return {k: _replace(v, rest, value) if k == head else v for k, v in obj.items()}
+    out = [_replace(x, rest, value) if i == head else x for i, x in enumerate(obj)]
+    return type(obj)(out)
+
+
+def test_valid_arguments_are_accepted():
+    for name, call, args in ENTRY_POINTS:
+        call(*args)
+
+
+def test_junk_in_every_slot_raises_a_typed_error():
+    calls = 0
+    for name, call, args in ENTRY_POINTS:
+        for path in _slots(args):
+            is_key = isinstance(path[-1], tuple)
+            for junk in JUNK:
+                if junk is HUGE and (name, path) in SIZE_SLOTS:
+                    continue
+                if is_key and isinstance(junk, list):  # not hashable
+                    continue
+                try:
+                    call(*_replace(args, path, junk))
+                except ToricGitError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the failure under test
+                    pytest.fail(f"{name} with {junk!r} at {path}: {type(exc).__name__}: {exc}")
+                calls += 1
+    assert calls > 600
+
+
+def test_non_integers_are_rejected_not_truncated():
+    l2 = Lattice(2)
+    for call in (
+        lambda: Sublattice(l2, [(Fraction(1, 2), 1)]),
+        lambda: Sublattice(l2, [(1.5, 0)]),
+        lambda: line_bundle(2, {0: Fraction(1, 2)}),
+        lambda: FiltrationSheaf(1, (((Fraction(3, 2), Subspace.full(1)),),)),
+        lambda: DivisorClass.from_dict({Fraction(3, 2): 1}),
+        lambda: quotient(l2, Sublattice(l2, [(1, 0)])).lift([1.9]),
+        lambda: quotient(l2, Sublattice(l2, [(1, 0)])).project([0, 2.5]),
+        lambda: solve_minkowski([(Fraction(3, 2), 0), (-1, 0), (0, 1), (0, -1)], [1, 1, 1, 1]),
+    ):
+        with pytest.raises(InputError):
+            call()
+
+
+def test_floats_in_subspaces_raise_input_error():
+    with pytest.raises(InputError):
+        Subspace.span(2, [[0.5, 1]])
+    with pytest.raises(InputError):
+        L1.contains_vector([0.5, 0])
+    assert Subspace.span(2, [["1/2", 1]]) == Subspace.span(2, [[1, 2]])
+    assert L1.contains_vector([Fraction(1, 2), 0])

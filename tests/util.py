@@ -16,7 +16,7 @@ from toricgit.git import GitSetup, translation_classes
 from toricgit.klyachko import FiltrationSheaf, Subspace
 from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
 from toricgit.linalg import Vec, vertex_table
-from toricgit.polytope import HPolytope
+from toricgit.polytope import DivisorClass, HPolytope
 
 
 def rref_oracle(rows):
@@ -523,7 +523,7 @@ def fourier_motzkin_point(
     Equalities are eliminated by substitution first, then Fourier-Motzkin
     runs on the reduced strict/non-strict system.
     """
-    eqs = [(linalg.frac_vec(a), Fraction(c)) for a, c in equalities]
+    eqs = [(tuple(map(Fraction, a)), Fraction(c)) for a, c in equalities]
     sol = linalg.affine_solution_space(eqs, n)
     if sol is None:
         return None
@@ -533,7 +533,7 @@ def fourier_motzkin_point(
     k = len(basis)
     cons: list[Constraint] = []
     for a, c, strict in inequalities:
-        av = linalg.frac_vec(a)
+        av = tuple(map(Fraction, a))
         c = Fraction(c)
         coefs = tuple(linalg.dot(av, b) for b in basis)
         rhs = c - linalg.dot(av, point)
@@ -549,3 +549,40 @@ def fourier_motzkin_point(
     for tj, b in zip(t, basis):
         x = [xi + tj * bi for xi, bi in zip(x, b)]
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# conveniences over package objects that only tests read
+
+
+def support_vector(p: HPolytope) -> tuple[Fraction, ...]:
+    return tuple(a for _, a in p.facets)
+
+
+def active_set(p: HPolytope, m: Sequence) -> frozenset[int]:
+    """The facets of p on whose hyperplane the point m lies."""
+    mv = tuple(map(Fraction, m))
+    return frozenset(i for i, (u, a) in enumerate(p.facets) if linalg.dot(mv, u) == -a)
+
+
+def anticanonical(p: HPolytope) -> DivisorClass:
+    return DivisorClass.from_dict({i: 1 for i in range(p.num_facets)})
+
+
+def jump_indices(sheaf: FiltrationSheaf, facet: int) -> tuple[int, ...]:
+    return tuple(i for i, _ in sheaf.filtrations[facet])
+
+
+def divisor_sum(a: DivisorClass, b: DivisorClass) -> DivisorClass:
+    d = a.as_dict()
+    for k, v in b.coefficients:
+        d[k] = d.get(k, 0) + v
+    return DivisorClass.from_dict(d)
+
+
+def divisor_neg(a: DivisorClass) -> DivisorClass:
+    return DivisorClass(tuple((k, -v) for k, v in a.coefficients))
+
+
+def divisor_scale(a: DivisorClass, c) -> DivisorClass:
+    return DivisorClass.from_dict({k: c * v for k, v in a.coefficients})
