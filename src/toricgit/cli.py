@@ -5,20 +5,10 @@ Exit codes: 0 success, 1 malformed input, 2 mathematical infeasibility
 failed internal consistency check (a bug, never a property of the input;
 reported on stderr with the prefix "internal:").
 
-Options that size a search are bounded above; a larger value is malformed
-input (exit 1).  Worst cases, two runs each on a shared 2-vCPU Intel Xeon
-with Python 3.11.7:
-* random_trials <= 10,000: the trials of a Heuristic rank-4 stability job
-  on four facets take 0.85-0.91 s at the bound (the cost per trial grows
-  with rank and facet count);
-* k_max <= 12: compatible-subgroups builds one setup per GIT chamber, so
-  its cost does not grow with the supports; on P^2, F_1, F_2, P^1 x P^1,
-  P^3, the hexagon and the 3000 x 3000 square it takes at most ~0.05 s;
-* cap <= 10,000 (stability.DEFAULT_CAP): the meet+join closure of a
-  generic rank-4 full-flag sheaf on F_1 takes 2.4-2.7 s at the bound
-  (0.27-0.32 s at 1,000, 9.0-10.6 s at 30,000).
-An option the command does not read, from the job file or a flag, is
-malformed input as well.
+Each library function reads and bounds its own options; a value out of
+range is malformed input (exit 1), and README's option table gives the
+worst-case times at the bounds.  An option the command does not read, from
+the job file or a flag, or a JSON null, is malformed input as well.
 
 Reports embed the sha256 of the canonical input JSON and echo the input, so
 a report can be re-run bit-for-bit.  Rationals travel as "p/q" strings;
@@ -29,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
@@ -48,17 +37,8 @@ COMMANDS = (
 )
 
 
-# option -> (type, minimum, maximum).  The minimum of tol is the solver's
-# accuracy floor; the maxima bound the options that size a search (see the
-# module docstring).
-OPTIONS = {
-    "cap": (int, 0, stability.DEFAULT_CAP),
-    "random_trials": (int, 0, 10_000),
-    "seed": (int, None, None),
-    "max_iter": (int, 1, None),
-    "k_max": (int, 1, 12),
-    "tol": (float, minkowski.TOL_FLOOR, None),
-}
+# the options with a command-line flag, and their argparse types
+FLAGS = {"tol": float, "seed": int, "max_iter": int, "cap": int, "k_max": int}
 SOLVER_OPTIONS = ("tol", "max_iter", "seed")
 READS = {
     "stability": ("cap", "random_trials", "seed"),
@@ -70,37 +50,19 @@ READS = {
 
 
 def _check_options(command: str, options: dict) -> None:
-    """Reject an option the command does not read or a value out of its
-    range; the library defaults apply to the options not given."""
+    """Reject an option the command does not read, or a JSON null (the
+    solver's default seed is None); the library reads and bounds the rest."""
     for key, val in options.items():
         if key not in READS.get(command, ()):
             raise InputError(f'command "{command}" does not read option "{key}"')
-        kind, minimum, maximum = OPTIONS[key]
-        if kind is float:
-            if isinstance(val, bool) or not isinstance(val, (int, float)) \
-                    or not math.isfinite(val) or val < minimum:
-                raise InputError(
-                    f'option "{key}" must be a finite number >= {minimum:g}, got {val!r}')
-            continue
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise InputError(f'option "{key}" must be an integer, got {val!r}')
-        if minimum is not None and val < minimum:
-            raise InputError(f'option "{key}" must be >= {minimum}, got {val}')
-        if maximum is not None and val > maximum:
-            raise InputError(f'option "{key}" must be <= {maximum}, got {val}')
+        if val is None:
+            raise InputError(f'option "{key}" must not be null')
 
 
 def _need(payload: dict, key: str):
     if key not in payload:
         raise InputError(f'missing input key "{key}"')
     return payload[key]
-
-
-def _need_list(payload: dict, key: str) -> list:
-    val = _need(payload, key)
-    if not isinstance(val, list):
-        raise InputError(f'input "{key}" must be a list, got {val!r}')
-    return val
 
 
 def _setup(payload) -> GitSetup:
@@ -171,8 +133,8 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         setup = _setup(payload)
         return minkowski.minkowski_condition(setup).to_json_dict()
     if command == "solve-minkowski":
-        sol = minkowski.solve_minkowski(_need_list(payload, "normals"),
-                                        _need_list(payload, "volumes"), **options)
+        sol = minkowski.solve_minkowski(_need(payload, "normals"),
+                                        _need(payload, "volumes"), **options)
         return {
             "normals": [list(u) for u in sol.normals],
             "supports": [f"{a:.12g}" for a in sol.supports],
@@ -239,8 +201,8 @@ PARSER = argparse.ArgumentParser(
                 "stability, and quotient-class reconstruction.")
 PARSER.add_argument("--input", required=True, help="JSON job file")
 PARSER.add_argument("--command", choices=COMMANDS, help="command (overrides the job file)")
-for key in ("tol", "seed", "max_iter", "cap", "k_max"):
-    PARSER.add_argument("--" + key.replace("_", "-"), type=OPTIONS[key][0], dest=key)
+for key, kind in FLAGS.items():
+    PARSER.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
 PARSER.add_argument("--output", help="write the report here instead of stdout")
 PARSER.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -268,7 +230,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not isinstance(options, dict):
             raise InputError('"options" must be a JSON object')
         options = {**options, **{key: val for key, val in vars(args).items()
-                                 if key in OPTIONS and val is not None}}
+                                 if key in FLAGS and val is not None}}
         result = run_command(command, payload, options)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -219,6 +219,9 @@ class FiltrationSheaf:
 
     def value_at(self, facet: int, i: int) -> Subspace:
         """E^F(i): the last jump subspace at index <= i (zero below all)."""
+        if not 0 <= serialize.int_from_obj(facet) < self.num_facets:
+            raise InputError(f"no facet with index {facet}")
+        i = serialize.int_from_obj(i)
         current = Subspace.zero(self.rank)
         for j, v in self.filtrations[facet]:
             if j > i:
@@ -365,7 +368,7 @@ def sections_on_chart(
         raise InputError("weight entries must be integers")
     current = Subspace.full(sheaf.rank)
     for f in sorted(face.active_facets):
-        current = current.intersect(sheaf.value_at(f, linalg.dot(mv, p.facets[f][0])))
+        current = current.intersect(sheaf.value_at(f, linalg.dot(mv, p.facets[f][0]).numerator))
     return current
 
 

@@ -66,6 +66,7 @@ SOLVER_TOL = 1e-6
 TOL_FLOOR = 1e-10
 SOLVER_MAX_ITER = 10_000
 RATIONALIZE_DENOM = 10 ** 12
+MAX_K = 12  # the largest dilation compatible_subgroups accepts
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,13 @@ def _newton_step(rates, normals, r: list[float]) -> list[float]:
     return x[:m]
 
 
+def _solver_options(tol, max_iter, seed) -> tuple[float, int, Optional[int]]:
+    """tol >= TOL_FLOOR finite, max_iter >= 1, seed an integer or None."""
+    return (serialize.float_option("tol", tol, TOL_FLOOR),
+            serialize.int_option("max_iter", max_iter, 1),
+            None if seed is None else serialize.int_option("seed", seed))
+
+
 def solve_minkowski(
     normals: Sequence[Sequence[int]],
     volumes: Sequence,
@@ -212,10 +220,10 @@ def solve_minkowski(
     circumscribed about the unit ball (supports jittered by the seed),
     scaled to the targets.
     """
-    if not tol >= TOL_FLOOR:
-        raise InputError(f"tol {tol!r} is below the accuracy floor {TOL_FLOOR:g}")
-    if not normals:
-        raise InputError("no normals")
+    tol, max_iter, seed = _solver_options(tol, max_iter, seed)
+    if not isinstance(normals, (list, tuple)) or not normals \
+            or not isinstance(volumes, (list, tuple)):
+        raise InputError("normals must be a nonempty list, and volumes a list")
     n = len(serialize.int_vector(normals[0]))
     if n < 2:
         raise InputError("the facet-volume problem needs dimension >= 2")
@@ -367,6 +375,7 @@ def ample_class_alpha(
 ) -> AmpleClassNumeric:
     """The unique (up to scale) quotient class with facet volumes
     b_F * deg_P(D_F); exists iff the Minkowski condition holds."""
+    tol, max_iter, seed = _solver_options(tol, max_iter, seed)
     setup.require_generic()
     if setup.dim_quotient() < 2:
         raise CurveQuotient(
@@ -558,6 +567,7 @@ def compatible_subgroups(
     must be generic with stable facet set exactly D, and then satisfies the
     Minkowski condition automatically (verified exactly anyway).
     """
+    k_max = serialize.int_option("k_max", k_max, 1, MAX_K)
     n = poly.n
     d = poly.num_facets
     degrees = poly.latvols()

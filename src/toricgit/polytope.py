@@ -302,7 +302,7 @@ class HPolytope:
 
     def facet_latvol(self, i: int) -> Fraction:
         """Lattice (n-1)-volume of facet i; a point facet (n = 1) counts 1."""
-        if not 0 <= i < len(self.facets):
+        if not 0 <= serialize.int_from_obj(i) < len(self.facets):
             raise InputError(f"no facet with index {i}")
         return self._volume_data[1][i]
 
@@ -313,9 +313,7 @@ class HPolytope:
         """deg_P(D) = sum_F c_F * latvol(F) against this polytope's class."""
         total = Fraction(0)
         for k, c in divisor.coefficients:
-            if not 0 <= k < len(self.facets):
-                raise InputError(f"divisor coefficient on unknown facet {k}")
-            total += c * self.facet_latvol(k)
+            total += c * self.facet_latvol(k)  # checks that facet k exists
         return total
 
     # -- transforms ---------------------------------------------------------

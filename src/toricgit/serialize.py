@@ -4,10 +4,10 @@ The readers here are the one input policy of the package; every public
 constructor reads its exact data through them, and nothing downstream
 checks it again.  An integer is an ``int`` (not a ``bool``); a rational is
 an ``int``, a ``Fraction`` or a decimal-free "p/q" string, never a float;
-a vector is a list or a tuple.  Anything else is an ``InputError``.
-Rationals travel as "p/q" strings end to end; floats appear only in solver
-reports.  Canonical dumps (sorted keys, no whitespace surprises) back the
-input-hash provenance of CLI reports.
+a vector is a list or a tuple; a search option lies within the bounds of
+the function that reads it.  Anything else is an ``InputError``.  Rationals
+travel as "p/q" strings end to end; floats appear only in solver reports.
+Canonical dumps (sorted keys) back the input-hash provenance of CLI reports.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -52,6 +53,23 @@ def int_from_obj(obj) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise InputError(f"expected integer, got {obj!r}")
     return obj
+
+
+def int_option(name: str, obj, low=-float("inf"), high=float("inf")) -> int:
+    """An integer search option in [low, high]."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise InputError(f'option "{name}" must be an integer, got {obj!r}')
+    if not low <= obj <= high:
+        raise InputError(f'option "{name}" must lie in [{low}, {high}]')
+    return obj
+
+
+def float_option(name: str, obj, low: float) -> float:
+    """A finite real search option >= low, as a float."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) \
+            or not low <= obj <= sys.float_info.max:  # exact for ints of any size
+        raise InputError(f'option "{name}" must be a finite number >= {low:g}')
+    return float(obj)
 
 
 def facet_id(key) -> int:

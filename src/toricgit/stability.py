@@ -60,13 +60,15 @@ UNSTABLE = "Unstable"
 CERTIFIED = "Certified"
 HEURISTIC = "Heuristic"
 
-DEFAULT_CAP = 10_000
+DEFAULT_CAP = 10_000  # also the largest cap accepted
 DEFAULT_RANDOM_TRIALS = 1_000
+MAX_RANDOM_TRIALS = 10_000
 DEFAULT_SEED = 20_240_601
 
 
 def slope(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]) -> Fraction:
-    """Exact slope of the sheaf against the class with these facet degrees."""
+    """Exact slope of the sheaf against the class with these (exact) facet degrees."""
+    degrees = serialize.frac_vector(degrees)
     if sheaf.num_facets != len(degrees):
         raise FacetMismatch("sheaf facet set does not match the degree vector")
     total = sum((i * d for i, d in zip(det_indices(sheaf), degrees)), Fraction(0))
@@ -96,7 +98,8 @@ def _closure(
     """Close a family of subspaces under pairwise intersection, and with
     ``join`` also under sum keeping proper subspaces only; returns (members,
     reached_fixpoint).  The closure stops, short of its fixed point, as soon
-    as a new member takes it past ``cap`` members."""
+    as a new member takes it past ``cap`` members (0..DEFAULT_CAP)."""
+    cap = serialize.int_option("cap", cap, 0, DEFAULT_CAP)
     found: dict[Subspace, None] = dict.fromkeys(seeds)
     frontier = list(found)
     old: list[Subspace] = []
@@ -235,6 +238,7 @@ def max_line_slope(
     """Exact maximum of mu(subsheaf(S, line)) over all lines, with a line
     realizing it (re-verified through ``subsheaf``) and whether the
     intersection closure reached its fixed point."""
+    degrees = serialize.frac_vector(degrees)
     best, line, fixpoint = _line_stratum(sheaf, degrees, cap)
     _verify_witness(sheaf, degrees, line, best, "line")
     return best, line, fixpoint
@@ -253,6 +257,7 @@ def max_hyperplane_slope(
     r = sheaf.rank
     if r < 2:
         raise InputError("hyperplane stratum needs rank >= 2")
+    degrees = serialize.frac_vector(degrees)
     val, line, fixpoint = _line_stratum(dual(sheaf), degrees, cap)
     best = (r * slope(sheaf, degrees) + val) / (r - 1)
     hyper = line.perp()
@@ -325,6 +330,10 @@ def check_stability(
     sweep is reported as Semistable/Heuristic after seeded random
     falsification.
     """
+    serialize.int_option("cap", cap, 0, DEFAULT_CAP)  # a rank-1 sheaf builds no closure
+    random_trials = serialize.int_option("random_trials", random_trials, 0, MAX_RANDOM_TRIALS)
+    seed = serialize.int_option("seed", seed)
+    degrees = serialize.frac_vector(degrees)
     mu = slope(sheaf, degrees)
     r = sheaf.rank
     if r == 1:

@@ -16,12 +16,17 @@ from toricgit import (
     Sublattice,
     Subspace,
     UnstableIndexVector,
+    ample_class_alpha,
+    check_stability,
+    compatible_subgroups,
     hirzebruch,
     is_morphism,
     line_bundle,
     projective_space,
+    projectivized_bundle,
     quotient,
     sections_on_chart,
+    slope,
     solve_minkowski,
 )
 from toricgit.errors import InputError, ToricGitError
@@ -37,6 +42,8 @@ E2 = Subspace.full(2)
 TANGENT = FiltrationSheaf(2, (((-1, L1), (0, E2)), ((-1, L2), (0, E2)), ((-1, L3), (0, E2))))
 Q = quotient(Lattice(3), Sublattice(Lattice(3), [(1, 1, 0)]))
 SQUARE_NORMALS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+HEXAGON = HPolytope(2, [(u, 1) for u in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))])
+SURFACE_QUOTIENT = projectivized_bundle(BundleSpec(HEXAGON, ({4: 1},)))
 
 # (name, call, valid arguments): each scalar among the arguments is a slot
 ENTRY_POINTS = (
@@ -60,6 +67,20 @@ ENTRY_POINTS = (
     ("projective_space", projective_space, (2, 3)),
     ("hirzebruch", hirzebruch, (1, (0, 0, 1, "1/2"))),
     ("solve_minkowski", lambda u: solve_minkowski(u, [1, 1, 1, 1]), (SQUARE_NORMALS,)),
+    ("facet_latvol", P2.facet_latvol, (1,)),
+    ("value_at", TANGENT.value_at, (2, -1)),
+    ("slope", lambda d: slope(TANGENT, d), ((3, "3", Fraction(3)),)),
+    # search options: each entry point reads and bounds its own
+    ("check_stability options",
+     lambda cap, trials, seed: check_stability(TANGENT, P2.latvols(), cap=cap,
+                                               random_trials=trials, seed=seed), (50, 5, 3)),
+    ("solve_minkowski options",
+     lambda tol, max_iter, seed: solve_minkowski(SQUARE_NORMALS, [1, 1, 1, 1], tol=tol,
+                                                 max_iter=max_iter, seed=seed), (1e-6, 50, 2)),
+    ("ample_class_alpha options",
+     lambda tol, max_iter, seed: ample_class_alpha(SURFACE_QUOTIENT, tol=tol,
+                                                   max_iter=max_iter, seed=seed), (1e-6, 50, 2)),
+    ("compatible_subgroups options", lambda k: compatible_subgroups(P2, k_max=k), (2,)),
 )
 
 # Slots that size the result: HUGE there asks for 10**30 facets, which no
