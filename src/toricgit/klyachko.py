@@ -11,12 +11,13 @@ every elimination runs on the stored rows as they are; ``Subspace.basis``
 divides by D.  The kernel read off those rows (cached) spans W^perp, so
 x lies in W iff its residual, its pairings with that kernel, vanishes
 (D x - sum_k x[p_k] w_k on the free columns).  So containment takes no
-elimination, and s = rank[W; E] = dim(W + E) is dim W plus the rank of
-E's nonzero residuals, eliminated only when there are two or more: E <= W
-iff s = dim W, and the meet has dimension dim W + dim E - s.  A meet that
-is neither zero nor one of the two is read off one reduced form of
-[W | W; E | 0] (Zassenhaus): its rows (w + e, w) with vanishing left half
-have w in W n E, and their right halves divided by their gcd are the
+elimination, and s = rank[W; E] = dim(W + E) is the larger dimension plus
+the rank of the smaller subspace's nonzero residuals against the larger
+one, eliminated only when there are two or more (so never for a line):
+E <= W iff s = dim W, and the meet has dimension dim W + dim E - s.  A
+meet that is neither zero nor one of the two is read off one reduced form
+of [W | W; E | 0] (Zassenhaus): its rows (w + e, w) with vanishing left
+half have w in W n E, and their right halves divided by their gcd are the
 canonical rows.  A sheaf caches flag-adapted coordinates per facet, from
 the jumps' kernels: x lies in E_k iff its coordinates from dim E_k on
 vanish (``FiltrationSheaf.flag_coordinates``).
@@ -98,13 +99,14 @@ class Subspace:
         return [res for res in linalg.pairings(vectors, self._annihilator) if any(res)]
 
     def _sum_dim(self, other: "Subspace") -> int:
-        """rank[W; E] = dim W + the rank of E's nonzero residuals."""
+        """dim(W + E): the larger dim + the rank of the smaller's residuals."""
         if other.ambient != self.ambient:
             raise DimensionMismatch("subspaces of different ambient spaces")
-        res = self._residuals(other.rows)
-        if len(res) > 1 and self.ambient - self.dim > 1:
-            return self.dim + linalg.int_rank(res)
-        return self.dim + min(len(res), 1)
+        big, small = (other, self) if other.dim > self.dim else (self, other)
+        res = big._residuals(small.rows)
+        if len(res) > 1 and big.ambient - big.dim > 1:
+            return big.dim + linalg.int_rank(res)
+        return big.dim + min(len(res), 1)
 
     def contains_vector(self, v: Sequence) -> bool:
         vec = serialize.frac_vector(v, self.ambient)

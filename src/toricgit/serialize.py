@@ -34,31 +34,39 @@ def frac_to_str(x) -> str:
         return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
+def _shown(obj) -> str:
+    """repr(obj) for a message; its type past the int-to-str digit limit."""
+    try:
+        return repr(obj)
+    except ValueError:
+        return f"<{type(obj).__name__} too large to print>"
+
+
 def frac_from_obj(obj) -> Fraction:
     """An integer, a Fraction, or an integer or "p/q" string, matched before
     any number is built (a string like "1e5000" would build 10^5000)."""
     if isinstance(obj, Fraction):
         return obj
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise InputError(f"expected rational, got {obj!r}")
+        raise InputError(f"expected rational, got {_shown(obj)}")
     try:
         if isinstance(obj, int) or _RATIONAL.fullmatch(obj):
             return Fraction(obj)
     except (ValueError, ZeroDivisionError):
         pass
-    raise InputError(f"bad rational string {obj!r}")
+    raise InputError(f"bad rational string {_shown(obj)}")
 
 
 def int_from_obj(obj) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise InputError(f"expected integer, got {obj!r}")
+        raise InputError(f"expected integer, got {_shown(obj)}")
     return obj
 
 
 def int_option(name: str, obj, low=-float("inf"), high=float("inf")) -> int:
     """An integer search option in [low, high]."""
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise InputError(f'option "{name}" must be an integer, got {obj!r}')
+        raise InputError(f'option "{name}" must be an integer, got {_shown(obj)}')
     if not low <= obj <= high:
         raise InputError(f'option "{name}" must lie in [{low}, {high}]')
     return obj
@@ -77,7 +85,7 @@ def facet_id(key) -> int:
     ASCII digits without a leading zero (int would also read " 1", "1_0",
     non-ASCII digits, and "02" as the same facet as "2")."""
     if not isinstance(key, str) or not _FACET_ID.fullmatch(key):
-        raise InputError(f"facet ids must be integers, got {key!r}")
+        raise InputError(f"facet ids must be integers, got {_shown(key)}")
     return int(key)
 
 
@@ -92,7 +100,7 @@ def frac_vector(obj, length=None) -> tuple[Fraction, ...]:
 def _vector(obj, length, read, kind) -> tuple:
     """A list or tuple read entry by entry, then checked against length."""
     if not isinstance(obj, (list, tuple)):
-        raise InputError(f"expected {kind} vector, got {obj!r}")
+        raise InputError(f"expected {kind} vector, got {_shown(obj)}")
     v = tuple(map(read, obj))
     if length is not None and len(v) != length:
         raise DimensionMismatch(f"expected vector of length {length}, got {len(v)}")

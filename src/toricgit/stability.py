@@ -26,7 +26,9 @@ exact strata cover everything and the candidate closure is not built: the
 verdict is Certified exactly when both strata closures reached their fixed
 point.  From rank 4 on it is Certified only when, in addition, every proper
 jump subspace has dimension 1 or rank-1 and the candidate closure reached
-its fixed point.  Any closure stopped at ``cap`` sets ``cap_exceeded``;
+its fixed point.  No closure meets a pair with a line or the full space,
+whose meet can only be 0 or one of the pair; the candidate closure still
+adds them.  Any closure stopped at ``cap`` sets ``cap_exceeded``;
 without certified completeness the middle dimensions are attacked with
 seeded random subspaces and the verdict never claims Stable.
 
@@ -39,8 +41,10 @@ rows are W's position, dim(W n E_k) is the number of them below dim E_k,
 and i_F(det S_W) is the sum of their levels, the index of the first jump
 containing the coordinate.  That is one integer elimination per facet for
 every jump at once, and none for a line.  A profile p(C)_F is the level of
-C's highest nonzero coordinate.  Only the line, hyperplane and final
-witnesses are re-verified through ``subsheaf``.
+C's highest nonzero coordinate.  Degree sums run in integers, over the
+degree vector times the lcm D of its denominators (``linalg.int_rows`` of
+(degrees, 1)), with one division by D per returned slope.  Only the line,
+hyperplane and final witnesses are re-verified through ``subsheaf``.
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ def _closure(
     """Close a family of subspaces under pairwise intersection, and with
     ``join`` also under sum keeping proper subspaces only; returns (members,
     reached_fixpoint).  The closure stops, short of its fixed point, as soon
-    as a new member takes it past ``cap`` members (0..DEFAULT_CAP)."""
+    as a new member takes it past ``cap`` members (0..DEFAULT_CAP).  A pair
+    with a line or the full space is not met: the meet is 0 or a member."""
     cap = serialize.int_option("cap", cap, 0, DEFAULT_CAP)
     found: dict[Subspace, None] = dict.fromkeys(seeds)
     frontier = list(found)
@@ -108,7 +113,10 @@ def _closure(
         for k, a in enumerate(frontier):
             # (a, frontier[j]), j < k, was met as (frontier[j], a)
             for b in old + frontier[k + 1:]:
-                results = [a.intersect(b), a.add(b)] if join else [a.intersect(b)]
+                trivial = a.dim in (1, rank) or b.dim in (1, rank)
+                results = [] if trivial else [a.intersect(b)]
+                if join:
+                    results.append(a.add(b))
                 for c in results:
                     if c.is_zero() or (join and c.dim >= rank):
                         continue
@@ -161,12 +169,12 @@ def _slope_scorer(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]):
     its integer rows: i_F(det S_W) is the sum of the levels of W's
     positions against facet F's flag."""
     flags = sheaf.flag_coordinates
+    *int_degrees, den = linalg.int_rows([[*degrees, 1]])[0]
 
     def score(w_rows: tuple[tuple[int, ...], ...]) -> Fraction:
-        total = Fraction(0)
-        for deg, (cols, levels) in zip(degrees, flags):
-            total += sum(levels[j] for j in _positions(cols, w_rows)) * deg
-        return -total / len(w_rows)
+        total = sum(sum(levels[j] for j in _positions(cols, w_rows)) * deg
+                    for deg, (cols, levels) in zip(int_degrees, flags))
+        return Fraction(-total, den * len(w_rows))
 
     return score
 
@@ -214,14 +222,11 @@ def _line_stratum(
     """
     seeds = [v for f in range(sheaf.num_facets) for _, v in sheaf.filtrations[f]]
     members, fixpoint = _closure(seeds, sheaf.rank, cap, join=False)
-    best: Optional[Fraction] = None
-    best_c: Optional[Subspace] = None
-    best_profile: Optional[list[int]] = None
-    for c in members:
-        prof = _profile(sheaf, c)
-        val = -sum((p * d for p, d in zip(prof, degrees)), Fraction(0))
-        if best is None or val > best:
-            best, best_c, best_profile = val, c, prof
+    *int_degrees, den = linalg.int_rows([[*degrees, 1]])[0]
+    profiles = [_profile(sheaf, c) for c in members]
+    values = [-sum(p * d for p, d in zip(prof, int_degrees)) for prof in profiles]
+    k = values.index(max(values))  # the first member of largest value
+    best, best_c, best_profile = values[k], members[k], profiles[k]
     # realize the profile with an actual line of best_c
     avoid = []
     for f, p in enumerate(best_profile):
@@ -229,7 +234,7 @@ def _line_stratum(
         if below.dim < best_c.dim:
             avoid.append(below)
     vec = _generic_vector_avoiding(best_c, avoid)
-    return best, Subspace._of_rows(sheaf.rank, [vec]), fixpoint
+    return Fraction(best, den), Subspace._of_rows(sheaf.rank, [vec]), fixpoint
 
 
 def max_line_slope(

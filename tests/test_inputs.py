@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricgit import serialize
 from toricgit import (
     BundleSpec,
     DivisorClass,
@@ -167,3 +168,20 @@ def test_floats_in_subspaces_raise_input_error():
         L1.contains_vector([0.5, 0])
     assert Subspace.span(2, [["1/2", 1]]) == Subspace.span(2, [[1, 2]])
     assert L1.contains_vector([Fraction(1, 2), 0])
+
+
+def test_values_past_the_digit_limit_are_echoed_safely():
+    # a rejected value is echoed in the message; one holding an integer past
+    # the int-to-str digit limit must still give InputError, not ValueError
+    big = 10 ** 5000
+    for call in (
+        lambda: serialize.int_from_obj(Fraction(big)),
+        lambda: serialize.int_option("cap", Fraction(big)),
+        lambda: serialize.int_vector(big),
+        lambda: serialize.frac_vector(big),
+        lambda: serialize.frac_from_obj([big]),
+    ):
+        with pytest.raises(InputError, match="too large to print"):
+            call()
+    with pytest.raises(InputError, match=r"got \[1, 2\]"):
+        serialize.frac_from_obj([1, 2])

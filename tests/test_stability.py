@@ -327,18 +327,22 @@ def test_rank3_generic_flags_certified_from_exact_strata(monkeypatch):
 def test_elimination_work_counts_are_pinned(monkeypatch):
     # exact elimination counts of one Certified rank-3 job: containment
     # reads residuals against the cached kernel of the stored rows, a sum or
-    # meet eliminates only two or more nonzero residuals, a proper meet
-    # costs one rref, a perp one rref of that kernel, the closure meets each
-    # unordered pair once, a subsheaf's coordinates are read off its rows,
-    # and every rank and rref is one echelon, so a second elimination
-    # routine or a stacked rank creeping back in shows as a changed count
+    # meet reads the smaller side's residuals against the larger side and
+    # eliminates only two or more of them (so no pair in QQ^3 ranks), a
+    # proper meet costs one rref, a perp one rref of that kernel, the
+    # closure meets each unordered pair once and never a line or the full
+    # space, a subsheaf's coordinates are read off its rows, and every rref
+    # is one echelon, so a second elimination routine, a stacked rank or a
+    # trivial meet creeping back in shows as a changed count
     s = generic_full_flag_sheaf(Random(55), 3, 4)
     counts = {name: count_calls(monkeypatch, linalg, name)
               for name in ("echelon", "int_rank", "rref")}
+    meets = count_calls(monkeypatch, Subspace, "intersect")
     verdict = check_stability(s, F1)
     assert verdict.certainty == "Certified"
     assert {name: c[name] for name, c in counts.items()} == \
-        {"echelon": 118, "int_rank": 92, "rref": 26}
+        {"echelon": 26, "int_rank": 0, "rref": 26}
+    assert meets["intersect"] == 44
     for gone in ("rank", "nullspace", "solve_general"):
         assert not hasattr(linalg, gone), gone
 
@@ -493,6 +497,61 @@ def test_closure_matches_the_all_pairs_oracle():
                 assert stability._closure(seeds, r, cap, join) == \
                     all_pairs_closure(seeds, r, cap, join)
     assert all(count >= 8 for count in seen.values()), seen
+
+
+def test_closure_never_meets_a_line_or_the_full_space(monkeypatch):
+    # such a meet is 0 or one of the pair, so the closure skips it; the
+    # members are still checked against the oracle above
+    met = []
+    original = Subspace.intersect
+
+    def recording(a, b):
+        met.append((a.dim, b.dim, a.ambient))
+        return original(a, b)
+
+    monkeypatch.setattr(Subspace, "intersect", recording)
+    rng = Random(92)
+    for k in range(24):
+        r = 2 + k % 4
+        s = generic_full_flag_sheaf(rng, r, 4) if k % 3 == 2 else random_sheaf(rng, r, 4)
+        for join in (False, True):
+            seeds = (stability._proper_jump_subspaces(s) if join
+                     else [v for filt in s.filtrations for _, v in filt])
+            stability._closure(seeds, r, 60, join)
+    assert len(met) > 100
+    assert all({a, b}.isdisjoint({1, n}) for a, b, n in met)
+
+
+def test_integer_degree_sums_match_fraction_oracles():
+    # scores and line values sum in integers over the degree vector times
+    # the lcm of its denominators; degree vectors with denominators (the
+    # facet volumes 1/2 of a triangle with support 1/2, as on the modulus-2
+    # quotients, and seeded positive rationals) must give the Fraction sums
+    rng = Random(93)
+    triangle = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), Fraction(1, 2))]).latvols()
+    assert {d.denominator for d in triangle} == {2}
+    checked = 0
+    for k in range(18):
+        r = 2 + k % 3
+        nf = 3 if k % 2 else 4
+        degrees = triangle if nf == 3 and k % 4 == 1 else tuple(
+            Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(nf))
+        s = random_sheaf(rng, r, nf)
+        score = stability._slope_scorer(s, degrees)
+        ws = [random_subspace(rng, r, rng.randint(1, r - 1)) for _ in range(4)]
+        ws += list(candidate_subspaces(s, 40).subspaces)[:8]
+        for w in ws:
+            assert score(w.rows) == slope(subsheaf(s, w), degrees)
+        seeds = [v for filt in s.filtrations for _, v in filt]
+        members, fixpoint = stability._closure(seeds, r, 200, join=False)
+        oracle = max(-sum((Fraction(p) * d for p, d in
+                           zip(stability._profile(s, c), degrees)), Fraction(0))
+                     for c in members)
+        value, line, line_fix = stability._line_stratum(s, degrees, 200)
+        assert (value, line_fix) == (oracle, fixpoint)
+        assert slope(subsheaf(s, line), degrees) == value
+        checked += len(ws)
+    assert checked > 100
 
 
 def test_semistable_witness_reverified_through_subsheaf(monkeypatch):
