@@ -38,14 +38,15 @@ from .errors import InfeasibleError, InputError, InternalError, NotAmple
 from .git import GitSetup
 from .lattice import Lattice, Sublattice
 from .polytope import DivisorClass, HPolytope
-from .serialize import facet_id, int_from_obj
+from .serialize import facet_id, int_from_obj, int_option
+
+MAX_DIM = 12  # the largest n projective_space builds
 
 
 def projective_space(n: int, k: int = 1) -> HPolytope:
     """The k-dilated standard simplex: normals e_1..e_n and -(e_1+..+e_n),
     supports (0, .., 0, k); any lattice translate represents the same class."""
-    if int_from_obj(n) < 1 or int_from_obj(k) < 1:
-        raise InputError("projective_space needs n >= 1 and k >= 1")
+    n, k = int_option("n", n, 1, MAX_DIM), int_option("k", k, 1)
     facets = [(tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
     return HPolytope(n, facets + [((-1,) * n, k)])
 

@@ -11,8 +11,9 @@ worst-case times at the bounds.  An option the command does not read, from
 the job file or a flag, or a JSON null, is malformed input as well.
 
 Reports embed the sha256 of the canonical input JSON and echo the input, so
-a report can be re-run bit-for-bit.  Rationals travel as "p/q" strings;
-floats appear only in solver output, printed with 12 significant digits.
+a report can be re-run bit-for-bit; ``serialize.report_dumps`` renders the
+bytes of json.dumps(report, indent=2, sort_keys=True).  Rationals travel as
+"p/q" strings; floats appear only in solver output, to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "result": result,
     }
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = serialize.report_dumps(report)
     else:
         text = _render_text(command, result)
     if args.output:

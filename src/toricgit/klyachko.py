@@ -40,6 +40,7 @@ from .polytope import DivisorClass, Face, HPolytope
 
 QVec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
+MAX_FACETS = 10_000  # the most facets line_bundle builds
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ class FiltrationSheaf:
 def line_bundle(num_facets: int, coeffs: Mapping[int, int]) -> FiltrationSheaf:
     """Rank-1 sheaf of the divisor sum_F c_F D_F, integer c_F: the facet-F
     filtration jumps from 0 to the line exactly at -c_F."""
-    num_facets = serialize.int_from_obj(num_facets)
+    num_facets = serialize.int_option("num_facets", num_facets, 0, MAX_FACETS)
     c = {serialize.int_from_obj(f): serialize.int_from_obj(v) for f, v in coeffs.items()}
     if not all(0 <= f < num_facets for f in c):
         raise InputError("line bundle coefficient on an unknown facet")

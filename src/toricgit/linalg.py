@@ -14,8 +14,9 @@ layers:
 * integer lattice normal forms (row-style Hermite form, kernels, a
   diagonal form with its transforms for right inverses),
 * one double description of rational half-space systems (``vertex_table``:
-  the vertices, the constraints tight on each, boundedness), and from it
-  witness points of bounded mixed strict/non-strict systems.
+  the vertices as integer rays (m, t), the point m/t divided out only
+  where a caller needs coordinates, the constraints tight on each,
+  boundedness), and from it witness points of bounded strict/loose systems.
 """
 
 from __future__ import annotations
@@ -328,7 +329,7 @@ def integer_right_inverse(mat: Sequence[Sequence[int]]) -> Optional[list[list[in
 # vertices of rational half-space systems, and witness points
 
 Constraint = tuple[IntVec, Fraction]  # <m, u> >= -a stored as (u, a)
-VertexTable = list[tuple[Vec, frozenset[int]]]  # (vertex, constraints tight on it)
+VertexTable = list[tuple[IntVec, frozenset[int]]]  # (ray (m, t), constraints tight on it)
 
 
 def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[tuple]]:
@@ -389,21 +390,24 @@ def vertex_table(n: int, cons: Sequence[Constraint]) -> tuple[VertexTable, bool]
     """(vertices of {m : <m,u> >= -a}, sorted, each with the constraints
     tight on it, whether the normals positively span RR^n).
 
-    The vertices are the extreme rays (m, t) with t > 0 of the homogenized
-    cone {<m,u> + a t >= 0, t >= 0}, read as m/t, and the tight sets are
+    The vertices are the primitive extreme rays (m, t), t > 0, of the cone
+    {<m,u> + a t >= 0, t >= 0}, each the point m/t, sorted as those points
+    by the integer keys m * (T/t), T the lcm of the t; the tight sets are
     their double-description masks.  Normals may be rational.  Redundant
     inequalities are harmless and boundedness is not needed.  An empty
-    system, and one that contains a line (then its cone has a nonzero
-    lineality space), has no vertices.  The normals positively span iff the
-    recession cone {d : <d, u> >= 0}, the cone's slice at t = 0, is {0}:
-    iff the cone has no lineality and no ray with t = 0."""
+    system, and one containing a line (its cone has lineality), has no
+    vertices.  The normals positively span iff the recession cone
+    {d : <d, u> >= 0}, the cone's slice at t = 0, is {0}: iff the cone has
+    no lineality and no ray with t = 0."""
     rows = [(0,) * n + (1,)] + [(*u, a) for u, a in cons]
     lin, rays = _cone_dd(rows, n + 1)
     if lin:
         return [], False
-    return sorted((tuple(Fraction(x, r[n]) for x in r[:n]),
-                   frozenset(i for i in range(len(cons)) if z >> (i + 1) & 1))
-                  for r, z in rays if r[n] > 0), all(r[n] for r, _ in rays)
+    table = [(tuple(r), frozenset(i for i in range(len(cons)) if z >> (i + 1) & 1))
+             for r, z in rays if r[n] > 0]
+    scale = lcm(*(r[n] for r, _ in table))
+    table.sort(key=lambda e: [x * (scale // e[0][n]) for x in e[0][:n]])
+    return table, all(r[n] for r, _ in rays)
 
 
 def feasible_point(
@@ -419,8 +423,8 @@ def feasible_point(
     On those solutions, (num + sum t_j w_j) / D in the integers of
     ``affine_solution_space``, each t_j in turn is the midpoint of its exact
     range with t_0..t_{j-1} fixed, or that range's one value: the least and
-    greatest first coordinates of the vertices of the loose slice in
-    (t_j..t_{k-1}).  Row a.x >= c reads <a, w_j> . t >= D c - <a, num>, so
+    greatest first coordinates m_0/t of the vertex rays of the loose slice
+    in (t_j..t_{k-1}).  Row a.x >= c reads <a, w_j> . t >= D c - <a, num>, so
     integer normals give integer slice normals.  A nonempty strict system
     is dense in the loose one, and each midpoint lies inside its open range,
     so the point is in the system iff the system is nonempty; it is the
@@ -441,7 +445,7 @@ def feasible_point(
             raise ValueError("feasible_point needs a bounded system")
         if not table:
             return None
-        lo, hi = table[0][0][0], table[-1][0][0]
+        lo, hi = (Fraction(r[0], r[-1]) for r in (table[0][0], table[-1][0]))
         t.append(lo if lo == hi else (lo + hi) / 2)
     if any(dot(u, t) + s <= 0 if strict else dot(u, t) + s < 0 for u, s, strict in rows):
         return None

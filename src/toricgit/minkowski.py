@@ -126,17 +126,17 @@ def _floats(values) -> list[float]:
 
 class _Iterate(NamedTuple):
     """The snapped iterate's facet volumes and their rates, as floats, and
-    its exact vertices."""
+    its vertex rays."""
     latvols: list[float]
     rates: list[list[float]]
-    vertices: list
+    rays: list
 
 
 def _evaluate(n: int, normals, supports) -> _Iterate:
     cons = [(u, _snap(a)) for u, a in zip(normals, supports)]
-    vol, latvols, verts, rates = hsystem_volume_data(n, cons, rates=True)
+    vol, latvols, rays, rates = hsystem_volume_data(n, cons, rates=True)
     _floats([vol])  # the solver handles the polytopes whose volume is a float
-    return _Iterate(_floats(latvols), [_floats(row) for row in rates], verts)
+    return _Iterate(_floats(latvols), [_floats(row) for row in rates], rays)
 
 
 def _residual(latvols: Sequence[float], f: Sequence[float]) -> float:
@@ -160,7 +160,7 @@ def _present(n: int, normals, f: list[float], a: list[float], it: _Iterate):
         if not absent:
             return a, it
         i = absent[0]
-        heights = [float(linalg.dot(v, normals[i])) for v in it.vertices]
+        heights = [linalg.dot(r[:n], normals[i]) / r[n] for r in it.rays]
         lo, hi = min(heights), max(heights)
         a = a[:i] + [-(lo + 0.01 * (hi - lo))] + a[i + 1:]
         it = _evaluate(n, normals, a)
@@ -283,7 +283,7 @@ def solve_minkowski(
         a, it, res = cand, c_it, c_res
 
     # fix the translation gauge at the snapped iterate's vertex barycenter
-    bary = linalg.barycenter(it.vertices)
+    bary = linalg.barycenter([[Fraction(x, r[n]) for x in r[:n]] for r in it.rays])
     a = [float(_snap(ai) + linalg.dot(bary, u)) for ai, u in zip(a, norm_t)]
     _, lat_final, _ = hsystem_volume_data(n, [(u, _snap(ai)) for u, ai in zip(norm_t, a)])
     residual = _residual(_floats(lat_final), f)
@@ -562,43 +562,37 @@ def compatible_subgroups(
     determines the only possible subgroup (its saturated span); subsets with
     u_D = 0 are reported separately since the counting bound assumes they do
     not occur.  For each candidate the search scans dilations up to k_max
-    and one lattice translation per GIT chamber (moving the linearization
-    inside a chamber does not change the classification); a hit
-    must be generic with stable facet set exactly D, and then satisfies the
-    Minkowski condition automatically (verified exactly anyway).
+    and their GIT chambers, read off the vertex values (the classification
+    is constant on a chamber); a hit, a chamber with stable facets exactly
+    D, is confirmed by its setup and then satisfies the Minkowski condition
+    automatically (verified exactly anyway).
     """
     k_max = serialize.int_option("k_max", k_max, 1, MAX_K)
     n = poly.n
     d = poly.num_facets
-    degrees = poly.latvols()
-    vertex_stars = set()
-    for face in poly.face_lattice:
-        if face.dim == 0:
-            vertex_stars.add(tuple(sorted(face.active_facets)))
+    degrees = linalg.int_rows([poly.latvols()])[0]  # a positive multiple
+    vertex_stars = {face.key() for face in poly.face_lattice if face.dim == 0}
     upper_bound = sum(math.comb(d, k) for k in range(n, d))
     found: dict[tuple[IntVec, ...], CompatibleSubgroup] = {}
-    sublattices: dict[tuple[IntVec, ...], Sublattice] = {}
     zero_direction = 0
     ambient = Lattice(n)
     for size in range(n, d):
         for subset in combinations(range(d), size):
-            u_d = [Fraction(0)] * n
+            u_d = [0] * n
             for f in subset:
                 u_d = [x + degrees[f] * c for x, c in zip(u_d, poly.facets[f][0])]
-            if all(x == 0 for x in u_d):
+            if not any(u_d):
                 zero_direction += 1
                 continue
-            prim, _ = primitive_content(linalg.int_rows([u_d])[0])
+            prim, _ = primitive_content(u_d)
             n0 = saturate(Sublattice(ambient, (prim,)))
             if n0.generators in found:
                 continue
-            n0 = sublattices.setdefault(n0.generators, n0)  # one quotient per N0
             witness = _search_linearization(poly, n0, subset, k_max)
             if witness is None:
                 continue
             setup, k = witness
-            report = minkowski_condition(setup)
-            if not report.holds:
+            if not minkowski_condition(setup).holds:
                 raise InternalError("stable set matches the direction but defect nonzero")
             found[n0.generators] = CompatibleSubgroup(
                 sublattice=n0,
@@ -615,38 +609,50 @@ def compatible_subgroups(
     )
 
 
+def _chambers(poly: HPolytope, gen: IntVec) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
+    """(T, the open GIT chambers (lo, hi, stable facets) of (P, ZZ gen)): lo
+    and hi are consecutive walls T<v, gen> over the vertices v of P, T the
+    lcm of their rays' t, from the highest down; the stable facets of a
+    slice <m, gen> = c inside are those whose vertex values straddle c."""
+    table = poly._table[0]
+    scale = math.lcm(*(r[-1] for r, _ in table))
+    vals = [linalg.dot(r[:-1], gen) * (scale // r[-1]) for r, _ in table]
+    spans = [[v for v, (_, act) in zip(vals, table) if f in act] for f in range(poly.num_facets)]
+    walls = sorted(set(vals), reverse=True)
+    return scale, [(lo, hi, tuple(f for f, vs in enumerate(spans) if min(vs) <= lo < hi <= max(vs)))
+                   for hi, lo in zip(walls, walls[1:])]
+
+
 def _search_linearization(
     poly: HPolytope, n0: Sublattice, subset: Sequence[int], k_max: int
 ) -> Optional[tuple[GitSetup, int]]:
-    """The first hit (setup, k) of the scan over translation_classes, with
-    one setup per GIT chamber (Thaddeus 1996; Dolgachev-Hu 1998).
+    """The first hit (setup, k) of a scan over the GIT chambers of k*P, k =
+    1..k_max, read off vertex values (Thaddeus 1996; Dolgachev-Hu 1998).
 
-    N0 = ZZ g, and the translate t = rinv * s slices k*P at <m, g> = -s.  A
-    face meets the slice iff s lies in the closed range of the walls -<v, g>
-    of its vertices v; its relative interior does iff s lies in the open
-    range or the face is flat at s; rank additivity does not depend on t.
-    So the hit test is constant between consecutive walls, and no wall is
-    generic: a vertex lies in the slice there and is never stable.  From the
-    first translation class s0, the scan visits s0 + s, s the least integer
-    in each chamber, in increasing order: the same first hit, in work
-    independent of the lattice width.
+    N0 = ZZ g; lattice translates of k*P slice it at <m, g> = c, c in ZZ.
+    Strictly between consecutive walls k<v, g>, the slice meets a face Q iff
+    min_Q < c < max_Q, and then meets ri Q, where <., g> is not constant:
+    dir Q + U spans, so Q is stable.  So for rank N0 < n each open chamber
+    is generic with stable facets those straddling c (``_chambers``), and
+    no wall is (a vertex in the slice is never stable); for n = 1 no facet
+    (a point) straddles.  Chambers are visited from the highest down at
+    their greatest integer c, for k = 1, 2, ...; only the hit builds a
+    setup, the translate of the first of ``translation_classes`` slicing
+    at c, which confirms the chamber exactly.
     """
     want = tuple(sorted(subset))
-    (gen,) = n0.generators
-    rinv = [row[0] for row in linalg.integer_right_inverse(n0.generators)]
+    scale, chambers = _chambers(poly, n0.generators[0])
     for k in range(1, k_max + 1):
-        first = next(translation_classes(poly, n0, k), None)
-        if first is None:
-            continue
-        _, base = first  # walls relative to s0, since <rinv, g> = 1
-        walls = sorted({-linalg.dot(v, gen) for v in base.vertices})
-        for lo, hi in zip(walls, walls[1:]):
-            s = math.floor(lo) + 1
-            if s >= hi:
+        for lo, hi, stable in chambers:
+            c = (k * hi - 1) // scale  # the greatest integer below k*hi/T
+            if stable != want or c * scale <= k * lo:
                 continue
-            setup = GitSetup(base.translate([r * s for r in rinv]), n0)
-            if setup.is_generic() and setup.stable_facets == want:
-                return setup, k
+            (s0,), base = next(translation_classes(poly, n0, k))  # slices k*P at -s0
+            rinv = [row[0] for row in linalg.integer_right_inverse(n0.generators)]
+            setup = GitSetup(base.translate([r * (-c - s0) for r in rinv]), n0)
+            if not setup.is_generic() or setup.stable_facets != want:
+                raise InternalError(f"chamber at {c} on {k}P is not generic with facets {want}")
+            return setup, k
     return None
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg, serialize
 from .errors import (
@@ -48,14 +48,14 @@ def hsystem_volume_data(
     n: int, cons: Sequence[Constraint], table: Optional[VertexTable] = None,
     rates: bool = False,
 ):
-    """(volume, per-constraint facet volumes, vertices) of a bounded
+    """(volume, per-constraint facet volumes, vertex rays) of a bounded
     halfspace system, without validity requirements.  ``table``, when
     given, must be the system's ``vertex_table``; the tight sets of the
     constraints are read off its masks.  With ``rates`` a fourth entry is
     appended: the matrix H[F][G] = d latvol(F) / d a_G.
 
-    The system is scaled by T, the least common denominator of its vertex
-    coordinates, so that T*P is a lattice polytope.  Then N_k(F) =
+    The system is scaled by T, the lcm of the t of its vertex rays (m, t),
+    so that T*P is the lattice polytope with vertices m * (T/t).  Then N_k(F) =
     k! * vol_k(F) is an integer for every face F measured at level k, and
     cones from a vertex over the facets give, recursively,
         N_k(F) = sum_G h_G * N_{k-1}(G)
@@ -86,12 +86,12 @@ def hsystem_volume_data(
     normals = [u for u, _ in cons]
     if table is None:
         table = vertex_table(n, cons)[0]
-    verts = [v for v, _ in table]
-    if not verts:
-        out = Fraction(0), [Fraction(0)] * len(normals), verts
+    rays = [r for r, _ in table]
+    if not rays:
+        out = Fraction(0), [Fraction(0)] * len(normals), rays
         return (*out, [[Fraction(0)] * len(normals) for _ in normals]) if rates else out
-    scale = math.lcm(*(x.denominator for v in verts for x in v))
-    points = [[x.numerator * (scale // x.denominator) for x in v] for v in verts]
+    scale = math.lcm(*(r[n] for r in rays))
+    points = [[x * (scale // r[n]) for x in r[:n]] for r in rays]
     tight = [frozenset(i for i, (_, act) in enumerate(table) if j in act)
              for j in range(len(normals))]
     memo: dict[tuple[int, frozenset[int]], int] = {}
@@ -122,12 +122,12 @@ def hsystem_volume_data(
         return total, subvols
 
     identity = [[int(i == t) for t in range(n)] for i in range(n)]
-    top, subvols = cone(n, frozenset(range(len(verts))), identity)
+    top, subvols = cone(n, frozenset(range(len(rays))), identity)
     vol = Fraction(top, math.factorial(n) * scale ** n)
     unit = math.factorial(n - 1) * scale ** (n - 1)
     latvols = [Fraction(x, unit) for x in subvols]
     if not rates:
-        return vol, latvols, verts
+        return vol, latvols, rays
     hess = [[Fraction(0)] * len(normals) for _ in normals]
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     ridge_unit = math.factorial(n - 2) * scale ** (n - 2) if n > 1 else 1
@@ -142,7 +142,7 @@ def hsystem_volume_data(
                 row[j] = Fraction(memo[n - 2, sub] if n > 2 else 1, ridge_unit * g)
         i = next(i for i, x in enumerate(u) if x)
         row[f] = -sum(h * v[i] for h, v in zip(row, normals)) / u[i]
-    return vol, latvols, verts, hess
+    return vol, latvols, rays, hess
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ class HPolytope:
 
     @cached_property
     def vertices(self) -> tuple[QVec, ...]:
-        return tuple(v for v, _ in self._table[0])
+        return tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r, _ in self._table[0])
 
     @cached_property
     def _vertex_active(self) -> tuple[frozenset[int], ...]:
@@ -292,8 +292,7 @@ class HPolytope:
 
     @cached_property
     def _volume_data(self) -> tuple[Fraction, list[Fraction]]:
-        table = list(zip(self.vertices, self._vertex_active))
-        vol, latvols, _ = hsystem_volume_data(self.n, self.facets, table)
+        vol, latvols, _ = hsystem_volume_data(self.n, self.facets, self._table[0])
         return vol, latvols
 
     def volume(self) -> Fraction:
@@ -320,32 +319,33 @@ class HPolytope:
 
     def translate(self, t: Sequence) -> "HPolytope":
         tv = serialize.frac_vector(t, self.n)
-        return self._moved([(u, a - linalg.dot(tv, u)) for u, a in self.facets],
-                           lambda p: linalg.vec_add(p, tv), 1)
+        *p, d = linalg.int_rows([(*tv, 1)])[0]  # t = p / d
+        return self._moved([(u, a - linalg.dot(tv, u)) for u, a in self.facets], d, d, p)
 
     def dilate(self, k) -> "HPolytope":
         k = serialize.frac_from_obj(k)
         if k <= 0:
             raise InputError("dilation factor must be positive")
         return self._moved([(u, k * a) for u, a in self.facets],
-                           lambda p: tuple(k * x for x in p), k)
+                           k.numerator, k.denominator, [0] * self.n)
 
-    def _moved(self, facets: list[Constraint], move: Callable[[QVec], QVec],
-               k) -> "HPolytope":
-        """The image under a translation (k = 1) or a dilation by k > 0,
-        built without validation: such a map keeps validity, normals and
-        faces.  Both maps keep the lexicographic order of points, so vertex
-        ids carry over; so does the face lattice, which holds no
+    def _moved(self, facets: list[Constraint], c: int, d: int, p: list[int]) -> "HPolytope":
+        """The image under m -> (c m + p) / d, a translation (c = d) or a
+        dilation by c/d > 0 (p = 0), built without validation: such a map
+        keeps validity, normals, faces and the lexicographic order of
+        points, so vertex ids carry over, each ray (m, t) to the primitive
+        (c m + t p, d t); so does the face lattice, which holds no
         coordinates, when already computed.  Volumes, when already
         computed, are homogeneous: of degree n, and n - 1 for facets."""
         out = object.__new__(HPolytope)
         out.n, out.facets = self.n, tuple(facets)
-        out.vertices = tuple(move(v) for v in self.vertices)
-        out._vertex_active = self._vertex_active
+        out._table = [(tuple(linalg._along(c, r, r[-1], [*p, d - c])), act)
+                      for r, act in self._table[0]], True
         if "face_lattice" in vars(self):
             out.face_lattice = self.face_lattice
         if "_volume_data" in vars(self):
             vol, latvols = self._volume_data
+            k = Fraction(c, d)
             out._volume_data = self._volume_data if k == 1 else (
                 vol * k ** self.n, [x * k ** (self.n - 1) for x in latvols])
         return out

@@ -7,7 +7,7 @@ an ``int``, a ``Fraction`` or a decimal-free "p/q" string, never a float;
 a vector is a list or a tuple; a search option lies within the bounds of
 the function that reads it.  Anything else is an ``InputError``.  Rationals
 travel as "p/q" strings end to end; floats appear only in solver reports.
-Canonical dumps (sorted keys) back the input-hash provenance of CLI reports.
+Canonical dumps back the input hash of CLI reports; ``report_dumps`` renders them.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import DimensionMismatch, InputError
 
@@ -113,3 +114,28 @@ def canonical_dumps(obj) -> str:
 
 def sha256_of(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
+
+
+def report_dumps(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, without the
+    pure-Python encoder json runs when indent is set: strings quoted by the C
+    ``encode_basestring_ascii``, other scalars and keys by ``json.dumps``."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, nl: str) -> str:
+    if type(obj) is int:  # the most frequent value of a report
+        return repr(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)  # null, a bool, a float, or a TypeError
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(json.dumps(k) if k is None or isinstance(k, (int, float))
+                                    else k) + ": " + _dumps(v, inner)
+            for k, v in sorted(obj.items())) + nl + "}"
+    return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in obj]) + nl + "]"

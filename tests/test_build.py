@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from toricgit.build import (
+    MAX_DIM,
     BundleSpec,
     alpha_surface_formula,
     hirzebruch,
@@ -13,7 +14,7 @@ from toricgit.build import (
 )
 from toricgit.errors import InputError, NotAmple
 from toricgit.git import UnstableIndexVector, pullback_functor
-from toricgit.klyachko import structure_sheaf
+from toricgit.klyachko import MAX_FACETS, line_bundle, structure_sheaf
 from toricgit.minkowski import minkowski_condition
 from toricgit.polytope import same_normal_fan
 
@@ -44,6 +45,18 @@ def test_projective_space_parameter_validation():
         projective_space(0, 1)
     with pytest.raises(InputError):
         projective_space(2, 0)
+
+
+def test_size_slots_are_bounded():
+    # a size past its named maximum is malformed input, not a request for
+    # that many facets
+    assert projective_space(MAX_DIM).num_facets == MAX_DIM + 1
+    assert line_bundle(MAX_FACETS, {0: 1}).num_facets == MAX_FACETS
+    for call in (lambda: projective_space(MAX_DIM + 1), lambda: projective_space(10 ** 30),
+                 lambda: line_bundle(MAX_FACETS + 1, {}), lambda: line_bundle(10 ** 30, {}),
+                 lambda: line_bundle(-1, {})):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_product_of_segments_is_square():

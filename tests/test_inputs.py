@@ -84,11 +84,6 @@ ENTRY_POINTS = (
     ("compatible_subgroups options", lambda k: compatible_subgroups(P2, k_max=k), (2,)),
 )
 
-# Slots that size the result: HUGE there asks for 10**30 facets, which no
-# reader can tell from a large valid size.
-SIZE_SLOTS = {("projective_space", (0,)), ("line_bundle", (0,))}
-
-
 def _is_scalar(x) -> bool:
     return x is None or isinstance(x, (int, float, str, Fraction))
 
@@ -131,8 +126,6 @@ def test_junk_in_every_slot_raises_a_typed_error():
         for path in _slots(args):
             is_key = isinstance(path[-1], tuple)
             for junk in JUNK:
-                if junk is HUGE and (name, path) in SIZE_SLOTS:
-                    continue
                 if is_key and isinstance(junk, list):  # not hashable
                     continue
                 try:

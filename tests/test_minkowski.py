@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -14,8 +16,9 @@ from toricgit.errors import (
     NotGeneric,
 )
 from toricgit.git import GitSetup, translation_classes
-from toricgit.lattice import Lattice, Sublattice, primitive_content
+from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
 from toricgit.minkowski import (
+    MAX_K,
     ample_class_alpha,
     compatible_subgroups,
     converse_falsifier,
@@ -458,11 +461,64 @@ def test_chamber_scan_finds_what_the_full_translation_scan_finds(monkeypatch):
 def test_subgroup_search_builds_one_setup_per_chamber_on_f1(monkeypatch):
     calls = count_calls(monkeypatch, minkowski, "GitSetup")
     compatible_subgroups(hirzebruch(1), k_max=6)
-    assert calls["GitSetup"] == 25  # 113 with one setup per translation class
+    assert calls["GitSetup"] == 3  # one per hit: the chambers are read off the vertices
 
 
 def test_subgroup_search_builds_one_quotient_lattice_per_sublattice(monkeypatch):
     calls = count_calls(monkeypatch, lattice, "QuotientLattice")
     res = compatible_subgroups(hirzebruch(1), k_max=6)
     assert len(res.subgroups) == 3
-    assert calls["QuotientLattice"] == 5  # the distinct directions searched; 113 before
+    assert calls["QuotientLattice"] == 3  # one per direction hit, of the 5 searched
+
+
+def search_directions(poly) -> dict:
+    """The saturated directions N0 = ZZ u_D that compatible_subgroups tries,
+    each with its facet subsets D (size n..d-1, u_D != 0)."""
+    degrees = poly.latvols()
+    out = {}
+    for size in range(poly.n, poly.num_facets):
+        for subset in combinations(range(poly.num_facets), size):
+            u = [sum(degrees[f] * poly.facets[f][0][j] for f in subset) for j in range(poly.n)]
+            if any(u):
+                prim = primitive_content(linalg.int_rows([u])[0])[0]
+                gens = saturate(Sublattice(Lattice(poly.n), (prim,))).generators
+                out.setdefault(gens, set()).add(subset)
+    return out
+
+
+def test_chamber_rule_matches_the_setup_in_every_chamber():
+    # every open chamber of every direction the search tries, at every
+    # dilation, whether its stable set is a subset D of that direction (a
+    # hit) or not: the stable facets read off the vertex values
+    # (minkowski._chambers) are those of the classified setup at both the
+    # greatest and the least integer slice inside, and the setup is generic
+    # iff rank N0 = 1 < n
+    rng = Random(211)
+    polys = [projective_space(1, 3), hirzebruch(1).translate([Fraction(1, 3), 0])]
+    polys += [family() for family in BASE_FAMILIES[:4]]
+    polys += [random_polytope(rng, n) for n in (1, 2, 2, 3)]
+    seen = Counter()
+    for poly in polys:
+        poly = poly.dilate(Fraction(rng.randint(1, 3), rng.randint(1, 2))).translate(
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(poly.n)])
+        directions = search_directions(poly)
+        chosen = sorted(directions)
+        if poly.n == 3:
+            chosen = rng.sample(chosen, min(4, len(chosen)))
+        for gens in chosen:
+            n0 = Sublattice(Lattice(poly.n), gens)
+            rinv = [row[0] for row in linalg.integer_right_inverse(gens)]
+            scale, chambers = minkowski._chambers(poly, gens[0])
+            for k in range(1, MAX_K + 1):
+                dilated = poly.dilate(k)
+                for lo, hi, stable in chambers:
+                    slices = {(k * hi - 1) // scale, k * lo // scale + 1}
+                    for c in (c for c in slices if k * lo < c * scale < k * hi):
+                        # the slice <m, g> = c of k*P is <m, g> = 0 of its translate
+                        setup = GitSetup(dilated.translate([-c * r for r in rinv]), n0)
+                        assert setup.stable_facets == stable, (poly.facets, gens, k, c)
+                        assert setup.is_generic() == (poly.n > 1)
+                        seen[poly.n] += 1
+                        seen["hit" if stable in directions[gens] else "miss"] += 1
+    assert seen[1] >= 10 and seen[2] >= 1000 and seen[3] >= 200, seen
+    assert seen["hit"] >= 100 and seen["miss"] >= 1000, seen

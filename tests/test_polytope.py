@@ -1,4 +1,5 @@
 import fractions
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -36,9 +37,11 @@ from util import (
     divisor_scale,
     divisor_sum,
     fourier_motzkin_point,
+    fraction_vertex_table,
     fraction_volume_oracle,
     invert_unimodular,
     non_simple_polytope,
+    point,
     random_polytope,
 )
 
@@ -104,7 +107,7 @@ def test_system_vertices_match_subset_oracle():
     for n, reps in ((1, 60), (2, 150), (3, 70), (4, 20), (5, 8)):
         for _ in range(reps):
             cons, kinds = raw_system(rng, n)
-            got = [v for v, _ in vertex_table(n, cons)[0]]
+            got = [point(r) for r, _ in vertex_table(n, cons)[0]]
             assert got == brute_force_system_vertices(n, cons), (n, cons)
             assert all(type(x) is Fraction for v in got for x in v)
             seen.update(kinds)
@@ -119,6 +122,42 @@ def test_system_vertices_match_subset_oracle():
         assert seen[kind] >= 10, (kind, seen)
 
 
+def test_vertex_table_keeps_the_order_of_the_fraction_oracle():
+    # the integer-ray table against the Fraction table it replaced, on raw
+    # systems (rational supports; redundant, duplicate and tangent cuts),
+    # the same systems with rational normals, and valid polytopes and their
+    # moves: the same vertex order, tight sets and boundedness, primitive
+    # rays, identical HPolytope.vertices, and volumes, facet volumes and
+    # rates equal to the Fraction recursion on the oracle's table
+    rng = Random(53)
+    seen = Counter()
+    for n, reps in ((1, 40), (2, 120), (3, 60), (4, 15)):
+        for _ in range(reps):
+            cons, kinds = raw_system(rng, n)
+            if rng.random() < 0.5:  # the same inequalities with rational normals
+                cons = [(tuple(Fraction(x, q) for x in u), Fraction(a, q))
+                        for (u, a), q in ((c, rng.randint(1, 4)) for c in cons)]
+                seen["rational normals"] += 1
+            table, bounded = vertex_table(n, cons)
+            assert ([(point(r), act) for r, act in table], bounded) == \
+                fraction_vertex_table(n, cons)
+            assert all(r[n] > 0 and math.gcd(*r) == 1 for r, _ in table)
+            seen.update(kinds)
+            seen["vertices"] += len(table)
+    assert seen["rational normals"] >= 50 and seen["vertices"] >= 300, seen
+    assert all(seen[kind] >= 10 for kind in ("tangent", "duplicate", "scaled duplicate")), seen
+    for n in (1, 2, 3, 3, 4):
+        for poly in (random_polytope(rng, n), non_simple_polytope(rng, max(n, 3))):
+            t = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(poly.n)]
+            k = Fraction(rng.randint(1, 7), rng.choice((1, 2, 3)))
+            for p in (poly, poly.translate(t), poly.dilate(k).translate(t)):
+                oracle = fraction_vertex_table(p.n, p.facets)[0]
+                assert p.vertices == tuple(v for v, _ in oracle)
+                vol, latvols, _, rates = fraction_volume_oracle(p.n, p.facets, oracle, rates=True)
+                assert (p.volume(), list(p.latvols())) == (vol, latvols)
+                assert hsystem_volume_data(p.n, p.facets, rates=True)[3] == rates
+
+
 def test_double_description_tight_masks_match_dot_products():
     rng = Random(43)
     seen = Counter()
@@ -126,9 +165,9 @@ def test_double_description_tight_masks_match_dot_products():
         for _ in range(reps):
             cons, kinds = raw_system(rng, n)
             table, _ = vertex_table(n, cons)
-            for v, tight in table:
+            for r, tight in table:
                 assert tight == frozenset(
-                    i for i, (u, a) in enumerate(cons) if linalg.dot(v, u) == -a)
+                    i for i, (u, a) in enumerate(cons) if linalg.dot(point(r), u) == -a)
             seen.update(kinds)
             seen["systems"] += 1
             seen["vertices"] += len(table)
@@ -523,7 +562,7 @@ def test_raw_systems_match_the_irredundant_polytope():
             vol, latvols, verts = hsystem_volume_data(n, [cons[k] for k in order])
             assert vol == poly.volume()
             assert latvols == [expected[k] for k in order]
-            assert verts == sorted(poly.vertices)
+            assert [point(r) for r in verts] == sorted(poly.vertices)
 
 
 def test_flat_systems_have_zero_volume_and_their_own_facet_volume():
@@ -575,10 +614,11 @@ def test_volume_recursion_makes_no_fraction():
     # the Fractions are the input supports and the outputs only; the
     # Fraction oracle shows that the probe sees arithmetic inside ``cone``
     facets = unit_cube_system(4) + [((1, 1, 1, 1), Fraction(7, 3))]
-    table = vertex_table(4, facets)[0]
+    table, oracle_table = vertex_table(4, facets)[0], fraction_vertex_table(4, facets)[0]
     for rates in (False, True):
         assert fraction_calls_in_cone(hsystem_volume_data, 4, facets, table, rates)["inside"] == 0
-        assert fraction_calls_in_cone(fraction_volume_oracle, 4, facets, table, rates)["inside"]
+        assert fraction_calls_in_cone(fraction_volume_oracle, 4, facets, oracle_table,
+                                      rates)["inside"]
 
 
 def oracle_system(rng: Random, n: int, kind: str):
@@ -603,7 +643,7 @@ def oracle_system(rng: Random, n: int, kind: str):
         verts = vertex_table(n, cons)[0]
         w = tuple(rng.randint(-3, 3) for _ in range(n))
         if verts and any(w):
-            cons.append((w, -min(linalg.dot(v, w) for v, _ in verts)))
+            cons.append((w, -min(linalg.dot(point(r), w) for r, _ in verts)))
     elif kind == "flat":  # <m, u> = -a
         cons.append((tuple(-x for x in u), -a))
     elif kind == "empty":
@@ -621,10 +661,9 @@ def test_integer_engine_matches_the_fraction_oracle():
     for _ in range(600):
         n, kind = rng.choice((1, 2, 2, 3, 3, 3, 4, 4, 5)), rng.choice(kinds)
         cons = oracle_system(rng, n, kind)
-        got = hsystem_volume_data(n, cons, rates=True)
+        vol, latvols, rays, rates = hsystem_volume_data(n, cons, rates=True)
         want = fraction_volume_oracle(n, cons, rates=True)
-        assert got == want
-        vol, latvols, _, rates = got
+        assert (vol, latvols, [point(r) for r in rays], rates) == want
         assert all(type(x) is Fraction for x in (vol, *latvols, *sum(rates, [])))
         seen[n, kind, vol > 0] += 1
     assert all(seen[n, kind, True] for n in range(1, 6) for kind in kinds[:4])

@@ -219,7 +219,7 @@ def normalized_supports(normals, supports) -> list[float]:
     scale/translation-free comparison against a solver result."""
     n = len(normals[0])
     cons = [(u, Fraction(a)) for u, a in zip(normals, supports)]
-    verts = [v for v, _ in vertex_table(n, cons)[0]]
+    verts = [point(r) for r, _ in vertex_table(n, cons)[0]]
     if not verts:
         raise InputError("class defines an empty polytope")
     bary = [sum(v[j] for v in verts) / len(verts) for j in range(n)]
@@ -316,7 +316,27 @@ def random_saturated_sublattice(rng: Random, n: int, rank: int) -> Sublattice:
 
 
 # ---------------------------------------------------------------------------
-# the Fraction cone recursion, the volume oracle
+# the Fraction vertex table and cone recursion, the vertex and volume oracles
+
+
+def point(ray: Sequence[int]) -> Vec:
+    """The vertex m/t of a ``vertex_table`` ray (m, t)."""
+    return tuple(Fraction(x, ray[-1]) for x in ray[:-1])
+
+
+def fraction_vertex_table(n: int, cons: Sequence[linalg.Constraint]):
+    """Oracle for ``linalg.vertex_table`` as the package computed it before
+    its vertices stayed integer rays: the same double description, each ray
+    (m, t) with t > 0 read as the point m/t, and the table sorted by those
+    Fraction points.  Returns (sorted (point, tight set) pairs, whether the
+    normals positively span)."""
+    rows = [(0,) * n + (1,)] + [(*u, a) for u, a in cons]
+    lin, rays = linalg._cone_dd(rows, n + 1)
+    if lin:
+        return [], False
+    return sorted((tuple(Fraction(x, r[n]) for x in r[:n]),
+                   frozenset(i for i in range(len(cons)) if z >> (i + 1) & 1))
+                  for r, z in rays if r[n] > 0), all(r[n] for r, _ in rays)
 
 
 def fraction_volume_oracle(
@@ -325,9 +345,10 @@ def fraction_volume_oracle(
 ):
     """Oracle for ``polytope.hsystem_volume_data``: the same cone
     recursion run in Fractions on the unscaled system, as the package
-    computed it before its recursion moved to integers.  Returns (volume,
-    per-constraint facet volumes, vertices), and with ``rates`` the matrix
-    H[F][G] = d latvol(F) / d a_G.
+    computed it before its recursion moved to integers.  ``table``, when
+    given, is a ``fraction_vertex_table``.  Returns (volume, per-constraint
+    facet volumes, vertices as Fraction points), and with ``rates`` the
+    matrix H[F][G] = d latvol(F) / d a_G.
 
     Cones from a vertex over the facets, recursively:
         vol_k(F) = (1/k) * sum_G gap(v0, G) * vol_{k-1}(G)
@@ -353,7 +374,7 @@ def fraction_volume_oracle(
     """
     cons = [(tuple(int(x) for x in u), Fraction(a)) for u, a in cons]
     if table is None:
-        table = vertex_table(n, cons)[0]
+        table = fraction_vertex_table(n, cons)[0]
     verts = [v for v, _ in table]
     if not verts:
         out = Fraction(0), [Fraction(0)] * len(cons), verts
