@@ -38,7 +38,7 @@ from .errors import InfeasibleError, InputError, InternalError, NotAmple
 from .git import GitSetup
 from .lattice import Lattice, Sublattice
 from .polytope import DivisorClass, HPolytope
-from .serialize import facet_id, int_from_obj, int_option
+from .serialize import facet_id, fields, int_from_obj, int_option, items, mapping
 
 MAX_DIM = 12  # the largest n projective_space builds
 
@@ -58,8 +58,7 @@ def hirzebruch(a: int, supports: Optional[Sequence] = None) -> HPolytope:
         raise InputError("hirzebruch parameter must be >= 0")
     if supports is None:
         supports = (0, 0, 1, 1)
-    if not isinstance(supports, (list, tuple)) or len(supports) != 4:
-        raise InputError("hirzebruch needs 4 supports")
+    supports = items(supports, length=4, kind="hirzebruch supports")
     return HPolytope(2, list(zip([(1, 0), (0, 1), (-1, a), (0, -1)], supports)))
 
 
@@ -78,19 +77,17 @@ class BundleSpec:
     summands: tuple[dict[int, int], ...]  # D_i = sum a_{i rho} D_rho
 
     def __post_init__(self):
-        if not self.summands:
+        summands = items(self.summands, self._summand, kind="summand list")
+        if not summands:
             raise InputError("a projectivized bundle needs at least one summand")
-        norm = []
-        for d in self.summands:
-            entry = {}
-            for k, v in d.items():
-                k, v = int_from_obj(k), int_from_obj(v)
-                if not 0 <= k < self.base.num_facets:
-                    raise InputError(f"summand coefficient on unknown base facet {k}")
-                if v:
-                    entry[k] = v
-            norm.append(entry)
-        object.__setattr__(self, "summands", tuple(norm))
+        object.__setattr__(self, "summands", summands)
+
+    def _summand(self, d) -> dict[int, int]:
+        d = mapping(d, int_from_obj, int_from_obj, "facet -> integer mapping")
+        for k in d:
+            if not 0 <= k < self.base.num_facets:
+                raise InputError(f"summand coefficient on unknown base facet {k}")
+        return {k: v for k, v in d.items() if v}
 
     @property
     def fiber_rank(self) -> int:
@@ -106,17 +103,9 @@ class BundleSpec:
 
     @staticmethod
     def from_json_dict(obj) -> "BundleSpec":
-        if not isinstance(obj, dict) or "base" not in obj or "summands" not in obj:
-            raise InputError('bundle JSON must have keys "base" and "summands"')
-        base = HPolytope.from_json_dict(obj["base"])
-        if not isinstance(obj["summands"], list):
-            raise InputError("summands must be a list")
-        summands = []
-        for d in obj["summands"]:
-            if not isinstance(d, dict):
-                raise InputError("each summand must be an object facet -> int")
-            summands.append({facet_id(k): v for k, v in d.items()})
-        return BundleSpec(base, tuple(summands))
+        base, summands = fields(obj, "bundle", "base", "summands")
+        return BundleSpec(HPolytope.from_json_dict(base), items(
+            summands, lambda d: mapping(d, facet_id, kind="summand object"), kind="summand list"))
 
 
 def bundle_polytope(spec: BundleSpec) -> HPolytope:

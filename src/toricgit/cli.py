@@ -78,9 +78,8 @@ def _indices(payload, setup: GitSetup) -> UnstableIndexVector:
     raw = payload.get("indices")
     if raw is None:
         return UnstableIndexVector.zero(setup)
-    if not isinstance(raw, dict):
-        raise InputError("indices must be an object facet -> integer")
-    return UnstableIndexVector.from_dict({serialize.facet_id(k): v for k, v in raw.items()})
+    return UnstableIndexVector.from_dict(serialize.mapping(raw, serialize.facet_id,
+                                                           kind='"indices" object'))
 
 
 def run_command(command: str, payload: dict, options: dict) -> dict:
@@ -219,17 +218,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
     try:
-        if not isinstance(raw, dict):
-            raise InputError("job file must contain a JSON object")
+        raw = serialize.mapping(raw, kind="JSON object in the job file")
         command = args.command or raw.get("command")
         if command not in COMMANDS:
             raise InputError(f"no valid command given (got {command!r})")
-        payload = raw.get("inputs", raw)
-        if not isinstance(payload, dict):
-            raise InputError('"inputs" must be a JSON object')
-        options = raw.get("options", {})
-        if not isinstance(options, dict):
-            raise InputError('"options" must be a JSON object')
+        payload = serialize.mapping(raw.get("inputs", raw), kind='"inputs" object')
+        options = serialize.mapping(raw.get("options", {}), kind='"options" object')
         options = {**options, **{key: val for key, val in vars(args).items()
                                  if key in FLAGS and val is not None}}
         result = run_command(command, payload, options)
@@ -258,8 +252,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         text = _render_text(command, result)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a missing directory, no permission, a full disk
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return 0

@@ -198,12 +198,9 @@ class GitSetup:
 
     @staticmethod
     def from_json_dict(obj) -> "GitSetup":
-        if not isinstance(obj, dict) or "polytope" not in obj or "sublattice" not in obj:
-            raise InputError('setup JSON must have keys "polytope" and "sublattice"')
-        poly = HPolytope.from_json_dict(obj["polytope"])
-        if not isinstance(obj["sublattice"], list):
-            raise InputError("sublattice must be a list of integer vectors")
-        return GitSetup(poly, Sublattice(Lattice(poly.n), obj["sublattice"]))
+        poly, gens = serialize.fields(obj, "setup", "polytope", "sublattice")
+        poly = HPolytope.from_json_dict(poly)
+        return GitSetup(poly, Sublattice(Lattice(poly.n), gens))
 
     def classification_report(self) -> list[dict]:
         out = []
@@ -230,8 +227,9 @@ class UnstableIndexVector:
 
     @staticmethod
     def from_dict(d: Mapping[int, int]) -> "UnstableIndexVector":
-        return UnstableIndexVector(tuple(sorted(
-            (serialize.int_from_obj(k), serialize.int_from_obj(v)) for k, v in d.items())))
+        d = serialize.mapping(d, serialize.int_from_obj, serialize.int_from_obj,
+                              "facet -> integer mapping")
+        return UnstableIndexVector(tuple(sorted(d.items())))
 
     @staticmethod
     def zero(setup: GitSetup) -> "UnstableIndexVector":

@@ -53,10 +53,11 @@ class Subspace:
     rows: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def span(ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
+    def span(ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
         """The span of rational vectors (``serialize.frac_vector``)."""
         ambient = serialize.int_from_obj(ambient)
-        vecs = [serialize.frac_vector(v, ambient) for v in vectors]
+        vecs = serialize.items(vectors, lambda v: serialize.frac_vector(v, ambient),
+                               kind="vector list")
         return Subspace._of_rows(ambient, linalg.int_rows(vecs))
 
     @staticmethod
@@ -170,12 +171,18 @@ Filtration = tuple[tuple[int, Subspace], ...]
 
 
 def _check_filtration(rank: int, jumps: Sequence[tuple[int, Subspace]]) -> Filtration:
+    """The jumps as (index, Subspace) pairs, each read in the walk that checks it."""
+    jumps = serialize.items(jumps, kind="filtration")
     if not jumps:
         raise InputError("empty filtration")
+    out = []
     prev_i: Optional[int] = None
     prev_v = Subspace.zero(rank)
-    for i, v in jumps:
+    for jump in jumps:
+        i, v = pair = serialize.items(jump, length=2, kind="(index, subspace) jump")
         serialize.int_from_obj(i)
+        if not isinstance(v, Subspace):
+            raise InputError(f"expected a Subspace in a filtration, got {type(v).__name__}")
         if v.ambient != rank:
             raise DimensionMismatch("filtration subspace of wrong ambient dimension")
         if prev_i is not None and i <= prev_i:
@@ -183,9 +190,10 @@ def _check_filtration(rank: int, jumps: Sequence[tuple[int, Subspace]]) -> Filtr
         if not (v.contains(prev_v) and v.dim > prev_v.dim):
             raise InputError("filtration subspaces must strictly increase")
         prev_i, prev_v = i, v
+        out.append(pair)
     if not prev_v.is_full():
         raise InputError("last filtration step must be the full space")
-    return tuple((i, v) for i, v in jumps)
+    return tuple(out)
 
 
 def _compress(rank: int, steps: Sequence[tuple[int, Subspace]]) -> Filtration:
@@ -210,11 +218,8 @@ class FiltrationSheaf:
     def __post_init__(self):
         if serialize.int_from_obj(self.rank) < 1:
             raise InputError("sheaf rank must be >= 1")
-        object.__setattr__(
-            self,
-            "filtrations",
-            tuple(_check_filtration(self.rank, f) for f in self.filtrations),
-        )
+        object.__setattr__(self, "filtrations", serialize.items(
+            self.filtrations, lambda f: _check_filtration(self.rank, f), kind="filtration list"))
 
     @property
     def num_facets(self) -> int:
@@ -264,36 +269,25 @@ class FiltrationSheaf:
 
     @staticmethod
     def from_json_dict(obj) -> "FiltrationSheaf":
-        if not isinstance(obj, dict) or "rank" not in obj or "filtrations" not in obj:
-            raise InputError('sheaf JSON must have keys "rank" and "filtrations"')
-        rank = obj["rank"]
-        raw = obj["filtrations"]
-        if not isinstance(raw, dict):
-            raise InputError("filtrations must be an object keyed by facet id")
-        by_id = {serialize.facet_id(k): v for k, v in raw.items()}
-        if sorted(by_id) != list(range(len(raw))):
+        rank, raw = serialize.fields(obj, "sheaf", "rank", "filtrations")
+        by_id = serialize.mapping(raw, serialize.facet_id, kind="object keyed by facet id")
+        if sorted(by_id) != list(range(len(by_id))):
             raise InputError("facet ids must be 0..d-1")
-        filts = []
-        for k in range(len(by_id)):
-            if not isinstance(by_id[k], list):
-                raise InputError(f"filtration of facet {k} must be a list of jumps")
-            jumps = []
-            for entry in by_id[k]:
-                if not isinstance(entry, dict) or "i" not in entry or "basis" not in entry:
-                    raise InputError('jump entries need "i" and "basis"')
-                basis = entry["basis"]
-                if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
-                    raise InputError("a jump basis must be a list of vectors")
-                jumps.append((entry["i"], Subspace.span(rank, basis)))
-            filts.append(tuple(jumps))
-        return FiltrationSheaf(rank, tuple(filts))
+
+        def jump(entry) -> tuple[object, Subspace]:
+            i, basis = serialize.fields(entry, "jump", "i", "basis")
+            return i, Subspace.span(rank, basis)
+
+        return FiltrationSheaf(rank, tuple(serialize.items(by_id[k], jump, kind="jump list")
+                                           for k in range(len(by_id))))
 
 
 def line_bundle(num_facets: int, coeffs: Mapping[int, int]) -> FiltrationSheaf:
     """Rank-1 sheaf of the divisor sum_F c_F D_F, integer c_F: the facet-F
     filtration jumps from 0 to the line exactly at -c_F."""
     num_facets = serialize.int_option("num_facets", num_facets, 0, MAX_FACETS)
-    c = {serialize.int_from_obj(f): serialize.int_from_obj(v) for f, v in coeffs.items()}
+    c = serialize.mapping(coeffs, serialize.int_from_obj, serialize.int_from_obj,
+                          "facet -> integer mapping")
     if not all(0 <= f < num_facets for f in c):
         raise InputError("line bundle coefficient on an unknown facet")
     full = Subspace.full(1)
@@ -417,6 +411,6 @@ def is_morphism(source: FiltrationSheaf, target: FiltrationSheaf,
     """Whether the target.rank x source.rank matrix, its entries read as
     rationals (``serialize.frac_from_obj``: no floats), lies in
     ``hom_space``."""
-    if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
-        raise DimensionMismatch("morphism matrix of wrong shape")
-    return hom_space(source, target).contains_vector([x for row in matrix for x in row])
+    rows = serialize.items(matrix, lambda r: serialize.items(r, length=source.rank, kind="row"),
+                           target.rank, "morphism matrix")
+    return hom_space(source, target).contains_vector([x for row in rows for x in row])

@@ -50,7 +50,7 @@ class Sublattice:
     generators: tuple[IntVec, ...] = field(default=())
 
     def __post_init__(self):
-        gens = tuple(self.ambient.check_vector(g) for g in self.generators)
+        gens = serialize.items(self.generators, self.ambient.check_vector, kind="generator list")
         object.__setattr__(self, "generators", linalg.hnf_rows(gens))
 
     @property
@@ -66,9 +66,9 @@ class Sublattice:
     def _quotient(self) -> "QuotientLattice":
         """quotient(ambient, self), built and checked once per object."""
         n, gens = self.ambient.rank, self.generators
-        if saturate(self).generators != gens:
-            raise NotSaturated("quotient by a non-saturated sublattice")
         proj = linalg.integer_kernel(gens, n)
+        if linalg.integer_kernel(proj, n) != gens:  # saturated iff its double perp
+            raise NotSaturated("quotient by a non-saturated sublattice")
         section = linalg.integer_right_inverse(proj)
         if section is None:
             raise NotSaturated("projection is not surjective; kernel not saturated")

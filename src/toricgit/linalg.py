@@ -2,10 +2,9 @@
 
 Everything here works on tuples of ints / fractions.Fraction; no floats, no
 machine-word arithmetic.  Nothing here reads caller input: the public
-constructors read it through ``serialize`` first.  ``dot`` and ``vec_add``
-work unboxed (ints give ints).  Elimination takes integer rows; rationals
-are scaled to integers once, at the boundary, with ``int_rows``.  Three
-layers:
+constructors read it through ``serialize`` first.  ``dot`` works unboxed
+(ints give ints).  Elimination takes integer rows; rationals are scaled to
+integers once, at the boundary, with ``int_rows``.  Three layers:
 
 * one fraction-free elimination, ``echelon`` (Bareiss), on rows scaled to
   integers: it gives the exact rank, the reduced row echelon form in its
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -35,10 +34,6 @@ def dot(a: Sequence, b: Sequence) -> Scalar:
     if len(a) != len(b):
         raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
     return sum(map(mul, a, b))
-
-
-def vec_add(a: Sequence, b: Sequence) -> tuple[Scalar, ...]:
-    return tuple(map(add, a, b))
 
 
 def pairings(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list[Scalar]]:

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .git import GitSetup, UnstableIndexVector, pullback_functor, translation_classes
 from .klyachko import FiltrationSheaf, direct_sum, line_bundle
-from .lattice import Lattice, Sublattice, primitive_content, saturate
+from .lattice import Lattice, Sublattice, primitive_content
 from .polytope import HPolytope, check_normals, hsystem_volume_data
 from .stability import slope
 
@@ -200,6 +200,15 @@ def _solver_options(tol, max_iter, seed) -> tuple[float, int, Optional[int]]:
             None if seed is None else serialize.int_option("seed", seed))
 
 
+def _target(v) -> Fraction:
+    """A volume target; a float is for the float path, balanced only within tol."""
+    if not isinstance(v, float):
+        return serialize.frac_from_obj(v)
+    if not math.isfinite(v):
+        raise InputError(f"facet volume targets must be finite, got {v!r}")
+    return Fraction(v).limit_denominator(RATIONALIZE_DENOM)
+
+
 def solve_minkowski(
     normals: Sequence[Sequence[int]],
     volumes: Sequence,
@@ -221,23 +230,14 @@ def solve_minkowski(
     scaled to the targets.
     """
     tol, max_iter, seed = _solver_options(tol, max_iter, seed)
-    if not isinstance(normals, (list, tuple)) or not normals \
-            or not isinstance(volumes, (list, tuple)):
-        raise InputError("normals must be a nonempty list, and volumes a list")
+    normals = serialize.items(normals, kind="normal list")
+    if not normals:
+        raise InputError("normals must be nonempty")
     n = len(serialize.int_vector(normals[0]))
     if n < 2:
         raise InputError("the facet-volume problem needs dimension >= 2")
     norm_t = check_normals(n, normals)
-    targets = []
-    for v in volumes:
-        if isinstance(v, float):  # the float path: balanced only within tol
-            if not math.isfinite(v):
-                raise InputError(f"facet volume targets must be finite, got {v!r}")
-            targets.append(Fraction(v).limit_denominator(RATIONALIZE_DENOM))
-        else:
-            targets.append(serialize.frac_from_obj(v))
-    if len(targets) != len(norm_t):
-        raise InputError("normals and volumes differ in length")
+    targets = list(serialize.items(volumes, _target, len(norm_t), "volume list"))
     if any(t <= 0 for t in targets):
         raise InputError("facet volume targets must be positive")
     if linalg.int_rank(norm_t) != n:
@@ -585,7 +585,7 @@ def compatible_subgroups(
                 zero_direction += 1
                 continue
             prim, _ = primitive_content(u_d)
-            n0 = saturate(Sublattice(ambient, (prim,)))
+            n0 = Sublattice(ambient, (prim,))  # a primitive vector spans a saturated line
             if n0.generators in found:
                 continue
             witness = _search_linearization(poly, n0, subset, k_max)

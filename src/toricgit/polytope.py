@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import linalg, serialize
 from .errors import (
@@ -157,7 +157,8 @@ class DivisorClass:
     @staticmethod
     def from_dict(d: Mapping[int, object]) -> "DivisorClass":
         """Integer facet ids to rational coefficients; zeros are dropped."""
-        items = ((serialize.int_from_obj(k), serialize.frac_from_obj(v)) for k, v in d.items())
+        items = serialize.mapping(d, serialize.int_from_obj, serialize.frac_from_obj,
+                                  "facet -> rational mapping").items()
         return DivisorClass(tuple(sorted((k, v) for k, v in items if v)))
 
     def as_dict(self) -> dict[int, Fraction]:
@@ -185,7 +186,10 @@ class HPolytope:
 
     def __init__(self, n: int, facets: Iterable[tuple[Sequence[int], object]]):
         n = serialize.int_from_obj(n)
-        pairs = list(facets)
+        if isinstance(facets, Iterator):  # e.g. zip(normals, supports)
+            facets = tuple(facets)
+        pairs = serialize.items(facets, lambda f: serialize.items(f, length=2, kind="facet pair"),
+                                kind="facet list")
         normals = check_normals(n, [u for u, _ in pairs])
         supports = [serialize.frac_from_obj(a) for _, a in pairs]
         if n < 1:
@@ -363,16 +367,9 @@ class HPolytope:
 
     @staticmethod
     def from_json_dict(obj) -> "HPolytope":
-        if not isinstance(obj, dict) or "n" not in obj or "facets" not in obj:
-            raise InputError('polytope JSON must have keys "n" and "facets"')
-        if not isinstance(obj["facets"], list):
-            raise InputError("facets must be a list")
-        facs = []
-        for f in obj["facets"]:
-            if not isinstance(f, dict) or "normal" not in f or "support" not in f:
-                raise InputError('facet entries need "normal" and "support"')
-            facs.append((f["normal"], f["support"]))
-        return HPolytope(obj["n"], facs)
+        n, facets = serialize.fields(obj, "polytope", "n", "facets")
+        return HPolytope(n, serialize.items(facets, lambda f: serialize.fields(
+            f, "facet", "normal", "support"), kind="facet list"))
 
 
 def check_normals(n: int, normals: Iterable) -> tuple[IntVec, ...]:

@@ -1,13 +1,16 @@
 """Exact inputs and rational-safe JSON conventions.
 
 The readers here are the one input policy of the package; every public
-constructor reads its exact data through them, and nothing downstream
-checks it again.  An integer is an ``int`` (not a ``bool``); a rational is
-an ``int``, a ``Fraction`` or a decimal-free "p/q" string, never a float;
-a vector is a list or a tuple; a search option lies within the bounds of
-the function that reads it.  Anything else is an ``InputError``.  Rationals
-travel as "p/q" strings end to end; floats appear only in solver reports.
-Canonical dumps back the input hash of CLI reports; ``report_dumps`` renders them.
+constructor reads its exact data and its containers through them, once,
+and nothing downstream checks them again.  An integer is an ``int`` (not a
+``bool``); a rational is an ``int``, a ``Fraction`` or a decimal-free "p/q"
+string, never a float; a vector or other list argument is a list or a
+tuple (``items``); a mapping is a ``Mapping`` (``mapping``); a JSON object
+is a ``dict`` with its required keys (``fields``); a search option lies
+within the bounds of the function that reads it.  Anything else is an
+``InputError``.  Rationals travel as "p/q" strings end to end; floats appear
+only in solver reports.  Canonical dumps back the input hash of CLI reports;
+``report_dumps`` renders them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import json
 import re
 import sys
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -91,21 +95,36 @@ def facet_id(key) -> int:
 
 
 def int_vector(obj, length=None) -> tuple[int, ...]:
-    return _vector(obj, length, int_from_obj, "integer")
+    return items(obj, int_from_obj, length, "integer vector")
 
 
 def frac_vector(obj, length=None) -> tuple[Fraction, ...]:
-    return _vector(obj, length, frac_from_obj, "rational")
+    return items(obj, frac_from_obj, length, "rational vector")
 
 
-def _vector(obj, length, read, kind) -> tuple:
-    """A list or tuple read entry by entry, then checked against length."""
+def items(obj, read=None, length=None, kind="list") -> tuple:
+    """A list or tuple, its entries read by ``read``, then its length checked."""
     if not isinstance(obj, (list, tuple)):
-        raise InputError(f"expected {kind} vector, got {_shown(obj)}")
-    v = tuple(map(read, obj))
+        raise InputError(f"expected {kind}, got {_shown(obj)}")
+    v = tuple(obj) if read is None else tuple(map(read, obj))
     if length is not None and len(v) != length:
-        raise DimensionMismatch(f"expected vector of length {length}, got {len(v)}")
+        raise DimensionMismatch(f"expected {kind} of length {length}, got {len(v)}")
     return v
+
+
+def mapping(obj, key=None, value=None, kind="mapping") -> dict:
+    """A mapping, its keys read by ``key`` and its values by ``value``."""
+    if not isinstance(obj, Mapping):
+        raise InputError(f"expected {kind}, got {_shown(obj)}")
+    return {k if key is None else key(k): v if value is None else value(v)
+            for k, v in obj.items()}
+
+
+def fields(obj, kind: str, *keys) -> tuple:
+    """The values of the required keys of a JSON object, in order."""
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise InputError(f"{kind} JSON must have keys " + " and ".join(f'"{k}"' for k in keys))
+    return tuple(obj[k] for k in keys)
 
 
 def canonical_dumps(obj) -> str:

@@ -120,6 +120,14 @@ def test_exit_code_malformed(tmp_path):
     assert code2 == 1
 
 
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps({"command": "quotient", "inputs": {"setup": P2_SETUP}}))
+    code = main(["--input", str(src), "--output", str(tmp_path / "no" / "such" / "out.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_infeasible_targets(tmp_path):
     job = {"command": "solve-minkowski", "inputs": {
         "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],

@@ -1,7 +1,7 @@
-"""The library's exact-input boundary: every public entry point reads its
-integers and rationals through the ``serialize`` readers, so junk in any
-scalar slot returns or raises a typed error, and no non-integer is read as
-a nearby integer."""
+"""The library's input boundary: every public entry point reads its
+integers, rationals, lists and mappings through the ``serialize`` readers,
+so junk in any scalar or container slot returns or raises a typed error,
+and no non-integer is read as a nearby integer."""
 
 from fractions import Fraction
 
@@ -35,6 +35,7 @@ from toricgit.errors import InputError, ToricGitError
 HUGE = 10 ** 30
 JUNK = (float("nan"), float("inf"), float("-inf"), 1.5, Fraction(1, 2), True, None,
         "x", "1/0", [], HUGE)
+CONTAINER_JUNK = (5, "x", None, 1.5, {}, {"a": 1}, [5], (None,))
 
 P2 = projective_space(2, 3)
 VERTEX = next(f for f in P2.face_lattice if f.dim == 0)
@@ -46,7 +47,8 @@ SQUARE_NORMALS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 HEXAGON = HPolytope(2, [(u, 1) for u in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))])
 SURFACE_QUOTIENT = projectivized_bundle(BundleSpec(HEXAGON, ({4: 1},)))
 
-# (name, call, valid arguments): each scalar among the arguments is a slot
+# (name, call, valid arguments): each scalar, list, tuple and dict among the
+# arguments is a slot
 ENTRY_POINTS = (
     ("HPolytope", HPolytope, (2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), "3/2")])),
     ("translate", P2.translate, ((1, Fraction(-1, 2)),)),
@@ -89,16 +91,20 @@ def _is_scalar(x) -> bool:
 
 
 def _slots(obj, path=()):
-    """Paths to the scalars in nested lists, tuples and dicts; a dict key is
-    the slot ("key", k)."""
+    """(path, junk values) for the scalars and containers in nested lists,
+    tuples and dicts below the argument tuple; a dict key is the slot
+    ("key", k) and takes scalar junk."""
     if _is_scalar(obj):
-        yield path
-    elif isinstance(obj, (list, tuple)):
+        yield path, JUNK
+        return
+    if path and isinstance(obj, (list, tuple, dict)):
+        yield path, CONTAINER_JUNK
+    if isinstance(obj, (list, tuple)):
         for i, x in enumerate(obj):
             yield from _slots(x, path + (i,))
     elif isinstance(obj, dict):
         for k, v in obj.items():
-            yield path + (("key", k),)
+            yield path + (("key", k),), JUNK
             yield from _slots(v, path + (k,))
 
 
@@ -123,9 +129,9 @@ def test_valid_arguments_are_accepted():
 def test_junk_in_every_slot_raises_a_typed_error():
     calls = 0
     for name, call, args in ENTRY_POINTS:
-        for path in _slots(args):
+        for path, junks in _slots(args):
             is_key = isinstance(path[-1], tuple)
-            for junk in JUNK:
+            for junk in junks:
                 if is_key and isinstance(junk, list):  # not hashable
                     continue
                 try:
@@ -135,7 +141,7 @@ def test_junk_in_every_slot_raises_a_typed_error():
                 except Exception as exc:  # noqa: BLE001 - the failure under test
                     pytest.fail(f"{name} with {junk!r} at {path}: {type(exc).__name__}: {exc}")
                 calls += 1
-    assert calls > 600
+    assert calls > 900
 
 
 def test_non_integers_are_rejected_not_truncated():

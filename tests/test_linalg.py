@@ -337,9 +337,7 @@ def test_vector_helpers_match_the_fraction_boxed_oracle():
         b = tuple(entry(ints) for _ in range(n))
         dot = linalg.dot(a, b)
         assert dot == sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
-        assert linalg.vec_add(a, b) == tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
         if ints:
             assert type(dot) is int
-            assert all(type(x) is int for x in linalg.vec_add(a, b))
         typed[type(dot).__name__] += 1
     assert typed["int"] >= 250 and typed["Fraction"] >= 250
