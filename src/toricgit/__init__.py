@@ -12,7 +12,6 @@ from .build import (
 )
 from .git import (
     GitSetup,
-    UnstableIndexVector,
     descends,
     in_image,
     pullback,
@@ -35,7 +34,6 @@ from .klyachko import (
     subsheaf,
 )
 from .lattice import (
-    Lattice,
     QuotientLattice,
     Sublattice,
     primitive_content,
@@ -62,18 +60,16 @@ from .stability import StabilityVerdict, candidate_subspaces, check_stability, s
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmpleClassNumeric", "BundleSpec", "DivisorClass", "Face",
-    "FiltrationSheaf", "GitSetup", "HPolytope", "Lattice", "MinkowskiReport",
-    "QuotientLattice", "StabilityVerdict", "Sublattice", "Subspace",
-    "UnstableIndexVector", "alpha_surface_formula", "ample_class_alpha",
+    "AmpleClassNumeric", "BundleSpec", "DivisorClass", "Face", "FiltrationSheaf",
+    "GitSetup", "HPolytope", "MinkowskiReport", "QuotientLattice", "StabilityVerdict",
+    "Sublattice", "Subspace", "alpha_surface_formula", "ample_class_alpha",
     "candidate_subspaces", "check_stability", "compatible_subgroups",
     "converse_falsifier", "curve_slope_ratio", "descends", "det_indices",
     "dimension_jumps", "direct_sum", "first_chern", "hirzebruch", "hom_space",
-    "in_image", "is_morphism", "is_weighted_projective_quotient",
-    "line_bundle", "minkowski_condition", "primitive_content", "product",
-    "projective_space", "projectivized_bundle", "pullback", "pullback_functor",
-    "pushforward", "quotient", "quotient_degrees", "restrict_to_stable",
-    "same_normal_fan", "saturate", "saturation_index", "sections_on_chart",
-    "slope", "solve_minkowski", "structure_sheaf", "subsheaf",
-    "verify_slope_identity",
+    "in_image", "is_morphism", "is_weighted_projective_quotient", "line_bundle",
+    "minkowski_condition", "primitive_content", "product", "projective_space",
+    "projectivized_bundle", "pullback", "pullback_functor", "pushforward", "quotient",
+    "quotient_degrees", "restrict_to_stable", "same_normal_fan", "saturate",
+    "saturation_index", "sections_on_chart", "slope", "solve_minkowski",
+    "structure_sheaf", "subsheaf", "verify_slope_identity",
 ]

@@ -36,9 +36,9 @@ from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InputError, InternalError, NotAmple
 from .git import GitSetup
-from .lattice import Lattice, Sublattice
+from .lattice import Sublattice
 from .polytope import DivisorClass, HPolytope
-from .serialize import facet_id, fields, int_from_obj, int_option, items, mapping
+from .serialize import facet_id, fields, instance, int_from_obj, int_option, items, mapping
 
 MAX_DIM = 12  # the largest n projective_space builds
 
@@ -77,6 +77,7 @@ class BundleSpec:
     summands: tuple[dict[int, int], ...]  # D_i = sum a_{i rho} D_rho
 
     def __post_init__(self):
+        instance(self.base, HPolytope)
         summands = items(self.summands, self._summand, kind="summand list")
         if not summands:
             raise InputError("a projectivized bundle needs at least one summand")
@@ -141,7 +142,7 @@ def projectivized_bundle(spec: BundleSpec) -> GitSetup:
     ny, r = spec.base.n, spec.fiber_rank
     gens = tuple((0,) * ny + tuple(1 if j == i else 0 for j in range(r))
                  for i in range(r))
-    setup = GitSetup(px, Sublattice(Lattice(ny + r), gens))
+    setup = GitSetup(px, Sublattice(ny + r, gens))
     if not setup.is_generic():
         raise InternalError("bundle setup must be generic")
     d = spec.base.num_facets

@@ -26,8 +26,7 @@ from typing import Optional
 from . import minkowski, serialize, stability
 from .build import BundleSpec, alpha_surface_formula, projectivized_bundle
 from .errors import InfeasibleError, InputError, InternalError, ToricGitError
-from .git import (GitSetup, UnstableIndexVector, descends, descent_violations,
-                  pullback_functor, pushforward)
+from .git import GitSetup, descends, descent_violations, pullback_functor, pushforward
 from .klyachko import FiltrationSheaf
 from .polytope import HPolytope
 
@@ -74,12 +73,13 @@ def _sheaf(payload, key="sheaf") -> FiltrationSheaf:
     return FiltrationSheaf.from_json_dict(_need(payload, key))
 
 
-def _indices(payload, setup: GitSetup) -> UnstableIndexVector:
+def _indices(payload, setup: GitSetup) -> dict[int, int]:
+    """The job's index vector, all keys read before any value; zero when absent."""
     raw = payload.get("indices")
     if raw is None:
-        return UnstableIndexVector.zero(setup)
-    return UnstableIndexVector.from_dict(serialize.mapping(raw, serialize.facet_id,
-                                                           kind='"indices" object'))
+        return {f: 0 for f in setup.unstable_facets}
+    keyed = serialize.mapping(raw, serialize.facet_id, kind='"indices" object')
+    return serialize.mapping(keyed, value=serialize.int_from_obj)
 
 
 def run_command(command: str, payload: dict, options: dict) -> dict:
@@ -124,7 +124,7 @@ def run_command(command: str, payload: dict, options: dict) -> dict:
         ivec = _indices(payload, setup)
         lifted = pullback_functor(setup, ivec, sheaf)
         return {"sheaf": lifted.to_json_dict(),
-                "indices": {str(k): v for k, v in ivec.entries}}
+                "indices": {str(k): v for k, v in sorted(ivec.items())}}
     if command == "pushforward":
         setup = _setup(payload)
         sheaf = _sheaf(payload)

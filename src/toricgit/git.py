@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import linalg, serialize
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
     NotSaturated,
 )
 from .klyachko import FiltrationSheaf, Subspace, _compress
-from .lattice import Lattice, QuotientLattice, Sublattice, primitive_content, quotient
+from .lattice import QuotientLattice, Sublattice, primitive_content, quotient
 from .linalg import vertex_table
 from .polytope import Face, HPolytope
 
@@ -89,12 +88,12 @@ class GitSetup:
     sublattice, with the derived face classification and quotient data."""
 
     def __init__(self, polytope: HPolytope, sublattice: Sublattice):
-        if sublattice.ambient.rank != polytope.n:
+        polytope = serialize.instance(polytope, HPolytope)
+        if serialize.instance(sublattice, Sublattice).ambient != polytope.n:
             raise DimensionMismatch("sublattice rank does not match polytope")
         self.polytope = polytope
         self.sublattice = sublattice
-        self.lattice = Lattice(polytope.n)
-        self.quotient_lattice: QuotientLattice = quotient(self.lattice, sublattice)
+        self.quotient_lattice: QuotientLattice = quotient(polytope.n, sublattice)
         self.classification: tuple[FaceStatus, ...] = self._classify()
 
     @property
@@ -200,7 +199,7 @@ class GitSetup:
     def from_json_dict(obj) -> "GitSetup":
         poly, gens = serialize.fields(obj, "setup", "polytope", "sublattice")
         poly = HPolytope.from_json_dict(poly)
-        return GitSetup(poly, Sublattice(Lattice(poly.n), gens))
+        return GitSetup(poly, Sublattice(poly.n, gens))
 
     def classification_report(self) -> list[dict]:
         out = []
@@ -213,36 +212,6 @@ class GitSetup:
                 else [serialize.frac_to_str(x) for x in fs.witness],
             })
         return out
-
-
-# ---------------------------------------------------------------------------
-# index vectors for the pullback functors
-
-
-@dataclass(frozen=True)
-class UnstableIndexVector:
-    """One integer per unstable facet, keyed by facet index of P."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def from_dict(d: Mapping[int, int]) -> "UnstableIndexVector":
-        d = serialize.mapping(d, serialize.int_from_obj, serialize.int_from_obj,
-                              "facet -> integer mapping")
-        return UnstableIndexVector(tuple(sorted(d.items())))
-
-    @staticmethod
-    def zero(setup: GitSetup) -> "UnstableIndexVector":
-        return UnstableIndexVector.from_dict({f: 0 for f in setup.unstable_facets})
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def validate(self, setup: GitSetup) -> None:
-        if tuple(k for k, _ in self.entries) != setup.unstable_facets:
-            raise InputError(
-                f"index vector keys {tuple(k for k, _ in self.entries)} != "
-                f"unstable facets {setup.unstable_facets}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +287,28 @@ def descends(setup: GitSetup, sheaf: FiltrationSheaf) -> bool:
     return not descent_violations(setup, sheaf)
 
 
+def _index_vector(setup: GitSetup, indices: Mapping[int, int]) -> dict[int, int]:
+    """The index vector i: a facet -> integer mapping keyed by exactly the
+    setup's unstable facets."""
+    idx = serialize.mapping(indices, serialize.int_from_obj, serialize.int_from_obj,
+                            "facet -> integer mapping")
+    if tuple(sorted(idx)) != setup.unstable_facets:
+        raise InputError(f"index vector keys {tuple(sorted(idx))} != "
+                         f"unstable facets {setup.unstable_facets}")
+    return idx
+
+
 def pullback_functor(
     setup: GitSetup,
-    indices: UnstableIndexVector,
+    indices: Mapping[int, int],
     quotient_sheaf: FiltrationSheaf,
 ) -> FiltrationSheaf:
-    """The extension-across-the-unstable-locus functor: stable facets carry
-    the pullback filtrations, each unstable facet the single full jump at
-    its prescribed index."""
+    """The extension-across-the-unstable-locus functor of the index vector
+    i (one integer per unstable facet): stable facets carry the pullback
+    filtrations, each unstable facet F the single full jump at i_F."""
     setup.require_generic()
-    indices.validate(setup)
+    idx = _index_vector(setup, indices)
     lifted = pullback(setup, quotient_sheaf)
-    idx = indices.as_dict()
     full = Subspace.full(quotient_sheaf.rank)
     pos_of_stable = {f: pos for pos, f in enumerate(setup.stable_facets)}
     filts = []
@@ -342,18 +321,17 @@ def pullback_functor(
 
 
 def in_image(
-    setup: GitSetup, indices: UnstableIndexVector, sheaf: FiltrationSheaf
+    setup: GitSetup, indices: Mapping[int, int], sheaf: FiltrationSheaf
 ) -> bool:
-    """Whether the sheaf is hit by the functor for this index vector: it
-    descends and each unstable facet has the single full jump exactly at the
-    prescribed index."""
+    """Whether the sheaf is hit by the functor for the index vector i: it
+    descends and each unstable facet F has the single full jump exactly at
+    i_F."""
     setup.require_generic()
-    indices.validate(setup)
+    idx = _index_vector(setup, indices)
     if sheaf.num_facets != setup.polytope.num_facets:
         raise FacetMismatch("sheaf does not live on the setup's polytope")
     if not descends(setup, sheaf):
         return False
-    idx = indices.as_dict()
     for f in setup.unstable_facets:
         filt = sheaf.filtrations[f]
         if len(filt) != 1 or filt[0][0] != idx[f]:
@@ -391,5 +369,13 @@ def translation_classes(
         lo = math.ceil(-max(vals))
         hi = math.floor(-min(vals))
         ranges.append(range(lo, hi + 1))
-    for s in product(*ranges):
+    for s in _points(ranges):
         yield s, scaled.translate([sum(r * x for r, x in zip(row, s)) for row in rinv])
+
+
+def _points(ranges: Sequence[range]) -> Iterator[tuple[int, ...]]:
+    """itertools.product(*ranges), in its order, without copying each range
+    into a tuple before the first point as product does."""
+    if not ranges:
+        return iter(((),))
+    return ((x,) + rest for x in ranges[0] for rest in _points(ranges[1:]))

@@ -181,9 +181,7 @@ def _check_filtration(rank: int, jumps: Sequence[tuple[int, Subspace]]) -> Filtr
     for jump in jumps:
         i, v = pair = serialize.items(jump, length=2, kind="(index, subspace) jump")
         serialize.int_from_obj(i)
-        if not isinstance(v, Subspace):
-            raise InputError(f"expected a Subspace in a filtration, got {type(v).__name__}")
-        if v.ambient != rank:
+        if serialize.instance(v, Subspace).ambient != rank:
             raise DimensionMismatch("filtration subspace of wrong ambient dimension")
         if prev_i is not None and i <= prev_i:
             raise InputError("jump indices must strictly increase")
@@ -340,7 +338,7 @@ def dual(sheaf: FiltrationSheaf) -> FiltrationSheaf:
 def subsheaf(sheaf: FiltrationSheaf, w: Subspace) -> FiltrationSheaf:
     """The equivariant subsheaf cut out by a subspace W: filtrations
     W n E^F(i), re-coordinatized to QQ^{dim W}."""
-    if w.ambient != sheaf.rank:
+    if serialize.instance(w, Subspace).ambient != serialize.instance(sheaf, FiltrationSheaf).rank:
         raise DimensionMismatch("subspace of wrong ambient dimension")
     if w.is_zero():
         raise InputError("subsheaf of the zero subspace")
@@ -371,7 +369,8 @@ def sections_on_chart(
 
 def direct_sum(s1: FiltrationSheaf, s2: FiltrationSheaf) -> FiltrationSheaf:
     """Blockwise direct sum; facet sets must agree."""
-    if s1.num_facets != s2.num_facets:
+    if serialize.instance(s1, FiltrationSheaf).num_facets != \
+            serialize.instance(s2, FiltrationSheaf).num_facets:
         raise FacetMismatch("direct sum over different facet sets")
     r1, r2 = s1.rank, s2.rank
     rank = r1 + r2

@@ -1,5 +1,6 @@
 """Integer-lattice algebra: sublattices in Hermite form, saturation,
 quotient lattices with explicit projection/section pairs, primitive vectors.
+A lattice is ZZ^n with the dot product as the dual pairing, passed as n.
 
 All values are immutable and all operations pure.  Integers are arbitrary
 precision throughout; normal-form intermediates are allowed to swell.
@@ -28,29 +29,19 @@ def primitive_content(v: Sequence[int]) -> tuple[IntVec, int]:
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """ZZ^rank with its standard basis; the dual pairing is the dot product."""
-
-    rank: int
-
-    def __post_init__(self):
-        if serialize.int_from_obj(self.rank) < 0:
-            raise DimensionMismatch("lattice rank must be >= 0")
-
-    def check_vector(self, v: Sequence[int]) -> IntVec:
-        return serialize.int_vector(v, self.rank)
-
-
-@dataclass(frozen=True)
 class Sublattice:
-    """Sublattice of ZZ^n, stored as the canonical Hermite basis of its
+    """Sublattice of ZZ^ambient, stored as the canonical Hermite basis of its
     generators so that equal sublattices compare equal structurally."""
 
-    ambient: Lattice
+    ambient: int
     generators: tuple[IntVec, ...] = field(default=())
 
     def __post_init__(self):
-        gens = serialize.items(self.generators, self.ambient.check_vector, kind="generator list")
+        n = serialize.int_from_obj(self.ambient)
+        if n < 0:
+            raise DimensionMismatch("lattice rank must be >= 0")
+        gens = serialize.items(self.generators, lambda v: serialize.int_vector(v, n),
+                               kind="generator list")
         object.__setattr__(self, "generators", linalg.hnf_rows(gens))
 
     @property
@@ -59,13 +50,13 @@ class Sublattice:
 
     def contains(self, v: Sequence[int]) -> bool:
         """v is in the lattice iff adding it keeps the (canonical) Hermite basis."""
-        vec = self.ambient.check_vector(v)
+        vec = serialize.int_vector(v, self.ambient)
         return linalg.hnf_rows(self.generators + (vec,)) == self.generators
 
     @cached_property
     def _quotient(self) -> "QuotientLattice":
         """quotient(ambient, self), built and checked once per object."""
-        n, gens = self.ambient.rank, self.generators
+        n, gens = self.ambient, self.generators
         proj = linalg.integer_kernel(gens, n)
         if linalg.integer_kernel(proj, n) != gens:  # saturated iff its double perp
             raise NotSaturated("quotient by a non-saturated sublattice")
@@ -87,9 +78,8 @@ def saturate(s: Sublattice) -> Sublattice:
     Computed as the double perp: the integer kernel of the pairing against
     a basis of s-perp, which is saturated by construction.
     """
-    n = s.ambient.rank
-    perp = linalg.integer_kernel(s.generators, n)
-    return Sublattice(s.ambient, linalg.integer_kernel(perp, n))
+    perp = linalg.integer_kernel(s.generators, s.ambient)
+    return Sublattice(s.ambient, linalg.integer_kernel(perp, s.ambient))
 
 
 def saturation_index(s: Sublattice) -> int:
@@ -111,7 +101,7 @@ class QuotientLattice:
     integer section.  The basis of the quotient is a free unimodular choice;
     only the stated invariants may be relied upon downstream."""
 
-    ambient: Lattice
+    ambient: int
     kernel: Sublattice
     projection_matrix: tuple[IntVec, ...]
     section_matrix: tuple[IntVec, ...]
@@ -121,7 +111,7 @@ class QuotientLattice:
         return len(self.projection_matrix)
 
     def project(self, v: Sequence[int]) -> IntVec:
-        vec = self.ambient.check_vector(v)
+        vec = serialize.int_vector(v, self.ambient)
         return tuple(linalg.dot(row, vec) for row in self.projection_matrix)
 
     def lift(self, w: Sequence[int]) -> IntVec:
@@ -129,8 +119,8 @@ class QuotientLattice:
         return tuple(linalg.dot(row, vec) for row in self.section_matrix)
 
 
-def quotient(n: Lattice, n0: Sublattice) -> QuotientLattice:
-    """Quotient lattice N/N0 for saturated N0, with projection pi such that
+def quotient(n: int, n0: Sublattice) -> QuotientLattice:
+    """Quotient lattice ZZ^n/N0 for saturated N0, with projection pi such that
     pi(v) = 0 iff v lies in N0, and an integer right inverse witnessing
     surjectivity.
 

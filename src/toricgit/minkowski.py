@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from random import Random
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg, serialize
 from .errors import (
@@ -54,9 +54,9 @@ from .errors import (
     MinkowskiFails,
     NoConvergence,
 )
-from .git import GitSetup, UnstableIndexVector, pullback_functor, translation_classes
+from .git import GitSetup, pullback_functor, translation_classes
 from .klyachko import FiltrationSheaf, direct_sum, line_bundle
-from .lattice import Lattice, Sublattice, primitive_content
+from .lattice import Sublattice, primitive_content
 from .polytope import HPolytope, check_normals, hsystem_volume_data
 from .stability import slope
 
@@ -417,16 +417,17 @@ class SlopeIdentityReport:
 def verify_slope_identity(
     setup: GitSetup,
     quotient_sheaf: FiltrationSheaf,
-    indices: UnstableIndexVector,
+    indices: Mapping[int, int],
     alpha: AmpleClassNumeric,
 ) -> SlopeIdentityReport:
     """|mu_L(lift) - (mu_alpha(sheaf) - sum_us i_F deg_L(D_F))|, exactly: mu_alpha
     reads alpha's exact degrees (its targets), not its float supports."""
     setup.require_generic()
-    lhs = slope(pullback_functor(setup, indices, quotient_sheaf), setup.polytope.latvols())
+    lift = pullback_functor(setup, indices, quotient_sheaf)
+    lhs = slope(lift, setup.polytope.latvols())
     mu_alpha = slope(quotient_sheaf, alpha.targets)
-    ivec = indices.as_dict()
-    correction = sum((ivec[f] * setup.polytope.facet_latvol(f)
+    # the lift's one jump on an unstable facet F sits at i_F
+    correction = sum((lift.filtrations[f][0][0] * setup.polytope.facet_latvol(f)
                       for f in setup.unstable_facets), Fraction(0))
     return SlopeIdentityReport(lhs, mu_alpha, correction, abs(lhs - (mu_alpha - correction)))
 
@@ -502,7 +503,7 @@ def converse_falsifier(setup: GitSetup) -> Optional[ConverseCounterexample]:
         line_bundle(py.num_facets, {fmap[f1]: d1i}),
         line_bundle(py.num_facets, {fmap[f2]: d2i}),
     )
-    zero = UnstableIndexVector.zero(setup)
+    zero = {f: 0 for f in setup.unstable_facets}
     lift1 = pullback_functor(setup, zero, line_bundle(py.num_facets, {fmap[f1]: d1i}))
     lift2 = pullback_functor(setup, zero, line_bundle(py.num_facets, {fmap[f2]: d2i}))
     degrees_x = setup.polytope.latvols()
@@ -575,7 +576,6 @@ def compatible_subgroups(
     upper_bound = sum(math.comb(d, k) for k in range(n, d))
     found: dict[tuple[IntVec, ...], CompatibleSubgroup] = {}
     zero_direction = 0
-    ambient = Lattice(n)
     for size in range(n, d):
         for subset in combinations(range(d), size):
             u_d = [0] * n
@@ -585,7 +585,7 @@ def compatible_subgroups(
                 zero_direction += 1
                 continue
             prim, _ = primitive_content(u_d)
-            n0 = Sublattice(ambient, (prim,))  # a primitive vector spans a saturated line
+            n0 = Sublattice(n, (prim,))  # a primitive vector spans a saturated line
             if n0.generators in found:
                 continue
             witness = _search_linearization(poly, n0, subset, k_max)

@@ -6,11 +6,12 @@ and nothing downstream checks them again.  An integer is an ``int`` (not a
 ``bool``); a rational is an ``int``, a ``Fraction`` or a decimal-free "p/q"
 string, never a float; a vector or other list argument is a list or a
 tuple (``items``); a mapping is a ``Mapping`` (``mapping``); a JSON object
-is a ``dict`` with its required keys (``fields``); a search option lies
-within the bounds of the function that reads it.  Anything else is an
-``InputError``.  Rationals travel as "p/q" strings end to end; floats appear
-only in solver reports.  Canonical dumps back the input hash of CLI reports;
-``report_dumps`` renders them.
+is a ``dict`` with its required keys (``fields``); a package object (a
+polytope, a sublattice, a sheaf, a subspace) is an instance of its class
+(``instance``); a search option lies within the bounds of the function that
+reads it.  Anything else is an ``InputError``.  Rationals travel as "p/q"
+strings end to end; floats appear only in solver reports.  Canonical dumps
+back the input hash of CLI reports; ``report_dumps`` renders them.
 """
 
 from __future__ import annotations
@@ -118,6 +119,13 @@ def mapping(obj, key=None, value=None, kind="mapping") -> dict:
         raise InputError(f"expected {kind}, got {_shown(obj)}")
     return {k if key is None else key(k): v if value is None else value(v)
             for k, v in obj.items()}
+
+
+def instance(obj, cls):
+    """A package object of class ``cls``, such as an ``HPolytope`` argument."""
+    if not isinstance(obj, cls):
+        raise InputError(f"expected {cls.__name__}, got {_shown(obj)}")
+    return obj
 
 
 def fields(obj, kind: str, *keys) -> tuple:

@@ -73,7 +73,7 @@ DEFAULT_SEED = 20_240_601
 def slope(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]) -> Fraction:
     """Exact slope of the sheaf against the class with these (exact) facet degrees."""
     degrees = serialize.frac_vector(degrees)
-    if sheaf.num_facets != len(degrees):
+    if serialize.instance(sheaf, FiltrationSheaf).num_facets != len(degrees):
         raise FacetMismatch("sheaf facet set does not match the degree vector")
     total = sum((i * d for i, d in zip(det_indices(sheaf), degrees)), Fraction(0))
     return -total / sheaf.rank

@@ -17,7 +17,6 @@ from toricgit.build import (
 from toricgit.errors import InfeasibleTargets
 from toricgit.git import (
     GitSetup,
-    UnstableIndexVector,
     descends,
     pullback,
     pullback_functor,
@@ -34,7 +33,7 @@ from toricgit.klyachko import (
     line_bundle,
     subsheaf,
 )
-from toricgit.lattice import Lattice, Sublattice
+from toricgit.lattice import Sublattice
 from toricgit.minkowski import (
     ample_class_alpha,
     compatible_subgroups,
@@ -57,8 +56,6 @@ from util import (
     random_subspace,
     solved_polytope,
 )
-
-L2 = Lattice(2)
 
 
 def _bundle_setup_2_2():
@@ -84,7 +81,7 @@ def setup_pool():
     pool = []
     for poly in families:
         for direction in directions:
-            n0 = Sublattice(L2, (direction,))
+            n0 = Sublattice(2, (direction,))
             for k in (1, 2, 3):
                 for _, moved in translation_classes(poly, n0, k):
                     setup = GitSetup(moved, n0)
@@ -99,7 +96,7 @@ def setup_pool():
 def test_acceptance_01_projective_plane_pipeline():
     t0 = time.monotonic()
     poly = HPolytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)])
-    setup = GitSetup(poly, Sublattice(L2, ((1, 1),)))
+    setup = GitSetup(poly, Sublattice(2, ((1, 1),)))
     assert setup.is_generic()
     assert len(setup.stable_facets) == 2
     py, fmap, b = setup.quotient_polytope()
@@ -156,8 +153,7 @@ def test_acceptance_04_descent_round_trips(setup_pool):
 
         # pushforward o pullback functor = identity on quotient sheaves
         q_sheaf = random_sheaf(rng, rng.randint(1, 3), py.num_facets)
-        ivec = UnstableIndexVector.from_dict(
-            {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+        ivec = {f: rng.randint(-2, 2) for f in setup.unstable_facets}
         assert pushforward(setup, pullback_functor(setup, ivec, q_sheaf)) == q_sheaf
 
         # descends <=> jump divisibility <=> pullback(pushforward(S)) = S|stable
@@ -190,8 +186,7 @@ def test_acceptance_05_functor_identities(setup_pool):
         py, fmap, _ = setup.quotient_polytope()
         b = setup.b_values()
         q_sheaf = random_sheaf(rng, rng.randint(1, 3), py.num_facets)
-        ivec = UnstableIndexVector.from_dict(
-            {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+        ivec = {f: rng.randint(-2, 2) for f in setup.unstable_facets}
         lifted = pullback_functor(setup, ivec, q_sheaf)
         # jump comparison
         for f in setup.stable_facets:
@@ -199,18 +194,18 @@ def test_acceptance_05_functor_identities(setup_pool):
             assert all(i % b[f] == 0 for i in jumps)
             assert {i // b[f]: e for i, e in jumps.items()} == \
                 dimension_jumps(q_sheaf, fmap[f])
-        for f, i_f in ivec.entries:
+        for f, i_f in ivec.items():
             assert dimension_jumps(lifted, f) == {i_f: -q_sheaf.rank}
         # determinant comparison
         det_x, det_y = det_indices(lifted), det_indices(q_sheaf)
         for f in setup.stable_facets:
             assert det_x[f] == b[f] * det_y[fmap[f]]
-        for f, i_f in ivec.entries:
+        for f, i_f in ivec.items():
             assert det_x[f] == i_f * q_sheaf.rank
         # line-bundle image identity
         f1 = rng.choice(setup.stable_facets)
         image = pullback_functor(setup, ivec, line_bundle(py.num_facets, {fmap[f1]: 1}))
-        coeffs = {f1: b[f1], **{f: -i_f for f, i_f in ivec.entries}}
+        coeffs = {f1: b[f1], **{f: -i_f for f, i_f in ivec.items()}}
         assert image == line_bundle(setup.polytope.num_facets, coeffs)
     print("\nACCEPTANCE 5: PASS - functor jump/determinant/line-bundle "
           "identities exact on 60 random setups")
@@ -224,10 +219,9 @@ def test_acceptance_06_slope_identity_numerical():
     for trial in range(50):
         q_sheaf = random_sheaf(rng, rng.randint(1, 3), 4)
         if trial % 2 == 0:
-            ivec = UnstableIndexVector.zero(setup)
+            ivec = {f: 0 for f in setup.unstable_facets}
         else:
-            ivec = UnstableIndexVector.from_dict(
-                {f: rng.randint(-3, 3) for f in setup.unstable_facets})
+            ivec = {f: rng.randint(-3, 3) for f in setup.unstable_facets}
         report = verify_slope_identity(setup, q_sheaf, ivec, alpha)
         assert report.residual == 0
     elapsed = time.monotonic() - t0
@@ -263,7 +257,7 @@ def test_acceptance_07_alpha_direction_matches_formula():
 def test_acceptance_08_stability_preserved_by_lift():
     _, setup = _bundle_setup_2_2()
     alpha = ample_class_alpha(setup, seed=20240608)
-    zero = UnstableIndexVector.zero(setup)
+    zero = {f: 0 for f in setup.unstable_facets}
     rng = Random(20240608)
     statuses = set()
     for _ in range(20):
@@ -282,7 +276,7 @@ def test_acceptance_09_converse_falsifier():
     # hand-perturbed box: stable degrees (4, 3) against the diagonal subgroup
     perturbed = GitSetup(
         HPolytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, 0), 2), ((0, -1), 3)]),
-        Sublattice(L2, ((1, 1),)))
+        Sublattice(2, ((1, 1),)))
     assert not minkowski_condition(perturbed).holds
     cx = converse_falsifier(perturbed)
     assert cx is not None

@@ -13,7 +13,7 @@ from toricgit.build import (
     projectivized_bundle,
 )
 from toricgit.errors import InputError, NotAmple
-from toricgit.git import UnstableIndexVector, pullback_functor
+from toricgit.git import pullback_functor
 from toricgit.klyachko import MAX_FACETS, line_bundle, structure_sheaf
 from toricgit.minkowski import minkowski_condition
 from toricgit.polytope import same_normal_fan
@@ -120,7 +120,7 @@ def test_functor_zero_is_fiberwise_pullback_shape():
     base = product(projective_space(1, 2), projective_space(1, 2))
     setup = projectivized_bundle(BundleSpec(base, ({0: 1}, {2: 1})))
     sheaf = random_quotient_sheaf(rng, setup)
-    lifted = pullback_functor(setup, UnstableIndexVector.zero(setup), sheaf)
+    lifted = pullback_functor(setup, {f: 0 for f in setup.unstable_facets}, sheaf)
     for f in setup.stable_facets:
         assert lifted.filtrations[f] == sheaf.filtrations[f]
     for f in setup.unstable_facets:
@@ -131,7 +131,7 @@ def test_functor_zero_is_fiberwise_pullback_shape():
 def test_structure_sheaf_lifts_to_structure_sheaf():
     seg = projective_space(1, 2)
     setup = projectivized_bundle(BundleSpec(seg, ({},)))
-    lifted = pullback_functor(setup, UnstableIndexVector.zero(setup),
+    lifted = pullback_functor(setup, {f: 0 for f in setup.unstable_facets},
                               structure_sheaf(2))
     assert lifted == structure_sheaf(4)
 

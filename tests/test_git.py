@@ -1,11 +1,13 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import islice, product
 from random import Random
 
 import pytest
 
 from toricgit import linalg
+from toricgit.build import BundleSpec, projective_space, projectivized_bundle
 from toricgit.cli import main
 from toricgit.errors import InputError, InternalError, NotGeneric, NotSaturated
 from toricgit.git import (
@@ -13,7 +15,6 @@ from toricgit.git import (
     STRICTLY_SEMISTABLE,
     UNSTABLE,
     GitSetup,
-    UnstableIndexVector,
     descends,
     in_image,
     pullback,
@@ -34,7 +35,7 @@ from toricgit.klyachko import (
     structure_sheaf,
     subsheaf,
 )
-from toricgit.lattice import Lattice, Sublattice
+from toricgit.lattice import Sublattice
 from toricgit.polytope import HPolytope
 
 from util import (
@@ -50,8 +51,7 @@ from util import (
     random_subspace,
 )
 
-L2 = Lattice(2)
-N0_DIAG = Sublattice(L2, ((1, 1),))
+N0_DIAG = Sublattice(2, ((1, 1),))
 P2_TRANSLATED = HPolytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)])
 P2_UNTRANSLATED = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
 
@@ -86,12 +86,12 @@ def test_untranslated_setup_meets_u_only_at_vertex():
 
 
 def test_full_sublattice_not_generic():
-    full = Sublattice(L2, ((1, 0), (0, 1)))
+    full = Sublattice(2, ((1, 0), (0, 1)))
     assert not GitSetup(P2_TRANSLATED, full).is_generic()
 
 
 def test_zero_sublattice_everything_stable():
-    setup = GitSetup(P2_TRANSLATED, Sublattice(L2, ()))
+    setup = GitSetup(P2_TRANSLATED, Sublattice(2, ()))
     assert setup.is_generic()
     assert all(fs.status == STABLE for fs in setup.classification)
     py, fmap, b = setup.quotient_polytope()
@@ -100,7 +100,7 @@ def test_zero_sublattice_everything_stable():
 
 def test_unsaturated_sublattice_rejected():
     with pytest.raises(NotSaturated):
-        GitSetup(P2_TRANSLATED, Sublattice(L2, ((2, 2),)))
+        GitSetup(P2_TRANSLATED, Sublattice(2, ((2, 2),)))
 
 
 def test_semistable_monotone_under_face_inclusion():
@@ -136,7 +136,7 @@ def test_quotient_polytope_not_generic_fails_fast():
 
 def test_b_values_with_content_two():
     # N0 = Z(1,2): pi = (2, -1) pairing, pi(e1) = 2
-    n0 = Sublattice(L2, ((1, 2),))
+    n0 = Sublattice(2, ((1, 2),))
     found = None
     for k in (1, 2, 3, 4):
         for _, moved in translation_classes(P2_UNTRANSLATED, n0, k):
@@ -150,9 +150,23 @@ def test_b_values_with_content_two():
     assert found.b_values()[0] == 2
 
 
+def test_translation_classes_are_enumerated_lazily():
+    # 10**15 + 1 classes: the first is read without storing the others
+    box = HPolytope(2, [((1, 0), 0), ((-1, 0), 10 ** 15), ((0, 1), 0), ((0, -1), 1)])
+    classes = translation_classes(box, Sublattice(2, [(1, 0)]), 1)
+    assert [s for s, _ in islice(classes, 2)] == [(-10 ** 15,), (1 - 10 ** 15,)]
+    # in the order of itertools.product, the first generator slowest
+    cube = HPolytope(3, [(u, a) for i in range(3) for u, a in
+                         (((0,) * i + (1,) + (0,) * (2 - i), 0),
+                          ((0,) * i + (-1,) + (0,) * (2 - i), 2 + i))])
+    n0 = Sublattice(3, [(1, 0, 0), (0, 1, 0)])
+    assert [s for s, _ in translation_classes(cube, n0, 1)] == \
+        list(product(range(-2, 1), range(-3, 1)))
+
+
 def synthetic_b2_setup():
     """A generic setup with b = 2 on one stable facet (for divisibility)."""
-    n0 = Sublattice(L2, ((1, 2),))
+    n0 = Sublattice(2, ((1, 2),))
     for k in (1, 2, 3, 4):
         for _, moved in translation_classes(P2_UNTRANSLATED, n0, k):
             setup = GitSetup(moved, n0)
@@ -226,31 +240,37 @@ def test_pullback_functor_round_trip_and_membership():
     for _ in range(10):
         setup = random_generic_setup(rng)
         sheaf = random_quotient_sheaf(rng, setup)
-        ivec = UnstableIndexVector.from_dict(
-            {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+        ivec = {f: rng.randint(-2, 2) for f in setup.unstable_facets}
         lifted = pullback_functor(setup, ivec, sheaf)
         assert in_image(setup, ivec, lifted)
         assert descends(setup, lifted)
         assert pushforward(setup, lifted) == sheaf  # pushforward o functor = id
         # wrong index vector is rejected by the membership test
         if setup.unstable_facets:
-            wrong = UnstableIndexVector.from_dict(
-                {f: v + 1 for f, v in ivec.entries})
+            wrong = {f: v + 1 for f, v in ivec.items()}
             assert not in_image(setup, wrong, lifted)
 
 
 def test_index_vector_rejects_non_integers():
+    sheaf = line_bundle(2, {0: 1})
     for d in ({2.9: 0.5}, {2: 0.5}, {2.0: 1}, {"2": 1}, {2: Fraction(1)}, {True: 0}):
         with pytest.raises(InputError, match="expected integer"):
-            UnstableIndexVector.from_dict(d)
-    assert UnstableIndexVector.from_dict({3: -1, 2: 0}).entries == ((2, 0), (3, -1))
+            pullback_functor(SETUP, d, sheaf)
+        with pytest.raises(InputError, match="expected integer"):
+            in_image(SETUP, d, pullback_functor(SETUP, {2: 0}, sheaf))
+    # the key order of the mapping does not matter
+    setup = projectivized_bundle(BundleSpec(projective_space(1, 2), ({},)))
+    assert setup.unstable_facets == (2, 3)
+    lifted = pullback_functor(setup, {3: -1, 2: 0}, structure_sheaf(2))
+    assert lifted == pullback_functor(setup, {2: 0, 3: -1}, structure_sheaf(2))
+    assert lifted.filtrations[2:] == (((0, Subspace.full(1)),), ((-1, Subspace.full(1)),))
 
 
 def test_in_image_rejects_multi_jump_unstable_facets():
     rng = Random(64)
     setup = SETUP
     sheaf = random_quotient_sheaf(rng, setup, max_rank=2)
-    ivec = UnstableIndexVector.zero(setup)
+    ivec = {f: 0 for f in setup.unstable_facets}
     lifted = pullback_functor(setup, ivec, sheaf)
     if lifted.rank >= 2:
         # replace the unstable facet filtration with two jumps
@@ -301,8 +321,7 @@ def test_functor_jump_comparison():
         setup = random_generic_setup(rng)
         b = setup.b_values()
         sheaf = random_quotient_sheaf(rng, setup)
-        ivec = UnstableIndexVector.from_dict(
-            {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+        ivec = {f: rng.randint(-2, 2) for f in setup.unstable_facets}
         lifted = pullback_functor(setup, ivec, sheaf)
         _, fmap, _ = setup.quotient_polytope()
         for f in setup.stable_facets:
@@ -310,7 +329,7 @@ def test_functor_jump_comparison():
             source = dimension_jumps(sheaf, fmap[f])
             assert all(i % b[f] == 0 for i in jumps)
             assert {i // b[f]: e for i, e in jumps.items()} == source
-        for f, i_f in ivec.entries:
+        for f, i_f in ivec.items():
             assert dimension_jumps(lifted, f) == {i_f: -sheaf.rank}
 
 
@@ -320,15 +339,14 @@ def test_functor_determinant_comparison():
         setup = random_generic_setup(rng)
         b = setup.b_values()
         sheaf = random_quotient_sheaf(rng, setup)
-        ivec = UnstableIndexVector.from_dict(
-            {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+        ivec = {f: rng.randint(-2, 2) for f in setup.unstable_facets}
         lifted = pullback_functor(setup, ivec, sheaf)
         _, fmap, _ = setup.quotient_polytope()
         det_x = det_indices(lifted)
         det_y = det_indices(sheaf)
         for f in setup.stable_facets:
             assert det_x[f] == b[f] * det_y[fmap[f]]
-        for f, i_f in ivec.entries:
+        for f, i_f in ivec.items():
             assert det_x[f] == i_f * sheaf.rank
 
 
@@ -339,12 +357,11 @@ def test_functor_line_bundle_identity():
         b = setup.b_values()
         py, fmap, _ = setup.quotient_polytope()
         f1 = rng.choice(setup.stable_facets)
-        ivec = UnstableIndexVector.from_dict(
-            {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+        ivec = {f: rng.randint(-2, 2) for f in setup.unstable_facets}
         lifted = pullback_functor(setup, ivec,
                                   line_bundle(py.num_facets, {fmap[f1]: 1}))
         coeffs = {f1: b[f1]}
-        for f, i_f in ivec.entries:
+        for f, i_f in ivec.items():
             coeffs[f] = -i_f
         expected = line_bundle(setup.polytope.num_facets, coeffs)
         assert lifted == expected
@@ -355,13 +372,12 @@ def test_functor_faithful_on_morphisms():
     # Hom(F S, F T) = Hom(S, T) inside the same matrix space
     rng = Random(70)
     s1 = random_quotient_sheaf(rng, SETUP, max_rank=2)
-    lifted = pullback_functor(SETUP, UnstableIndexVector.zero(SETUP), s1)
+    lifted = pullback_functor(SETUP, {f: 0 for f in SETUP.unstable_facets}, s1)
     assert is_morphism(lifted, lifted, linalg.identity_mat(s1.rank))
     seen = Counter()
     for _ in range(100):
         setup = random_generic_setup(rng)
-        ivec = UnstableIndexVector.from_dict(
-            {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+        ivec = {f: rng.randint(-2, 2) for f in setup.unstable_facets}
         s, t = random_quotient_sheaf(rng, setup), random_quotient_sheaf(rng, setup)
         if rng.random() < 0.3:
             t = direct_sum(s, t) if rng.random() < 0.5 else direct_sum(t, s)
@@ -374,9 +390,12 @@ def test_functor_faithful_on_morphisms():
 
 
 def test_index_vector_key_mismatch():
-    ivec = UnstableIndexVector.from_dict({0: 1})
-    with pytest.raises(Exception):
-        ivec.validate(SETUP)
+    sheaf = line_bundle(2, {0: 1})
+    for ivec in ({0: 1}, {}, {2: 0, 3: 0}):
+        with pytest.raises(InputError, match=r"index vector keys .* != unstable facets \(2,\)"):
+            pullback_functor(SETUP, ivec, sheaf)
+        with pytest.raises(InputError, match="index vector keys"):
+            in_image(SETUP, ivec, pullback_functor(SETUP, {2: 0}, sheaf))
 
 
 def test_setup_json_round_trip():
@@ -557,7 +576,7 @@ def test_elimination_counts_of_construction_are_pinned(monkeypatch, n, facets, g
     calls = {name: count_calls(monkeypatch, linalg, name) for name in ("echelon", "rref")}
     poly = HPolytope(n, facets)
     poly.face_lattice
-    setup = GitSetup(poly, Sublattice(Lattice(n), gens))
+    setup = GitSetup(poly, Sublattice(n, gens))
     assert (calls["echelon"]["echelon"], calls["rref"]["rref"]) == (pinned, 0)
     assert setup.is_generic() == (pinned == 0)
     meets_u = sum(fs.status != UNSTABLE for fs in setup.classification)

@@ -1,7 +1,8 @@
 """The library's input boundary: every public entry point reads its
-integers, rationals, lists and mappings through the ``serialize`` readers,
-so junk in any scalar or container slot returns or raises a typed error,
-and no non-integer is read as a nearby integer."""
+integers, rationals, lists, mappings and package objects through the
+``serialize`` readers, so junk in any scalar, container or object slot
+returns or raises a typed error, and no non-integer is read as a nearby
+integer."""
 
 from fractions import Fraction
 
@@ -12,23 +13,25 @@ from toricgit import (
     BundleSpec,
     DivisorClass,
     FiltrationSheaf,
+    GitSetup,
     HPolytope,
-    Lattice,
     Sublattice,
     Subspace,
-    UnstableIndexVector,
     ample_class_alpha,
     check_stability,
     compatible_subgroups,
+    direct_sum,
     hirzebruch,
     is_morphism,
     line_bundle,
     projective_space,
     projectivized_bundle,
+    pullback_functor,
     quotient,
     sections_on_chart,
     slope,
     solve_minkowski,
+    subsheaf,
 )
 from toricgit.errors import InputError, ToricGitError
 
@@ -36,27 +39,30 @@ HUGE = 10 ** 30
 JUNK = (float("nan"), float("inf"), float("-inf"), 1.5, Fraction(1, 2), True, None,
         "x", "1/0", [], HUGE)
 CONTAINER_JUNK = (5, "x", None, 1.5, {}, {"a": 1}, [5], (None,))
+OBJECT_JUNK = (5, "x", None, [5], {})
 
 P2 = projective_space(2, 3)
 VERTEX = next(f for f in P2.face_lattice if f.dim == 0)
 L1, L2, L3 = (Subspace.span(2, [v]) for v in ((1, 0), (0, 1), (1, 1)))
 E2 = Subspace.full(2)
 TANGENT = FiltrationSheaf(2, (((-1, L1), (0, E2)), ((-1, L2), (0, E2)), ((-1, L3), (0, E2))))
-Q = quotient(Lattice(3), Sublattice(Lattice(3), [(1, 1, 0)]))
+Q = quotient(3, Sublattice(3, [(1, 1, 0)]))
 SQUARE_NORMALS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 HEXAGON = HPolytope(2, [(u, 1) for u in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))])
 SURFACE_QUOTIENT = projectivized_bundle(BundleSpec(HEXAGON, ({4: 1},)))
+DIAGONAL = Sublattice(2, ((1, 1),))
+GENERIC = GitSetup(HPolytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]), DIAGONAL)
 
-# (name, call, valid arguments): each scalar, list, tuple and dict among the
-# arguments is a slot
+# (name, call, valid arguments): each scalar, list, tuple, dict and package
+# object among the arguments is a slot
 ENTRY_POINTS = (
     ("HPolytope", HPolytope, (2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), "3/2")])),
     ("translate", P2.translate, ((1, Fraction(-1, 2)),)),
     ("dilate", P2.dilate, (Fraction(3, 2),)),
     ("degree", lambda d: P2.degree(DivisorClass.from_dict(d)), ({0: 1, 2: "1/2"},)),
     ("DivisorClass.from_dict", DivisorClass.from_dict, ({0: 1, 1: Fraction(1, 3)},)),
-    ("Sublattice", lambda n, gens: Sublattice(Lattice(n), gens), (2, [(2, 4), (0, 3)])),
-    ("Sublattice.contains", Sublattice(Lattice(2), [(1, 2)]).contains, ((2, 4),)),
+    ("Sublattice", Sublattice, (2, [(2, 4), (0, 3)])),
+    ("Sublattice.contains", Sublattice(2, [(1, 2)]).contains, ((2, 4),)),
     ("QuotientLattice.project", Q.project, ((1, 2, 3),)),
     ("QuotientLattice.lift", Q.lift, ((1, -2),)),
     ("Subspace.span", Subspace.span, (3, [(1, 2, 3), (0, 1, "1/2")])),
@@ -65,8 +71,13 @@ ENTRY_POINTS = (
     ("line_bundle", line_bundle, (3, {0: 1, 2: -2})),
     ("sections_on_chart", lambda m: sections_on_chart(TANGENT, P2, VERTEX, m), ((1, 0),)),
     ("is_morphism", lambda m: is_morphism(TANGENT, TANGENT, m), (((1, 0), (0, "1")),)),
-    ("UnstableIndexVector.from_dict", UnstableIndexVector.from_dict, ({3: 0, 4: -1},)),
-    ("BundleSpec", lambda s: BundleSpec(P2, s), (({0: 1}, {2: 1}),)),
+    ("pullback_functor", lambda i: pullback_functor(GENERIC, i, line_bundle(2, {0: 1})),
+     ({2: -1},)),
+    ("BundleSpec", BundleSpec, (P2, ({0: 1}, {2: 1}))),
+    ("GitSetup", GitSetup, (P2, DIAGONAL)),
+    ("subsheaf", subsheaf, (TANGENT, L3)),
+    ("check_stability", check_stability, (TANGENT, P2.latvols())),
+    ("direct_sum", direct_sum, (TANGENT, TANGENT)),
     ("projective_space", projective_space, (2, 3)),
     ("hirzebruch", hirzebruch, (1, (0, 0, 1, "1/2"))),
     ("solve_minkowski", lambda u: solve_minkowski(u, [1, 1, 1, 1]), (SQUARE_NORMALS,)),
@@ -91,9 +102,12 @@ def _is_scalar(x) -> bool:
 
 
 def _slots(obj, path=()):
-    """(path, junk values) for the scalars and containers in nested lists,
-    tuples and dicts below the argument tuple; a dict key is the slot
-    ("key", k) and takes scalar junk."""
+    """(path, junk values) for the scalars, containers and package objects
+    in nested lists, tuples and dicts below the argument tuple; a dict key
+    is the slot ("key", k) and takes scalar junk."""
+    if type(obj).__module__.startswith("toricgit."):
+        yield path, OBJECT_JUNK
+        return
     if _is_scalar(obj):
         yield path, JUNK
         return
@@ -145,15 +159,14 @@ def test_junk_in_every_slot_raises_a_typed_error():
 
 
 def test_non_integers_are_rejected_not_truncated():
-    l2 = Lattice(2)
     for call in (
-        lambda: Sublattice(l2, [(Fraction(1, 2), 1)]),
-        lambda: Sublattice(l2, [(1.5, 0)]),
+        lambda: Sublattice(2, [(Fraction(1, 2), 1)]),
+        lambda: Sublattice(2, [(1.5, 0)]),
         lambda: line_bundle(2, {0: Fraction(1, 2)}),
         lambda: FiltrationSheaf(1, (((Fraction(3, 2), Subspace.full(1)),),)),
         lambda: DivisorClass.from_dict({Fraction(3, 2): 1}),
-        lambda: quotient(l2, Sublattice(l2, [(1, 0)])).lift([1.9]),
-        lambda: quotient(l2, Sublattice(l2, [(1, 0)])).project([0, 2.5]),
+        lambda: quotient(2, Sublattice(2, [(1, 0)])).lift([1.9]),
+        lambda: quotient(2, Sublattice(2, [(1, 0)])).project([0, 2.5]),
         lambda: solve_minkowski([(Fraction(3, 2), 0), (-1, 0), (0, 1), (0, -1)], [1, 1, 1, 1]),
     ):
         with pytest.raises(InputError):

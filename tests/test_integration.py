@@ -12,11 +12,10 @@ from toricgit import minkowski
 from toricgit.build import BundleSpec, product, projective_space, projectivized_bundle
 from toricgit.git import (
     GitSetup,
-    UnstableIndexVector,
     pullback_functor,
     translation_classes,
 )
-from toricgit.lattice import Lattice, Sublattice
+from toricgit.lattice import Sublattice
 from toricgit.minkowski import (
     ample_class_alpha,
     is_weighted_projective_quotient,
@@ -35,7 +34,7 @@ import pytest
 def b2_setups():
     box = product(product(projective_space(1, 1), projective_space(1, 1)),
                   projective_space(1, 2))
-    n0 = Sublattice(Lattice(3), ((2, 2, 1),))
+    n0 = Sublattice(3, ((2, 2, 1),))
     out = []
     for _, moved in translation_classes(box, n0, 1):
         setup = GitSetup(moved, n0)
@@ -64,8 +63,7 @@ def test_modulus_two_slope_identity(b2_setups):
         assert alpha.residual <= 1e-6
         for _ in range(6):
             sheaf = random_sheaf(rng, rng.randint(1, 3), py.num_facets)
-            ivec = UnstableIndexVector.from_dict(
-                {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+            ivec = {f: rng.randint(-2, 2) for f in setup.unstable_facets}
             report = verify_slope_identity(setup, sheaf, ivec, alpha)
             assert report.residual == 0
 
@@ -81,7 +79,7 @@ def test_modulus_two_stability_preserved(b2_setups):
                  if is_weighted_projective_quotient(s))
     py, _, _ = setup.quotient_polytope()
     alpha = ample_class_alpha(setup, seed=9)
-    zero = UnstableIndexVector.zero(setup)
+    zero = {f: 0 for f in setup.unstable_facets}
     for _ in range(8):
         sheaf = random_sheaf(rng, 2, py.num_facets)
         down = check_stability(sheaf, alpha.targets)
@@ -107,9 +105,8 @@ def test_threefold_quotient_stability_against_exact_degrees(monkeypatch):
         degrees = quotient_degrees(setup)
         for k in range(10):
             sheaf = random_sheaf(rng, rng.randint(2, 3), base.num_facets)
-            ivec = UnstableIndexVector.zero(setup) if k % 2 else \
-                UnstableIndexVector.from_dict(
-                    {f: rng.randint(-2, 2) for f in setup.unstable_facets})
+            ivec = {f: 0 for f in setup.unstable_facets} if k % 2 else \
+                {f: rng.randint(-2, 2) for f in setup.unstable_facets}
             down = check_stability(sheaf, degrees)
             up = check_stability(pullback_functor(setup, ivec, sheaf),
                                  setup.polytope.latvols())

@@ -4,9 +4,8 @@ from random import Random
 import pytest
 
 from toricgit import linalg
-from toricgit.errors import DimensionMismatch, NotSaturated, ZeroVector
+from toricgit.errors import DimensionMismatch, InputError, NotSaturated, ZeroVector
 from toricgit.lattice import (
-    Lattice,
     Sublattice,
     primitive_content,
     quotient,
@@ -16,17 +15,14 @@ from toricgit.lattice import (
 
 from util import diagonal_saturation_oracle, rref_oracle
 
-L2 = Lattice(2)
-L3 = Lattice(3)
-
 
 def test_saturate_single_vector_content():
-    s = Sublattice(L2, ((2, 2),))
+    s = Sublattice(2, ((2, 2),))
     assert saturate(s).generators == ((1, 1),)
 
 
 def test_saturate_already_saturated():
-    s = Sublattice(L2, ((1, 0),))
+    s = Sublattice(2, ((1, 0),))
     assert saturate(s).generators == ((1, 0),)
 
 
@@ -34,7 +30,7 @@ def test_saturate_rank_two_in_z3_matches_snf_oracle():
     gens = ((2, 0, 0), (0, 3, 0))
     expected = diagonal_saturation_oracle(gens, 3)
     assert expected == ((1, 0, 0), (0, 1, 0))
-    assert saturate(Sublattice(L3, gens)).generators == expected
+    assert saturate(Sublattice(3, gens)).generators == expected
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -45,7 +41,7 @@ def test_saturate_random_against_snf_oracle(trial):
     gens = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(m))
     if not any(any(g) for g in gens):
         return
-    s = Sublattice(Lattice(n), gens)
+    s = Sublattice(n, gens)
     assert saturate(s).generators == diagonal_saturation_oracle(s.generators, n)
 
 
@@ -57,7 +53,7 @@ def test_saturate_idempotent_and_contains():
                      for _ in range(rng.randint(1, n)))
         if not any(any(g) for g in gens):
             continue
-        s = Sublattice(Lattice(n), gens)
+        s = Sublattice(n, gens)
         sat = saturate(s)
         assert saturate(sat) == sat
         for g in s.generators:
@@ -65,11 +61,11 @@ def test_saturate_idempotent_and_contains():
 
 
 def test_saturation_index_snf_diagonal_product():
-    s = Sublattice(L3, ((2, 0, 0), (0, 3, 0)))
+    s = Sublattice(3, ((2, 0, 0), (0, 3, 0)))
     assert saturation_index(s) == 6
-    assert saturation_index(Sublattice(L2, ((1, 0),))) == 1
-    assert saturation_index(Sublattice(L2, ((2, 2),))) == 2
-    assert saturation_index(Sublattice(L3, ())) == 1
+    assert saturation_index(Sublattice(2, ((1, 0),))) == 1
+    assert saturation_index(Sublattice(2, ((2, 2),))) == 2
+    assert saturation_index(Sublattice(3, ())) == 1
     # against the diagonal form of the raw generators, rank-deficient ones
     # too: the product of its nonzero entries is that of the Smith form
     rng = Random(61)
@@ -80,7 +76,7 @@ def test_saturation_index_snf_diagonal_product():
         want = 1
         for i in range(min(len(gens), n)):
             want *= d[i][i] or 1
-        assert saturation_index(Sublattice(Lattice(n), gens)) == want, gens
+        assert saturation_index(Sublattice(n, gens)) == want, gens
 
 
 def member_oracle(gens, v):
@@ -101,7 +97,7 @@ def test_contains_matches_a_rational_solve_on_non_saturated_lattices():
         n = rng.randint(1, 4)
         gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
         gens[0] = [3 * x for x in gens[0]]  # usually of index > 1 in its saturation
-        s = Sublattice(Lattice(n), gens)
+        s = Sublattice(n, gens)
         if not s.generators or saturation_index(s) == 1:
             continue
         g = s.generators
@@ -120,7 +116,7 @@ def test_contains_matches_a_rational_solve_on_non_saturated_lattices():
 
 
 def test_quotient_by_diagonal():
-    q = quotient(L2, Sublattice(L2, ((1, 1),)))
+    q = quotient(2, Sublattice(2, ((1, 1),)))
     # pi(a, b) = a - b up to a unimodular (sign) choice
     assert q.rank == 1
     image = q.project((1, 0))[0]
@@ -130,11 +126,11 @@ def test_quotient_by_diagonal():
 
 def test_quotient_not_saturated():
     with pytest.raises(NotSaturated):
-        quotient(L2, Sublattice(L2, ((2, 2),)))
+        quotient(2, Sublattice(2, ((2, 2),)))
 
 
 def test_quotient_coordinate_kernel():
-    q = quotient(L3, Sublattice(L3, ((0, 0, 1),)))
+    q = quotient(3, Sublattice(3, ((0, 0, 1),)))
     assert q.rank == 2
     assert q.project((0, 0, 5)) == (0, 0)
     # projection restricted to the first two coordinates is unimodular
@@ -149,9 +145,8 @@ def test_quotient_kernel_and_surjectivity_invariants():
         g = rng.randint(0, n - 1) if n > 1 else 0
         gens = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(g))
         gens = tuple(v for v in gens if any(v))
-        lat = Lattice(n)
-        n0 = saturate(Sublattice(lat, gens))
-        q = quotient(lat, n0)
+        n0 = saturate(Sublattice(n, gens))
+        q = quotient(n, n0)
         # pi(v) = 0 iff v in N0
         for _ in range(20):
             v = tuple(rng.randint(-6, 6) for _ in range(n))
@@ -188,10 +183,16 @@ def test_primitive_content_scaling_property():
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
-        Sublattice(L2, ((1, 2, 3),))
+        Sublattice(2, ((1, 2, 3),))
+    # the lattice is its rank: a non-negative int
+    with pytest.raises(DimensionMismatch, match="lattice rank must be >= 0"):
+        Sublattice(-1, ())
+    for rank in (2.0, True, "2", None):
+        with pytest.raises(InputError, match="expected integer"):
+            Sublattice(rank, ())
 
 
 def test_sublattice_equality_is_structural():
-    a = Sublattice(L2, ((1, 1), (0, 2)))
-    b = Sublattice(L2, ((1, 3), (0, 2)))
+    a = Sublattice(2, ((1, 1), (0, 2)))
+    b = Sublattice(2, ((1, 3), (0, 2)))
     assert a == b  # same row lattice, same Hermite form

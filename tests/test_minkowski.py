@@ -16,7 +16,7 @@ from toricgit.errors import (
     NotGeneric,
 )
 from toricgit.git import GitSetup, translation_classes
-from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
+from toricgit.lattice import Sublattice, primitive_content, saturate
 from toricgit.minkowski import (
     MAX_K,
     ample_class_alpha,
@@ -38,8 +38,7 @@ from util import (
     solved_polytope,
 )
 
-L2 = Lattice(2)
-N0_DIAG = Sublattice(L2, ((1, 1),))
+N0_DIAG = Sublattice(2, ((1, 1),))
 SETUP = GitSetup(HPolytope(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]), N0_DIAG)
 # box [-1,2] x [-1,3]: stable degrees (4, 3), Minkowski defect 1
 PERTURBED = GitSetup(
@@ -68,7 +67,7 @@ def test_condition_with_zero_sublattice_always_holds():
     for poly in (projective_space(2, 2),
                  product(projective_space(1, 1), projective_space(1, 3)),
                  HPolytope(2, [((1, 0), 2), ((0, 1), 1), ((-1, 1), 3), ((0, -1), 1)])):
-        setup = GitSetup(poly, Sublattice(L2, ()))
+        setup = GitSetup(poly, Sublattice(2, ()))
         report = minkowski_condition(setup)
         assert report.holds
 
@@ -318,7 +317,7 @@ def test_curve_quotient_proportionality_identity():
     # dim(Y) = 1: the slope identity degenerates to the exact rational
     # proportionality mu_L(lift) + correction = c * mu_deg(sheaf), with
     # mu_deg the slope for the degree-1-per-point convention
-    from toricgit.git import UnstableIndexVector, pullback_functor
+    from toricgit.git import pullback_functor
     from toricgit.klyachko import det_indices
     from toricgit.stability import slope
 
@@ -330,12 +329,11 @@ def test_curve_quotient_proportionality_identity():
     c = next(iter(ratios.values()))
     for _ in range(15):
         q_sheaf = random_sheaf(rng, rng.randint(1, 3), 2)
-        ivec = UnstableIndexVector.from_dict(
-            {f: rng.randint(-2, 2) for f in SETUP.unstable_facets})
+        ivec = {f: rng.randint(-2, 2) for f in SETUP.unstable_facets}
         lifted = pullback_functor(SETUP, ivec, q_sheaf)
         lhs = slope(lifted, SETUP.polytope.latvols())
         correction = sum(i * SETUP.polytope.facet_latvol(f)
-                         for f, i in ivec.entries)
+                         for f, i in ivec.items())
         mu_deg = -Fraction(sum(det_indices(q_sheaf)), q_sheaf.rank)
         assert lhs + correction == c * mu_deg
 
@@ -481,7 +479,7 @@ def search_directions(poly) -> dict:
             u = [sum(degrees[f] * poly.facets[f][0][j] for f in subset) for j in range(poly.n)]
             if any(u):
                 prim = primitive_content(linalg.int_rows([u])[0])[0]
-                gens = saturate(Sublattice(Lattice(poly.n), (prim,))).generators
+                gens = saturate(Sublattice(poly.n, (prim,))).generators
                 out.setdefault(gens, set()).add(subset)
     return out
 
@@ -506,7 +504,7 @@ def test_chamber_rule_matches_the_setup_in_every_chamber():
         if poly.n == 3:
             chosen = rng.sample(chosen, min(4, len(chosen)))
         for gens in chosen:
-            n0 = Sublattice(Lattice(poly.n), gens)
+            n0 = Sublattice(poly.n, gens)
             rinv = [row[0] for row in linalg.integer_right_inverse(gens)]
             scale, chambers = minkowski._chambers(poly, gens[0])
             for k in range(1, MAX_K + 1):

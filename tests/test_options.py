@@ -13,7 +13,6 @@ from toricgit import (
     FiltrationSheaf,
     GitSetup,
     HPolytope,
-    Lattice,
     Sublattice,
     Subspace,
     ample_class_alpha,
@@ -40,7 +39,7 @@ SQUARE_VOLUMES = ["2", "1", "2", "1"]
 CUBE_NORMALS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 # P^2 with the diagonal subgroup at the untranslated linearization: not generic
 NON_GENERIC = GitSetup(HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]),
-                       Sublattice(Lattice(2), ((1, 1),)))
+                       Sublattice(2, ((1, 1),)))
 HEXAGON = HPolytope(2, [(u, 1) for u in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))])
 SURFACE_QUOTIENT = projectivized_bundle(BundleSpec(HEXAGON, ({4: 1},)))
 

@@ -14,7 +14,7 @@ from toricgit.build import hirzebruch, product, projective_space
 from toricgit.errors import InfeasibleError, InputError
 from toricgit.git import GitSetup, translation_classes
 from toricgit.klyachko import FiltrationSheaf, Subspace
-from toricgit.lattice import Lattice, Sublattice, primitive_content, saturate
+from toricgit.lattice import Sublattice, primitive_content, saturate
 from toricgit.linalg import Vec, vertex_table
 from toricgit.polytope import DivisorClass, HPolytope
 
@@ -179,7 +179,7 @@ def random_generic_setup(rng: Random, max_dilation: int = 3) -> GitSetup:
     while True:
         poly = rng.choice(BASE_FAMILIES)()
         direction = rng.choice(DIRECTIONS_2D)
-        n0 = Sublattice(Lattice(2), (direction,))
+        n0 = Sublattice(2, (direction,))
         candidates = []
         for k in range(1, max_dilation + 1):
             for _, moved in translation_classes(poly, n0, k):
@@ -310,7 +310,7 @@ def random_saturated_sublattice(rng: Random, n: int, rank: int) -> Sublattice:
     """A random saturated rank-``rank`` sublattice of ZZ^n."""
     while True:
         gens = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rank))
-        sub = saturate(Sublattice(Lattice(n), gens))
+        sub = saturate(Sublattice(n, gens))
         if sub.rank == rank:
             return sub
 
