@@ -64,6 +64,7 @@ def hirzebruch(a: int, supports: Optional[Sequence] = None) -> HPolytope:
 
 def product(p: HPolytope, q: HPolytope) -> HPolytope:
     """Product polytope: blockwise concatenated inequalities."""
+    p, q = instance(p, HPolytope), instance(q, HPolytope)
     facets = [(u + (0,) * q.n, a) for u, a in p.facets]
     facets += [((0,) * p.n + u, a) for u, a in q.facets]
     return HPolytope(p.n + q.n, facets)

@@ -356,13 +356,14 @@ def sections_on_chart(
     """Weight-m sections on the chart of a face: the intersection over the
     facets containing the face of E^F(<m, u_F>); the full space on the big
     chart (empty active set)."""
-    if sheaf.num_facets != p.num_facets:
+    if serialize.instance(sheaf, FiltrationSheaf).num_facets != \
+            serialize.instance(p, HPolytope).num_facets:
         raise FacetMismatch("sheaf and polytope facet counts differ")
     mv = serialize.frac_vector(m, p.n)
     if any(x.denominator != 1 for x in mv):
         raise InputError("weight entries must be integers")
     current = Subspace.full(sheaf.rank)
-    for f in sorted(face.active_facets):
+    for f in sorted(serialize.instance(face, Face).active_facets):
         current = current.intersect(sheaf.value_at(f, linalg.dot(mv, p.facets[f][0]).numerator))
     return current
 

@@ -78,7 +78,7 @@ def saturate(s: Sublattice) -> Sublattice:
     Computed as the double perp: the integer kernel of the pairing against
     a basis of s-perp, which is saturated by construction.
     """
-    perp = linalg.integer_kernel(s.generators, s.ambient)
+    perp = linalg.integer_kernel(serialize.instance(s, Sublattice).generators, s.ambient)
     return Sublattice(s.ambient, linalg.integer_kernel(perp, s.ambient))
 
 
@@ -88,7 +88,7 @@ def saturation_index(s: Sublattice) -> int:
     between them is triangular there, so the index is the quotient of their
     pivot products."""
     out = 1
-    for row in s.generators:
+    for row in serialize.instance(s, Sublattice).generators:
         out *= next(x for x in row if x)
     for row in saturate(s).generators:
         out //= next(x for x in row if x)
@@ -129,6 +129,6 @@ def quotient(n: int, n0: Sublattice) -> QuotientLattice:
     against pi(v) agrees with the ambient pairing.  It depends on N0 only,
     so it is built once per Sublattice object and then shared.
     """
-    if n0.ambient != n:
+    if serialize.instance(n0, Sublattice).ambient != serialize.int_from_obj(n):
         raise DimensionMismatch("sublattice of a different lattice")
     return n0._quotient

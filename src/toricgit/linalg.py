@@ -335,7 +335,8 @@ def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[tu
 
     Rows are scaled to integers and added one at a time.  A row that does
     not vanish on the lineality space L turns one lineality vector l0
-    into a ray and projects L and the rays along l0 into its hyperplane.
+    into a ray and projects L and the rays along l0 into its hyperplane;
+    a vector it vanishes on is already there and is kept as it is.
     Otherwise the rays on its negative side are dropped, and each pair of
     adjacent rays on opposite sides gives one new ray in the hyperplane.
     Two rays are adjacent iff no third ray is tight on every row on which
@@ -347,15 +348,15 @@ def _cone_dd(rows: Sequence[Sequence], d: int) -> tuple[list[list[int]], list[tu
     rays: list[tuple[list[int], int]] = []  # (ray, mask of its tight rows)
     for k, a in enumerate(int_rows(rows)):
         bit = 1 << k
-        on_lin = [sum(x * y for x, y in zip(a, v)) for v in lin]
-        vals = [sum(x * y for x, y in zip(a, r)) for r, _ in rays]
+        on_lin = [sum(map(mul, a, v)) for v in lin]
+        vals = [sum(map(mul, a, r)) for r, _ in rays]
         piv = next((i for i, v in enumerate(on_lin) if v), None)
         if piv is not None:
             l0, v0 = lin.pop(piv), on_lin.pop(piv)
             if v0 < 0:
                 l0, v0 = [-x for x in l0], -v0
-            lin = [_along(v0, l, -v, l0) for l, v in zip(lin, on_lin)]
-            rays = [(_along(v0, r, -v, l0), z | bit) for (r, z), v in zip(rays, vals)]
+            lin = [_along(v0, l, -v, l0) if v else l for l, v in zip(lin, on_lin)]
+            rays = [(_along(v0, r, -v, l0) if v else r, z | bit) for (r, z), v in zip(rays, vals)]
             rays.append((l0, bit - 1))
             continue
         new = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]

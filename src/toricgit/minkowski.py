@@ -569,7 +569,7 @@ def compatible_subgroups(
     automatically (verified exactly anyway).
     """
     k_max = serialize.int_option("k_max", k_max, 1, MAX_K)
-    n = poly.n
+    n = serialize.instance(poly, HPolytope).n
     d = poly.num_facets
     degrees = linalg.int_rows([poly.latvols()])[0]  # a positive multiple
     vertex_stars = {face.key() for face in poly.face_lattice if face.dim == 0}

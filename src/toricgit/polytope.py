@@ -13,7 +13,9 @@ scaled by the common denominator T of its vertices to a lattice polytope,
 whose faces have integer normalized volumes N_k = k! * vol_k, and the
 coning recursion N_k(F) = sum_G h_G * N_{k-1}(G) over integer lattice
 distances h_G gives them all; only the results are divided, by k! * T^k
-(Bueler, Enge and Fukuda 2000).
+(Bueler, Enge and Fukuda 2000).  A face is an int bit mask of vertex ids,
+each h_G a difference in one table of vertex values <p_v, u_j>, and an
+edge ab has the closed-form lattice length gcd(p_a - p_b).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import linalg, serialize
@@ -55,24 +58,30 @@ def hsystem_volume_data(
     appended: the matrix H[F][G] = d latvol(F) / d a_G.
 
     The system is scaled by T, the lcm of the t of its vertex rays (m, t),
-    so that T*P is the lattice polytope with vertices m * (T/t).  Then N_k(F) =
-    k! * vol_k(F) is an integer for every face F measured at level k, and
-    cones from a vertex over the facets give, recursively,
+    so that T*P is the lattice polytope with vertices m * (T/t).  Then
+    N_k(F) = k! * vol_k(F) is an integer for every face F measured at level
+    k, and cones from a vertex over the facets give, recursively,
         N_k(F) = sum_G h_G * N_{k-1}(G)
     over the distinct faces G = F & tight(j) that miss the first vertex v0
-    of F (N_0 = 1).  A face is a set of vertex ids measured at a level k,
-    the rank of the lattice it is measured in.  Each level carries an
-    integer basis of that lattice in global coordinates.  h_G is the
-    lattice distance of v0 from G: <v0 - v, u_G> / g for any vertex v of G,
-    g the content of u_G on the basis.  Both vertices are lattice points of
-    T*P in the face's saturated lattice, so the division is exact and the
-    recursion runs in integers.  N is memoized under (level, vertex ids),
-    so each face is visited once.  The level is part of the key: a
-    redundant constraint can touch a lower-dimensional face, whose volume
-    is 0 at that level but not one level down.  Redundant, duplicate and
-    tangent constraints thus get zero-volume faces, and a lower-dimensional
-    system has volume 0.  Only the outputs are divided, once each:
-    vol = N_n / (n! T^n) and latvol(F) = N_{n-1}(F) / ((n-1)! T^(n-1)).
+    of F (N_0 = 1).  A face is an int bit mask of vertex ids (v0 its lowest
+    bit) measured at a level k, the rank of the lattice it is measured in.
+    Each level carries an integer basis of that lattice in global
+    coordinates.  h_G is the lattice distance of v0 from G, read off the
+    table val[j][v] = <p_v, u_j> over the vertices p_v of T*P as
+    (val[j][v0] - val[j][v]) / g for any vertex v of G, g the content of
+    u_G on the basis.  Both vertices are lattice points of T*P in the
+    face's saturated lattice, so the division is exact and the recursion
+    runs in integers.  g = 0 is the only test for u_G constant on F: a
+    constraint tight on all of a flat F still cuts its level's lattice.  A
+    face G with g != 0 and at least two vertices at level 1 is an edge ab
+    (a face of a face of dimension <= 2), and N_1(G) = gcd(p_a - p_b), so
+    only faces of dimension 2..n-1 take a kernel.  N is memoized under
+    (level, mask), so each face is visited once.  The level is part of the
+    key: a redundant constraint can touch a lower-dimensional face, whose
+    volume is 0 at that level but not one level down.  Redundant, duplicate
+    and tangent constraints thus get zero-volume faces, and a
+    lower-dimensional system has volume 0.  Only the outputs are divided,
+    once each: vol = N_n / (n! T^n), latvol(F) = N_{n-1}(F) / ((n-1)! T^(n-1)).
 
     The rates come from the memo.  For G != F, moving a_G moves the ridge
     F & G inside F's lattice at speed 1/g, where g is the content of u_G
@@ -92,17 +101,21 @@ def hsystem_volume_data(
         return (*out, [[Fraction(0)] * len(normals) for _ in normals]) if rates else out
     scale = math.lcm(*(r[n] for r in rays))
     points = [[x * (scale // r[n]) for x in r[:n]] for r in rays]
-    tight = [frozenset(i for i, (_, act) in enumerate(table) if j in act)
+    tight = [sum(1 << i for i, (_, act) in enumerate(table) if j in act)
              for j in range(len(normals))]
-    memo: dict[tuple[int, frozenset[int]], int] = {}
+    val = linalg.pairings(normals, points)
+    memo: dict[tuple[int, int], int] = {}
 
-    def cone(k: int, ids: frozenset[int], basis) -> tuple[int, list[int]]:
+    def low(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
+
+    def cone(k: int, ids: int, basis) -> tuple[int, list[int]]:
         """(N_k of the face ids, N_{k-1} of ids & tight(j) per j)."""
-        v0 = min(ids)
+        v0, cols = low(ids), list(zip(*basis))
         total, subvols, seen = 0, [], set()
         for j, u in enumerate(normals):
             sub = ids & tight[j]
-            w = [linalg.dot(b, u) for b in basis] if len(sub) >= k else ()
+            w = [sum(map(mul, b, u)) for b in basis] if sub.bit_count() >= k else ()
             g = math.gcd(*w)
             if not g:  # too few vertices, or constant on the face
                 subvols.append(0)
@@ -111,18 +124,20 @@ def hsystem_volume_data(
                 vol = 1
             elif (k - 1, sub) in memo:
                 vol = memo[k - 1, sub]
+            elif k == 2:  # an edge ab: N_1 = gcd(p_a - p_b)
+                a, b = points[low(sub)], points[sub.bit_length() - 1]
+                vol = memo[1, sub] = math.gcd(*(x - y for x, y in zip(a, b)))
             else:
-                sub_basis = [[sum(c * b[t] for c, b in zip(row, basis)) for t in range(n)]
-                             for row in linalg.primitive_kernel([x // g for x in w])]
+                sub_basis = linalg.pairings(linalg.primitive_kernel([x // g for x in w]), cols)
                 vol = memo[k - 1, sub] = cone(k - 1, sub, sub_basis)[0]
             subvols.append(vol)
-            if v0 not in sub and sub not in seen:
+            if not sub >> v0 & 1 and sub not in seen:
                 seen.add(sub)
-                total += (linalg.dot(points[v0], u) - linalg.dot(points[min(sub)], u)) // g * vol
+                total += (val[j][v0] - val[j][low(sub)]) // g * vol
         return total, subvols
 
     identity = [[int(i == t) for t in range(n)] for i in range(n)]
-    top, subvols = cone(n, frozenset(range(len(rays))), identity)
+    top, subvols = cone(n, (1 << len(rays)) - 1, identity)
     vol = Fraction(top, math.factorial(n) * scale ** n)
     unit = math.factorial(n - 1) * scale ** (n - 1)
     latvols = [Fraction(x, unit) for x in subvols]
@@ -138,7 +153,7 @@ def hsystem_volume_data(
         for j, v in enumerate(normals):
             g = math.gcd(*(w[p] * v[q] - w[q] * v[p] for p, q in pairs))
             sub = tight[f] & tight[j]
-            if g and len(sub) >= n - 1:  # the tests of cone
+            if g and sub.bit_count() >= n - 1:  # the tests of cone
                 row[j] = Fraction(memo[n - 2, sub] if n > 2 else 1, ridge_unit * g)
         i = next(i for i, x in enumerate(u) if x)
         row[f] = -sum(h * v[i] for h, v in zip(row, normals)) / u[i]
@@ -393,7 +408,7 @@ def same_normal_fan(p: HPolytope, q: HPolytope) -> bool:
     the set of primitive normals of the facets through the vertex, so fans
     are compared as sets of those normal sets.
     """
-    if p.n != q.n:
+    if serialize.instance(p, HPolytope).n != serialize.instance(q, HPolytope).n:
         raise DimensionMismatch("polytopes in different lattices")
 
     def max_cones(poly: HPolytope) -> set[frozenset[IntVec]]:

@@ -26,8 +26,12 @@ from toricgit import (
     line_bundle,
     projective_space,
     projectivized_bundle,
+    product,
     pullback_functor,
     quotient,
+    same_normal_fan,
+    saturate,
+    saturation_index,
     sections_on_chart,
     slope,
     solve_minkowski,
@@ -47,6 +51,7 @@ L1, L2, L3 = (Subspace.span(2, [v]) for v in ((1, 0), (0, 1), (1, 1)))
 E2 = Subspace.full(2)
 TANGENT = FiltrationSheaf(2, (((-1, L1), (0, E2)), ((-1, L2), (0, E2)), ((-1, L3), (0, E2))))
 Q = quotient(3, Sublattice(3, [(1, 1, 0)]))
+SEGMENT = HPolytope(1, [((1,), 0), ((-1,), 2)])
 SQUARE_NORMALS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 HEXAGON = HPolytope(2, [(u, 1) for u in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))])
 SURFACE_QUOTIENT = projectivized_bundle(BundleSpec(HEXAGON, ({4: 1},)))
@@ -69,7 +74,7 @@ ENTRY_POINTS = (
     ("contains_vector", L3.contains_vector, ((Fraction(1, 2), "1/2"),)),
     ("FiltrationSheaf", FiltrationSheaf, (2, (((-1, L1), (0, E2)), ((0, E2),)))),
     ("line_bundle", line_bundle, (3, {0: 1, 2: -2})),
-    ("sections_on_chart", lambda m: sections_on_chart(TANGENT, P2, VERTEX, m), ((1, 0),)),
+    ("sections_on_chart", sections_on_chart, (TANGENT, P2, VERTEX, (1, 0))),
     ("is_morphism", lambda m: is_morphism(TANGENT, TANGENT, m), (((1, 0), (0, "1")),)),
     ("pullback_functor", lambda i: pullback_functor(GENERIC, i, line_bundle(2, {0: 1})),
      ({2: -1},)),
@@ -78,6 +83,12 @@ ENTRY_POINTS = (
     ("subsheaf", subsheaf, (TANGENT, L3)),
     ("check_stability", check_stability, (TANGENT, P2.latvols())),
     ("direct_sum", direct_sum, (TANGENT, TANGENT)),
+    ("product", product, (P2, SEGMENT)),
+    ("same_normal_fan", same_normal_fan, (P2, P2.dilate(2))),
+    ("compatible_subgroups", lambda p: compatible_subgroups(p, k_max=2), (P2,)),
+    ("quotient", quotient, (2, DIAGONAL)),
+    ("saturate", saturate, (Sublattice(2, [(2, 4)]),)),
+    ("saturation_index", saturation_index, (Sublattice(2, [(2, 4)]),)),
     ("projective_space", projective_space, (2, 3)),
     ("hirzebruch", hirzebruch, (1, (0, 0, 1, "1/2"))),
     ("solve_minkowski", lambda u: solve_minkowski(u, [1, 1, 1, 1]), (SQUARE_NORMALS,)),

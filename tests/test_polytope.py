@@ -581,22 +581,43 @@ def test_flat_systems_have_zero_volume_and_their_own_facet_volume():
 
 
 def test_volume_engine_visits_each_face_once(monkeypatch):
-    # one lattice kernel per face of dimension 1..n-1 of the n-cube
+    # one lattice kernel per face of dimension 2..n-1 of the n-cube; edges
+    # take their lattice length gcd(p_a - p_b) and need none
     calls = count_calls(monkeypatch, linalg, "primitive_kernel")
-    for n, faces in ((3, 18), (4, 64), (5, 210)):
+    for n, faces in ((3, 6), (4, 32), (5, 130)):
         calls.clear()
         vol, latvols, _ = hsystem_volume_data(n, unit_cube_system(n))
         assert vol == 1 and latvols == [1] * (2 * n)
         assert calls["primitive_kernel"] == faces
 
 
+def test_double_description_keeps_vectors_a_row_vanishes_on(monkeypatch):
+    # on the n-cube system each lineality vector the first n + 1 rows meet
+    # is a coordinate vector that every later such row vanishes on, so it
+    # is never projected: the only primitive combinations are the 2^n - 1
+    # new rays of the adjacency steps
+    calls = count_calls(monkeypatch, linalg, "_along")
+    for n in (2, 3, 4, 5):
+        calls.clear()
+        table, bounded = vertex_table(n, unit_cube_system(n))
+        assert bounded and len(table) == 2 ** n
+        assert calls["_along"] == 2 ** n - 1
+
+
 def fraction_calls_in_cone(volume_data, *args) -> Counter:
     """Calls into fractions.py made while ``volume_data(*args)`` runs, split
-    by whether a frame of its coning recursion (``cone``) is on the stack."""
+    by whether a frame of its coning recursion (``cone``) is on the stack,
+    and under "cone" the calls of that recursion, a function named ``cone``
+    in the module of ``volume_data``."""
     calls = Counter()
+    home = volume_data.__code__.co_filename
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+        if event != "call":
+            return
+        if frame.f_code.co_name == "cone" and frame.f_code.co_filename == home:
+            calls["cone"] += 1
+        if frame.f_code.co_filename == fractions.__file__:
             caller = frame.f_back
             while caller is not None and caller.f_code.co_name != "cone":
                 caller = caller.f_back
@@ -615,10 +636,12 @@ def test_volume_recursion_makes_no_fraction():
     # Fraction oracle shows that the probe sees arithmetic inside ``cone``
     facets = unit_cube_system(4) + [((1, 1, 1, 1), Fraction(7, 3))]
     table, oracle_table = vertex_table(4, facets)[0], fraction_vertex_table(4, facets)[0]
+    # and the "cone" count shows that it sees the engine's recursion at all
     for rates in (False, True):
-        assert fraction_calls_in_cone(hsystem_volume_data, 4, facets, table, rates)["inside"] == 0
-        assert fraction_calls_in_cone(fraction_volume_oracle, 4, facets, oracle_table,
-                                      rates)["inside"]
+        calls = fraction_calls_in_cone(hsystem_volume_data, 4, facets, table, rates)
+        assert calls["cone"] and calls["inside"] == 0
+        calls = fraction_calls_in_cone(fraction_volume_oracle, 4, facets, oracle_table, rates)
+        assert calls["cone"] and calls["inside"]
 
 
 def oracle_system(rng: Random, n: int, kind: str):
