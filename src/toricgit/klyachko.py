@@ -11,16 +11,17 @@ every elimination runs on the stored rows as they are; ``Subspace.basis``
 divides by D.  The kernel read off those rows (cached) spans W^perp, so
 x lies in W iff its residual, its pairings with that kernel, vanishes
 (D x - sum_k x[p_k] w_k on the free columns).  So containment takes no
-elimination, and s = rank[W; E] = dim(W + E) is the larger dimension plus
-the rank of the smaller subspace's nonzero residuals against the larger
-one, eliminated only when there are two or more (so never for a line):
-E <= W iff s = dim W, and the meet has dimension dim W + dim E - s.  A
-meet that is neither zero nor one of the two is read off one reduced form
-of [W | W; E | 0] (Zassenhaus): its rows (w + e, w) with vanishing left
-half have w in W n E, and their right halves divided by their gcd are the
-canonical rows.  A sheaf caches flag-adapted coordinates per facet, from
-the jumps' kernels: x lies in E_k iff its coordinates from dim E_k on
-vanish (``FiltrationSheaf.flag_coordinates``).
+elimination, and dim(W + E) is the larger dimension plus the rank of the
+smaller subspace's nonzero residuals against the larger one, eliminated
+only when there are two or more (so never for a line).  A meet reads the
+same residuals R_i of the smaller side's rows e_i: all zero means the pair
+is nested, and a line with a nonzero residual meets the other side in 0.
+Otherwise sum c_i e_i lies in both iff sum c_i R_i = 0, so the meet is read
+off one reduced form of the rows [R_i | e_i] (Zassenhaus on residuals): its
+rows with the pivot in the e part, divided by their gcd, are the canonical
+rows.  A sheaf caches flag-adapted coordinates per facet, from the jumps'
+kernels: x lies in E_k iff its coordinates from dim E_k on vanish
+(``FiltrationSheaf.flag_coordinates``).
 
 The ground field is QQ; witnesses defined only over an extension field are
 out of reach and verdicts record that restriction.
@@ -130,19 +131,19 @@ class Subspace:
         return Subspace._of_rows(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        d = self.dim + other.dim - self._sum_dim(other)
-        if d == 0:
+        if other.ambient != self.ambient:
+            raise DimensionMismatch("subspaces of different ambient spaces")
+        big, small = (other, self) if other.dim > self.dim else (self, other)
+        res = linalg.pairings(small.rows, big._annihilator)
+        if small.is_zero() or (small.dim == 1 and any(res[0])):
             return Subspace.zero(self.ambient)
-        if d == self.dim:
-            return self
-        if d == other.dim:
-            return other
-        n = self.ambient
-        reduced, pivots = linalg.rref([*(w + w for w in self.rows),
-                                       *(e + (0,) * n for e in other.rows)])
-        meet = [row[n:] for row, p in zip(reduced, pivots) if p >= n]
-        g = gcd(*(x for row in meet for x in row))
-        return Subspace(n, tuple(tuple(x // g for x in row) for row in meet))
+        if not any(map(any, res)):
+            return self if small.dim == self.dim else other
+        c = len(big._annihilator)
+        reduced, pivots = linalg.rref([r + list(w) for r, w in zip(res, small.rows)])
+        meet = [row[c:] for row, p in zip(reduced, pivots) if p >= c]
+        g = gcd(*(x for row in meet for x in row)) or 1
+        return Subspace(self.ambient, tuple(tuple(x // g for x in row) for row in meet))
 
     def perp(self) -> "Subspace":
         """The annihilator {x : x . w = 0 for w in W}, in the dual space
@@ -303,8 +304,10 @@ def structure_sheaf(num_facets: int) -> FiltrationSheaf:
 def dimension_jumps(sheaf: FiltrationSheaf, facet: int) -> dict[int, int]:
     """e^F(i) = dim E^F(i-1) - dim E^F(i), nonzero only at jumps; the values
     are negative and total -rank."""
-    out = {}
-    prev_dim = 0
+    if not 0 <= serialize.int_from_obj(facet) < \
+            serialize.instance(sheaf, FiltrationSheaf).num_facets:
+        raise InputError(f"no facet with index {facet}")
+    out, prev_dim = {}, 0
     for i, v in sheaf.filtrations[facet]:
         out[i] = prev_dim - v.dim
         prev_dim = v.dim
@@ -314,7 +317,7 @@ def dimension_jumps(sheaf: FiltrationSheaf, facet: int) -> dict[int, int]:
 def det_indices(sheaf: FiltrationSheaf) -> tuple[int, ...]:
     """i_F(det) = -sum_i i*e^F(i) per facet; for rank 1 this is the jump."""
     out = []
-    for f in range(sheaf.num_facets):
+    for f in range(serialize.instance(sheaf, FiltrationSheaf).num_facets):
         out.append(-sum(i * e for i, e in dimension_jumps(sheaf, f).items()))
     return tuple(out)
 
@@ -329,7 +332,7 @@ def dual(sheaf: FiltrationSheaf) -> FiltrationSheaf:
     """The dual sheaf: E^F(i)^dual = E^F(-i-1)^perp.  Jumps (i_k, E_k),
     k = 1..m, become (-i_{k+1}, E_k^perp) for k < m and (-i_1, full)."""
     filts = []
-    for filt in sheaf.filtrations:
+    for filt in serialize.instance(sheaf, FiltrationSheaf).filtrations:
         steps = [(-filt[k + 1][0], filt[k][1].perp()) for k in range(len(filt) - 1)]
         filts.append(tuple(reversed(steps)) + ((-filt[0][0], Subspace.full(sheaf.rank)),))
     return FiltrationSheaf(sheaf.rank, tuple(filts))
@@ -398,7 +401,8 @@ def hom_space(source: FiltrationSheaf, target: FiltrationSheaf) -> Subspace:
     in E_T^F(i) iff p . phi e = sum_ab p_a phi_ab e_b vanishes for each p in
     the kernel of its rows, so the space is the annihilator of those
     conditions, one per facet, jump, stored row e and kernel vector p."""
-    if source.num_facets != target.num_facets:
+    if serialize.instance(source, FiltrationSheaf).num_facets != \
+            serialize.instance(target, FiltrationSheaf).num_facets:
         raise FacetMismatch("morphism between sheaves on different facet sets")
     conds = [[a * b for a in p for b in e]
              for f, filt in enumerate(source.filtrations) for i, v in filt
@@ -411,6 +415,7 @@ def is_morphism(source: FiltrationSheaf, target: FiltrationSheaf,
     """Whether the target.rank x source.rank matrix, its entries read as
     rationals (``serialize.frac_from_obj``: no floats), lies in
     ``hom_space``."""
-    rows = serialize.items(matrix, lambda r: serialize.items(r, length=source.rank, kind="row"),
-                           target.rank, "morphism matrix")
+    cols = serialize.instance(source, FiltrationSheaf).rank
+    rows = serialize.items(matrix, lambda r: serialize.items(r, length=cols, kind="row"),
+                           serialize.instance(target, FiltrationSheaf).rank, "morphism matrix")
     return hom_space(source, target).contains_vector([x for row in rows for x in row])

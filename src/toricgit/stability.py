@@ -43,14 +43,16 @@ containing the coordinate.  That is one integer elimination per facet for
 every jump at once, and none for a line.  A profile p(C)_F is the level of
 C's highest nonzero coordinate.  Degree sums run in integers, over the
 degree vector times the lcm D of its denominators (``linalg.int_rows`` of
-(degrees, 1)), with one division by D per returned slope.  Only the line,
-hyperplane and final witnesses are re-verified through ``subsheaf``.
+(degrees, 1)), with one division by D per returned slope.  Each distinct
+(witness, slope) pair of the line and hyperplane strata and of the verdict
+is re-verified through ``subsheaf`` once, the verdict's last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
@@ -135,7 +137,7 @@ def candidate_subspaces(
 ) -> CandidateFamily:
     """The proper jump subspaces closed under pairwise intersection and sum,
     iterated to a fixed point (or to ``cap``, which downgrades verdicts)."""
-    seeds = _proper_jump_subspaces(sheaf)
+    seeds = _proper_jump_subspaces(serialize.instance(sheaf, FiltrationSheaf))
     members, fixpoint = _closure(seeds, sheaf.rank, cap, join=True)
     return CandidateFamily(tuple(members), fixpoint)
 
@@ -185,11 +187,12 @@ def _slope_scorer(sheaf: FiltrationSheaf, degrees: Sequence[Fraction]):
 
 def _profile(sheaf: FiltrationSheaf, c: Subspace) -> list[int]:
     """p(C)_F = min{i : C <= E^F(i)}: the level of C's highest nonzero
-    flag-adapted coordinate (the first level for C = 0)."""
+    flag-adapted coordinate (the first level for C = 0), scanned from the top."""
     out = []
     for cols, levels in sheaf.flag_coordinates:
-        top = max((j for row in linalg.pairings(c.rows, cols) for j, x in enumerate(row) if x),
-                  default=0)
+        top = len(cols) - 1
+        while top and not any([sum(map(mul, row, cols[top])) for row in c.rows]):
+            top -= 1
         out.append(levels[top])
     return out
 
@@ -244,7 +247,7 @@ def max_line_slope(
     realizing it (re-verified through ``subsheaf``) and whether the
     intersection closure reached its fixed point."""
     degrees = serialize.frac_vector(degrees)
-    best, line, fixpoint = _line_stratum(sheaf, degrees, cap)
+    best, line, fixpoint = _line_stratum(serialize.instance(sheaf, FiltrationSheaf), degrees, cap)
     _verify_witness(sheaf, degrees, line, best, "line")
     return best, line, fixpoint
 
@@ -259,15 +262,20 @@ def max_hyperplane_slope(
     with L = W^perp: the hyperplane maximum is the line maximum of the dual
     sheaf.  Returns (max, witness hyperplane, closure reached fixpoint).
     """
-    r = sheaf.rank
-    if r < 2:
+    if serialize.instance(sheaf, FiltrationSheaf).rank < 2:
         raise InputError("hyperplane stratum needs rank >= 2")
     degrees = serialize.frac_vector(degrees)
-    val, line, fixpoint = _line_stratum(dual(sheaf), degrees, cap)
-    best = (r * slope(sheaf, degrees) + val) / (r - 1)
-    hyper = line.perp()
+    best, hyper, fixpoint = _hyperplane_stratum(sheaf, degrees, cap, slope(sheaf, degrees))
     _verify_witness(sheaf, degrees, hyper, best, "hyperplane")
     return best, hyper, fixpoint
+
+
+def _hyperplane_stratum(
+    sheaf: FiltrationSheaf, degrees: Sequence[Fraction], cap: int, mu: Fraction
+) -> tuple[Fraction, Subspace, bool]:
+    """``max_hyperplane_slope`` unverified, given mu = mu(S)."""
+    val, line, fixpoint = _line_stratum(dual(sheaf), degrees, cap)
+    return (sheaf.rank * mu + val) / (sheaf.rank - 1), line.perp(), fixpoint
 
 
 def _random_subspace(rng: Random, r: int) -> Subspace:
@@ -356,9 +364,9 @@ def check_stability(
         if not family.reached_fixpoint:
             capped.append("candidates")
 
-    line_val, line_witness, line_fix = max_line_slope(sheaf, degrees, cap)
+    line_val, line_witness, line_fix = _line_stratum(sheaf, degrees, cap)
     evaluations.append((line_val, 1, line_witness))
-    hyp_val, hyp_witness, hyp_fix = max_hyperplane_slope(sheaf, degrees, cap)
+    hyp_val, hyp_witness, hyp_fix = _hyperplane_stratum(sheaf, degrees, cap, mu)
     evaluations.append((hyp_val, r - 1, hyp_witness))
     if not line_fix:
         capped.append("lines")
@@ -385,8 +393,13 @@ def check_stability(
     table = tuple(sorted(((d, v) for v, d, _ in evaluations), key=lambda t: -t[1]))[:100]
     common = dict(slope=mu, slope_table=table, seed=seed, cap_exceeded=cap_exceeded)
 
+    witnesses = {(line_witness, line_val): "line", (hyp_witness, hyp_val): "hyperplane"}
+    if best_val >= mu:  # the final witness last
+        witnesses.pop((witness, best_val), None)
+        witnesses[witness, best_val] = "final"
+    for (w, value), what in witnesses.items():  # each distinct pair once
+        _verify_witness(sheaf, degrees, w, value, what)
     if best_val >= mu:
-        _verify_witness(sheaf, degrees, witness, best_val, "final")
         return StabilityVerdict(
             status=UNSTABLE if best_val > mu else SEMISTABLE, certainty=certainty,
             witness=witness, witness_slope=best_val, notes="; ".join(notes), **common)

@@ -18,10 +18,15 @@ from toricgit import (
     Sublattice,
     Subspace,
     ample_class_alpha,
+    candidate_subspaces,
     check_stability,
     compatible_subgroups,
+    det_indices,
+    dimension_jumps,
     direct_sum,
+    first_chern,
     hirzebruch,
+    hom_space,
     is_morphism,
     line_bundle,
     projective_space,
@@ -38,6 +43,8 @@ from toricgit import (
     subsheaf,
 )
 from toricgit.errors import InputError, ToricGitError
+from toricgit.klyachko import dual
+from toricgit.stability import max_hyperplane_slope, max_line_slope
 
 HUGE = 10 ** 30
 JUNK = (float("nan"), float("inf"), float("-inf"), 1.5, Fraction(1, 2), True, None,
@@ -75,13 +82,21 @@ ENTRY_POINTS = (
     ("FiltrationSheaf", FiltrationSheaf, (2, (((-1, L1), (0, E2)), ((0, E2),)))),
     ("line_bundle", line_bundle, (3, {0: 1, 2: -2})),
     ("sections_on_chart", sections_on_chart, (TANGENT, P2, VERTEX, (1, 0))),
-    ("is_morphism", lambda m: is_morphism(TANGENT, TANGENT, m), (((1, 0), (0, "1")),)),
+    ("is_morphism", is_morphism, (TANGENT, TANGENT, ((1, 0), (0, "1")))),
+    ("hom_space", hom_space, (TANGENT, TANGENT)),
+    ("dual", dual, (TANGENT,)),
+    ("det_indices", det_indices, (TANGENT,)),
+    ("dimension_jumps", dimension_jumps, (TANGENT, 2)),
+    ("first_chern", first_chern, (TANGENT,)),
     ("pullback_functor", lambda i: pullback_functor(GENERIC, i, line_bundle(2, {0: 1})),
      ({2: -1},)),
     ("BundleSpec", BundleSpec, (P2, ({0: 1}, {2: 1}))),
     ("GitSetup", GitSetup, (P2, DIAGONAL)),
     ("subsheaf", subsheaf, (TANGENT, L3)),
     ("check_stability", check_stability, (TANGENT, P2.latvols())),
+    ("candidate_subspaces", candidate_subspaces, (TANGENT, 50)),
+    ("max_line_slope", max_line_slope, (TANGENT, P2.latvols(), 50)),
+    ("max_hyperplane_slope", max_hyperplane_slope, (TANGENT, P2.latvols(), 50)),
     ("direct_sum", direct_sum, (TANGENT, TANGENT)),
     ("product", product, (P2, SEGMENT)),
     ("same_normal_fan", same_normal_fan, (P2, P2.dilate(2))),

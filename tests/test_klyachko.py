@@ -26,6 +26,7 @@ from toricgit.polytope import HPolytope
 
 from util import (
     coordinate_sheaf,
+    count_calls,
     divisor_sum,
     jump_indices,
     morphism_oracle,
@@ -232,6 +233,40 @@ def test_subspace_relations_by_residuals_match_stacked_rank_oracles():
                 assert x.contains_vector(v) == stacked_rank_contains_vector(x, v)
                 seen["inside"] += 0 < x.dim < n and any(v) and x.contains_vector(v)
     assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_meet_costs_one_reduction_and_no_rank(monkeypatch):
+    # the smaller side's residuals against the larger one decide nested
+    # pairs, zero operands and lines without elimination; any other pair
+    # is one rref of [R | e], and no meet takes a rank
+    rng = Random(94)
+    kinds = ("integer", "crossing", "nested", "equal", "rational")
+    pairs = [random_pair(rng, 4 + t % 2, kinds[t % len(kinds)]) for t in range(400)]
+    pairs += [(random_subspace(rng, n, 2), random_subspace(rng, n, n - 2))  # generically 0
+              for n in (4, 5) for _ in range(10)]
+    wants = [stacked_rank_intersect(w, e) for w, e in pairs]
+    counts = {name: count_calls(monkeypatch, linalg, name) for name in ("rref", "int_rank")}
+    seen = dict.fromkeys(("proper", "zero", "free"), 0)
+    for (w, e), want in zip(pairs, wants):
+        before = counts["rref"]["rref"]
+        assert w.intersect(e) == want
+        small = min(w.dim, e.dim)
+        if small <= 1 or want.dim == small:
+            kind = "free"
+        else:
+            kind = "zero" if want.is_zero() else "proper"
+        assert counts["rref"]["rref"] - before == (kind != "free"), (w, e)
+        seen[kind] += 1
+    assert counts["int_rank"]["int_rank"] == 0
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_meet_across_ambients_raises():
+    for w, e in ((Subspace.full(3), Subspace.full(2)), (Subspace.zero(3), L1),
+                 (L1, Subspace.span(3, [(1, 0, 0)])), (Subspace.zero(4), Subspace.zero(5))):
+        for x, y in ((w, e), (e, w)):
+            with pytest.raises(DimensionMismatch):
+                x.intersect(y)
 
 
 def nullspace_oracle(rows, n):

@@ -568,6 +568,39 @@ def test_semistable_witness_reverified_through_subsheaf(monkeypatch):
     assert seen[-1] == verdict.witness
 
 
+def test_each_witness_verified_once_final_last(monkeypatch):
+    # the line and hyperplane witnesses and the final one, each distinct
+    # (witness, slope) pair re-derived through subsheaf exactly once
+    rng = Random(95)
+    cases = []
+    for k in range(45):
+        degrees = (P2_O1, F1, SEGMENT)[k % 3]
+        cases.append((random_sheaf(rng, 2 + k % 3, len(degrees)), degrees))
+    strata = [(max_line_slope(s, d, 60)[:2], max_hyperplane_slope(s, d, 60)[:2])
+              for s, d in cases]
+    seen = []
+
+    def recording_subsheaf(sheaf, w):
+        sub = subsheaf(sheaf, w)
+        seen.append((w, slope(sub, degrees)))
+        return sub
+
+    monkeypatch.setattr(stability, "subsheaf", recording_subsheaf)
+    shared = dict.fromkeys(("final", "repeated"), 0)
+    for (s, degrees), ((line_v, line_w), (hyp_v, hyp_w)) in zip(cases, strata):
+        seen.clear()
+        verdict = check_stability(s, degrees, cap=60, random_trials=20)
+        want = {(line_w, line_v), (hyp_w, hyp_v)}
+        if verdict.witness is not None:
+            final = (verdict.witness, verdict.witness_slope)
+            shared["final"] += final in want
+            want.add(final)
+            assert seen[-1] == final
+        shared["repeated"] += len(want) < 2 + (verdict.witness is not None)
+        assert len(seen) == len(set(seen)) and set(seen) == want
+    assert all(count >= 5 for count in shared.values()), shared
+
+
 def test_witness_check_survives_optimize_flag():
     # a subsheaf with shifted jumps has the wrong slope; the witness check
     # must raise even when assert statements are compiled away
